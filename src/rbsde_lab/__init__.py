@@ -33,6 +33,7 @@ from .regulated import (
     RegulatedField,
     check_separation,
     jump_exhaustion_schedule,
+    negation_dual,
     right_jump,
     validate_instance,
 )
@@ -45,7 +46,6 @@ from .bundles import (
 )
 from .engine import (
     PenalizationMode,
-    PenalizedSolution,
     SweepResult,
     implicit_step,
     penalization_sweep,
@@ -54,7 +54,6 @@ from .engine import (
     solve_penalized,
 )
 from .solvers import (
-    negation_dual,
     solve_doubly_reflected,
     solve_reflected_lower,
     solve_reflected_upper,

@@ -178,16 +178,25 @@ def lu4_residual(bundle: SolutionBundle, instance: ProblemInstance) -> float:
     return worst
 
 
+def sandwich_defect(bundle: SolutionBundle, barrier: RegulatedField | None, lower: bool) -> float:
+    """Max nodewise defect of L <= Y (``lower``) or Y <= U on the stored values.
+
+    Zero when the barrier is absent or never crossed.
+    """
+    worst = 0.0
+    if barrier is not None:
+        for k in range(bundle.tree.levels):
+            y, b = bundle.y.value.level(k), barrier.value.level(k)
+            worst = max(worst, float(np.max(b - y if lower else y - b)))
+    return worst
+
+
 def sandwich_violation(bundle: SolutionBundle, barriers: BarrierPair) -> float:
     """Max nodewise defect of L <= Y <= U on the stored values."""
-    worst = 0.0
-    for k in range(bundle.tree.levels):
-        y = bundle.y.value.level(k)
-        if barriers.lower is not None:
-            worst = max(worst, float(np.max(barriers.lower.value.level(k) - y)))
-        if barriers.upper is not None:
-            worst = max(worst, float(np.max(y - barriers.upper.value.level(k))))
-    return max(worst, 0.0)
+    return max(
+        sandwich_defect(bundle, barriers.lower, lower=True),
+        sandwich_defect(bundle, barriers.upper, lower=False),
+    )
 
 
 def right_jump_identity_defect(bundle: SolutionBundle) -> float:

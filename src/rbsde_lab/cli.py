@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .bundles import (
     SolutionBundle,
     lu4_residual,
     right_jump_identity_defect,
+    sandwich_defect,
     skorokhod_residual,
 )
 from .engine import PenalizationMode, default_levels, penalization_sweep
@@ -58,9 +58,12 @@ def _residual_tol() -> float:
     if raw is None:
         return DEFAULT_RESIDUAL_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
         raise InvalidInstanceError(f"RBSDE_LAB_TOL is not a number: {raw!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidInstanceError(f"RBSDE_LAB_TOL must be finite and >= 0: {raw!r}")
+    return tol
 
 
 def _solve_projection(instance) -> SolutionBundle:
@@ -86,15 +89,12 @@ def _sweep_mode(instance, direction: str) -> PenalizationMode:
     raise PreconditionError("decreasing scheme needs an upper barrier")
 
 
-def _sandwich_sides(bundle: SolutionBundle, instance) -> tuple[float, float]:
-    lo = up = 0.0
-    for k in range(bundle.tree.levels):
-        y = bundle.y.value.level(k)
-        if instance.lower is not None:
-            lo = max(lo, float(np.max(instance.lower.value.level(k) - y)))
-        if instance.upper is not None:
-            up = max(up, float(np.max(y - instance.upper.value.level(k))))
-    return lo, up
+def _print_invalid(instance) -> bool:
+    """Print the instance's validation failures; True when there are any."""
+    report = validate_instance(instance)
+    for v in report.violations:
+        print(f"validation: {v.kind} at {v.location} ({v.detail})", file=sys.stderr)
+    return not report.ok
 
 
 def _bundle_report(bundle: SolutionBundle, instance, tol: float, eps: float | None = None):
@@ -105,13 +105,12 @@ def _bundle_report(bundle: SolutionBundle, instance, tol: float, eps: float | No
     exact-solution tolerance; everything else keeps the strict gate.
     """
     rep = skorokhod_residual(bundle, instance.barriers)
-    lo_violation, up_violation = _sandwich_sides(bundle, instance)
     residuals = {
         "lu4": lu4_residual(bundle, instance),
         "skorokhod_lower": rep.lower_residual,
         "skorokhod_upper": rep.upper_residual,
-        "sandwich_lower": lo_violation,
-        "sandwich_upper": up_violation,
+        "sandwich_lower": sandwich_defect(bundle, instance.lower, lower=True),
+        "sandwich_upper": sandwich_defect(bundle, instance.upper, lower=False),
         "jump_identity": right_jump_identity_defect(bundle),
     }
     slack = tol if eps is None else 2.0 * eps
@@ -135,10 +134,7 @@ def _bundle_report(bundle: SolutionBundle, instance, tol: float, eps: float | No
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    report = validate_instance(instance)
-    if not report.ok:
-        for v in report.violations:
-            print(f"validation: {v.kind} at {v.location} ({v.detail})", file=sys.stderr)
+    if _print_invalid(instance):
         return EXIT_INVALID
     warnings: list[str] = []
     if instance.lower is not None and instance.upper is not None:
@@ -183,10 +179,7 @@ def cmd_solve(args) -> int:
 
 def cmd_converge(args) -> int:
     instance = load_instance(args.instance)
-    report = validate_instance(instance)
-    if not report.ok:
-        for v in report.violations:
-            print(f"validation: {v.kind} at {v.location} ({v.detail})", file=sys.stderr)
+    if _print_invalid(instance):
         return EXIT_INVALID
     mode = _sweep_mode(instance, args.mode)
     sweep = penalization_sweep(

@@ -1,4 +1,11 @@
-"""Backward induction for plain and penalized equations on the tree.
+"""The shared backward sweep, and the plain and penalized steps on the tree.
+
+:func:`backward_sweep` is the one backward induction of the package: it
+owns the level loop, the conditional expectations, the martingale
+increments and the assembly of the solution bundle.  A solver supplies
+only the step that turns the expectations of one level into its values
+and increments; the penalized step lives here, the projection step in
+:mod:`rbsde_lab.solvers`.
 
 The driver integral is treated implicitly (solve y = e + f(t, y) dt) and so
 is the penalty term n (y - L)^- dt: the piecewise-linear equation is solved
@@ -13,27 +20,31 @@ floating point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .bundles import SolutionBundle, lu4_residual, skorokhod_residual
 from .drivers import Driver
 from .errors import (
-    InvalidInstanceError,
     NumericalError,
     PreconditionError,
     SchemeMonotonicityError,
     StabilityError,
 )
-from .lattice import AdaptedField, EdgeField, expect_children, sup_distance
+from .lattice import AdaptedField, EdgeField, edge_increments, expect_level, sup_distance
 from .regulated import (
-    BarrierPair,
     ProblemInstance,
     RegulatedField,
     jump_exhaustion_schedule,
-    validate_instance,
+    jump_masks,
+    negation_dual,
+    require_valid,
 )
+
+# (k, e) -> the level's rows (y, dK*, jumpK, dA*, jumpA), shape (5, width)
+LevelStep = Callable[[int, np.ndarray], np.ndarray]
 
 FIXED_POINT_TOL = 1e-13
 FIXED_POINT_MAX_ITER = 200
@@ -74,11 +85,6 @@ class PenalizationMode(enum.Enum):
             PenalizationMode.LOWER_PENALTY_UPPER_REFLECT: PenalizationMode.UPPER_PENALTY_LOWER_REFLECT,
             PenalizationMode.UPPER_PENALTY_LOWER_REFLECT: PenalizationMode.LOWER_PENALTY_UPPER_REFLECT,
         }[self]
-
-
-@dataclass
-class PenalizedSolution(SolutionBundle):
-    """Solution of one penalized backward sweep at a fixed penalty level."""
 
 
 def _check_stability(driver: Driver, dt: float) -> None:
@@ -224,46 +230,47 @@ def right_jump_correction(
     return y, jump_k, jump_a
 
 
-def _jump_mask(barrier: RegulatedField | None, tree) -> list[np.ndarray]:
-    if barrier is None:
-        return [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.levels)]
-    return [barrier.jump_levels(k) != 0.0 for k in range(tree.levels)]
+def backward_sweep(
+    instance: ProblemInstance, step: LevelStep, method: str, n: int | None = None
+) -> SolutionBundle:
+    """Backward induction from the terminal payoff, one level at a time.
 
-
-def _require_valid(instance: ProblemInstance) -> None:
-    report = validate_instance(instance)
-    if not report.ok:
-        heads = "; ".join(f"{v.kind} at {v.location}" for v in report.violations[:4])
-        raise InvalidInstanceError(f"instance fails validation: {heads}")
-
-
-def solve_penalized(instance: ProblemInstance, n: int, mode: PenalizationMode) -> PenalizedSolution:
-    """Full backward sweep of one penalization scheme at level n.
-
-    Lower-side modes run directly; upper-side modes run on the negated
-    problem and swap (K, A) back, which realizes the duality exactly.
+    At level k the conditional expectations ``e`` of the level-(k+1) values
+    and the martingale increments on the edges out of level k are taken
+    here; ``step(k, e)`` returns the level's rows (y, dK*, jumpK, dA*,
+    jumpA).  The right-limit value is assembled as (value - jumpK) + jumpA.
     """
-    if n < 1:
-        raise PreconditionError("penalty level must be >= 1")
-    _require_valid(instance)
-    if not mode.penalizes_lower:
-        from .solvers import negation_dual
+    tree = instance.tree
+    depth = tree.depth
+    terminal = np.array(instance.terminal, dtype=float)
+    rows: list = [None] * depth + [[terminal] + [np.zeros(terminal.size)] * 4]
+    dm_levels: list = [None] * depth
+    for k in range(depth - 1, -1, -1):
+        y_next = rows[k + 1][0]
+        e = expect_level(tree, k, y_next)
+        dm_levels[k] = edge_increments(tree, k, y_next, e)
+        rows[k] = step(k, e)
+    value, dk_star, jump_k, da_star, jump_a = (AdaptedField(tree, lv) for lv in zip(*rows))
+    right = AdaptedField(
+        tree,
+        [(value.level(k) - jump_k.level(k)) + jump_a.level(k) for k in range(depth + 1)],
+    )
+    return SolutionBundle(
+        tree=tree,
+        grid=instance.grid,
+        y=RegulatedField(value, right),
+        dm=EdgeField(tree, dm_levels),
+        dk_star=dk_star,
+        jump_k=jump_k,
+        da_star=da_star,
+        jump_a=jump_a,
+        method=method,
+        n=n,
+    )
 
-        dual = solve_penalized(negation_dual(instance), n, mode.dual)
-        flipped = dual.negate_swap()
-        return PenalizedSolution(
-            tree=flipped.tree,
-            grid=flipped.grid,
-            y=flipped.y,
-            dm=flipped.dm,
-            dk_star=flipped.dk_star,
-            jump_k=flipped.jump_k,
-            da_star=flipped.da_star,
-            jump_a=flipped.jump_a,
-            method=mode.value,
-            n=n,
-        )
 
+def _penalized_lower_side(instance: ProblemInstance, n: int, mode: PenalizationMode) -> SolutionBundle:
+    """The penalized sweep of a lower-side mode on a validated instance."""
     tree, grid, driver = instance.tree, instance.grid, instance.driver
     lower = instance.lower
     if lower is None:
@@ -273,72 +280,48 @@ def solve_penalized(instance: ProblemInstance, n: int, mode: PenalizationMode) -
         raise PreconditionError(f"mode {mode.value} needs the upper barrier to reflect on")
 
     sched = jump_exhaustion_schedule(lower, n, side="lower").mask(tree)
-    upper_jumps = _jump_mask(upper, tree)
+    upper_jumps = jump_masks(upper, tree)
+    reflects = mode.reflects
 
-    depth = tree.depth
-    y_levels: list[np.ndarray] = [np.empty(0)] * (depth + 1)
-    y_levels[depth] = np.array(instance.terminal, dtype=float)
-    dk_levels = [np.zeros(tree.level_size(k)) for k in range(depth + 1)]
-    jk_levels = [np.zeros(tree.level_size(k)) for k in range(depth + 1)]
-    da_levels = [np.zeros(tree.level_size(k)) for k in range(depth + 1)]
-    ja_levels = [np.zeros(tree.level_size(k)) for k in range(depth + 1)]
-    dm_levels: list[list[np.ndarray]] = []
-
-    for k in range(depth - 1, -1, -1):
+    def step(k: int, e: np.ndarray) -> np.ndarray:
         t = float(grid.instants[k])
         dt = grid.dt(k)
-        y_next = y_levels[k + 1]
-        width = tree.level_size(k)
-        y_here = np.empty(width)
-        dm_row = []
         lo_vals = lower.value.level(k)
         up_vals = None if upper is None else upper.value.level(k)
-        for j in range(width):
-            e = expect_children(tree, k, y_next, j)
-            cs = tree.children[k][j]
-            dm_row.append(np.asarray([float(y_next[c]) - e for c in cs]))
+        out = []
+        for j, e_j in enumerate(e.tolist()):
             lo = float(lo_vals[j])
-            if mode.reflects and up_vals is not None and not upper_jumps[k][j]:
-                clamp_upper = float(up_vals[j])
-            else:
-                clamp_upper = None
-            y_plus, dk, da = penalized_step(e, t, dt, n, mode, lo, clamp_upper, driver)
+            up = None if up_vals is None else float(up_vals[j])
+            declared = reflects and bool(upper_jumps[k][j])
+            clamp_upper = up if reflects and not declared else None
+            y_plus, dk, da = penalized_step(e_j, t, dt, n, mode, lo, clamp_upper, driver)
             y, jk, ja = right_jump_correction(
                 y_plus,
                 mode,
                 lo,
-                None if up_vals is None else float(up_vals[j]),
+                up,
                 lower_scheduled=bool(sched[k][j]),
-                upper_declared=mode.reflects and bool(upper_jumps[k][j]),
+                upper_declared=declared,
             )
-            y_here[j] = y
-            dk_levels[k][j] = dk
-            jk_levels[k][j] = jk
-            da_levels[k][j] = da
-            ja_levels[k][j] = ja
-        y_levels[k] = y_here
-        dm_levels.append(dm_row)
-    dm_levels.reverse()
+            out.append((y, dk, jk, da, ja))
+        return np.array(out).T
 
-    value = AdaptedField(tree, y_levels)
-    jump_k = AdaptedField(tree, jk_levels)
-    jump_a = AdaptedField(tree, ja_levels)
-    right = AdaptedField(
-        tree,
-        [(value.level(k) - jump_k.level(k)) + jump_a.level(k) for k in range(depth + 1)],
-    )
-    return PenalizedSolution(
-        tree=tree,
-        grid=grid,
-        y=RegulatedField(value, right),
-        dm=EdgeField(tree, dm_levels),
-        dk_star=AdaptedField(tree, dk_levels),
-        jump_k=jump_k,
-        da_star=AdaptedField(tree, da_levels),
-        jump_a=jump_a,
-        method=mode.value,
-        n=n,
-    )
+    return backward_sweep(instance, step, mode.value, n)
+
+
+def solve_penalized(instance: ProblemInstance, n: int, mode: PenalizationMode) -> SolutionBundle:
+    """Full backward sweep of one penalization scheme at level n.
+
+    Lower-side modes run directly; upper-side modes run on the negated
+    problem and swap (K, A) back, which realizes the duality exactly.
+    """
+    if n < 1:
+        raise PreconditionError("penalty level must be >= 1")
+    require_valid(instance)
+    if mode.penalizes_lower:
+        return _penalized_lower_side(instance, n, mode)
+    dual = _penalized_lower_side(negation_dual(instance), n, mode.dual)
+    return dual.negate_swap(method=mode.value)
 
 
 @dataclass
@@ -356,7 +339,7 @@ class SweepResult:
     eps: float
     converged: bool
     levels: list[int]
-    final: PenalizedSolution
+    final: SolutionBundle
     trace: list[TraceRow]
     monotone_violation: float
 
@@ -392,12 +375,12 @@ def penalization_sweep(
         levels = default_levels()
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise PreconditionError("penalty levels must be strictly increasing")
-    prev: PenalizedSolution | None = None
+    prev: SolutionBundle | None = None
     trace: list[TraceRow] = []
     ran: list[int] = []
     worst_mono = 0.0
     converged = False
-    sol: PenalizedSolution | None = None
+    sol: SolutionBundle | None = None
     for n in levels:
         sol = solve_penalized(instance, n, mode)
         ran.append(n)
@@ -423,15 +406,13 @@ def penalization_sweep(
                 break
         prev = sol
     assert sol is not None
-    sol.method = (
-        "increasing-penalization" if mode.increasing else "decreasing-penalization"
-    )
+    label = "increasing-penalization" if mode.increasing else "decreasing-penalization"
     return SweepResult(
         mode=mode,
         eps=eps,
         converged=converged,
         levels=ran,
-        final=sol,
+        final=replace(sol, method=label),
         trace=trace,
         monotone_violation=worst_mono,
     )

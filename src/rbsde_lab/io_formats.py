@@ -17,7 +17,7 @@ from .bundles import SolutionBundle
 from .drivers import Driver, constant_driver, linear_driver, zero_driver
 from .engine import TraceRow
 from .errors import InvalidInstanceError
-from .lattice import AdaptedField, EdgeField, FiltrationTree, TimeGrid
+from .lattice import AdaptedField, EdgeField, FiltrationTree, TimeGrid, build_binomial
 from .regulated import BarrierPair, ProblemInstance, RegulatedField
 
 SOLUTION_SCHEMA = "rbsde-lab/solution-v1"
@@ -87,8 +87,6 @@ def _parse_tree(spec: dict, steps: int) -> FiltrationTree:
     kind = spec["kind"]
     if kind == "binomial":
         _take(spec, "tree", ["kind", "x0", "up", "down", "p_up"])
-        from .lattice import build_binomial
-
         return build_binomial(
             steps, float(spec["x0"]), float(spec["up"]), float(spec["down"]), float(spec["p_up"])
         )

@@ -394,6 +394,17 @@ class EdgeField:
         return out
 
 
+def edge_increments(
+    tree: FiltrationTree, k: int, values_next: np.ndarray, expected: np.ndarray
+) -> list[np.ndarray]:
+    """Per edge out of level k: the child value minus the parent's expectation.
+
+    ``expected`` holds the conditional expectations of ``values_next`` at the
+    level-k nodes, as :func:`expect_level` returns them.
+    """
+    return [values_next[cs] - expected[j] for j, cs in enumerate(tree.children[k])]
+
+
 def martingale_increments(y: AdaptedField) -> EdgeField:
     """Innovation increments of an adapted field, per edge.
 
@@ -405,12 +416,7 @@ def martingale_increments(y: AdaptedField) -> EdgeField:
     levels = []
     for k in range(tree.depth):
         nxt = y.level(k + 1)
-        row = []
-        for j in range(tree.level_size(k)):
-            e = expect_children(tree, k, nxt, j)
-            cs = tree.children[k][j]
-            row.append(np.asarray([float(nxt[c]) - e for c in cs]))
-        levels.append(row)
+        levels.append(edge_increments(tree, k, nxt, expect_level(tree, k, nxt)))
     return EdgeField(tree, levels)
 
 

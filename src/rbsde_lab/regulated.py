@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .drivers import Driver
+from .drivers import Driver, negate_driver
 from .errors import InvalidInstanceError, PreconditionError
 from .lattice import AdaptedField, FiltrationTree, TimeGrid
 
@@ -82,6 +82,13 @@ class RegulatedField:
 def right_jump(field: RegulatedField, node: tuple[int, int]) -> float:
     """Right jump at a node: right value minus value (0 when none declared)."""
     return field.right_jump(node)
+
+
+def jump_masks(barrier: RegulatedField | None, tree: FiltrationTree) -> list[np.ndarray]:
+    """Per level, the nodes where the barrier declares a right jump (none if absent)."""
+    if barrier is None:
+        return [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.levels)]
+    return [barrier.jump_levels(k) != 0.0 for k in range(tree.levels)]
 
 
 @dataclass(frozen=True)
@@ -256,6 +263,20 @@ class ProblemInstance:
         return self.barriers.upper
 
 
+def negation_dual(instance: ProblemInstance) -> ProblemInstance:
+    """The negated problem: (xi, f, L, U) -> (-xi, -f(t, -y), -U, -L).
+
+    An exact involution; solutions map by (Y, M, K, A) -> (-Y, -M, A, K).
+    """
+    return ProblemInstance(
+        tree=instance.tree,
+        grid=instance.grid,
+        terminal=-instance.terminal,
+        driver=negate_driver(instance.driver),
+        barriers=instance.barriers.negate_swap(),
+    )
+
+
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
     """Terminal sandwich, weak barrier ordering, and step-stability checks."""
     v: list[InstanceViolation] = []
@@ -302,3 +323,11 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     if not stiffness < STABILITY_BOUND:
         v.append(InstanceViolation("stability", "mu * max(dt)", float(stiffness)))
     return ValidationReport(v)
+
+
+def require_valid(instance: ProblemInstance) -> None:
+    """Raise :class:`InvalidInstanceError` naming the first violations, if any."""
+    report = validate_instance(instance)
+    if not report.ok:
+        heads = "; ".join(f"{v.kind} at {v.location}" for v in report.violations[:4])
+        raise InvalidInstanceError(f"instance fails validation: {heads}")

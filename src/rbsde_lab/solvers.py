@@ -1,134 +1,76 @@
 """Reference reflected solutions by direct projection.
 
-The backward recursion clamps the implicit flow value into the barriers,
-recording clamp increments in the cadlag parts and, at nodes with declared
-barrier jumps, booking the correction as a right jump of the respective
-increasing process.  These bundles are the ground truth the penalization
-sweeps are cross-checked against.
+The projection step of the shared backward sweep
+(:func:`rbsde_lab.engine.backward_sweep`) clamps the implicit flow value
+into the barriers, recording clamp increments in the cadlag parts and, at
+nodes with declared barrier jumps, booking the correction as a right jump of
+the respective increasing process.  These bundles are the ground truth the
+penalization sweeps are cross-checked against.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
 from .bundles import SolutionBundle
-from .engine import implicit_step
+from .engine import backward_sweep, implicit_step
 from .errors import PreconditionError
-from .lattice import AdaptedField, EdgeField, expect_children
-from .regulated import ProblemInstance, RegulatedField
-from .drivers import negate_driver
-
-# re-exported checkers: they live with the bundle container but belong to
-# this module's public surface
-from .bundles import lu4_residual, skorokhod_residual, SkorokhodReport  # noqa: F401
-
-from .engine import _require_valid  # shared validation gate
-
-
-def negation_dual(instance: ProblemInstance) -> ProblemInstance:
-    """The negated problem: (xi, f, L, U) -> (-xi, -f(t, -y), -U, -L).
-
-    An exact involution; solutions map by (Y, M, K, A) -> (-Y, -M, A, K).
-    """
-    return ProblemInstance(
-        tree=instance.tree,
-        grid=instance.grid,
-        terminal=-instance.terminal,
-        driver=negate_driver(instance.driver),
-        barriers=instance.barriers.negate_swap(),
-    )
-
-
-def _jump_masks(barrier: RegulatedField | None, tree) -> list[np.ndarray]:
-    if barrier is None:
-        return [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.levels)]
-    return [barrier.jump_levels(k) != 0.0 for k in range(tree.levels)]
+from .regulated import ProblemInstance, jump_masks, negation_dual, require_valid
 
 
 def _projection_sweep(instance: ProblemInstance) -> SolutionBundle:
     """Backward recursion with double clamp; either barrier may be absent."""
     tree, grid, driver = instance.tree, instance.grid, instance.driver
     lower, upper = instance.lower, instance.upper
-    l_jump = _jump_masks(lower, tree)
-    u_jump = _jump_masks(upper, tree)
-
-    depth = tree.depth
-    y_levels: list[np.ndarray] = [np.empty(0)] * (depth + 1)
-    y_levels[depth] = np.array(instance.terminal, dtype=float)
-    dk_levels = [np.zeros(tree.level_size(k)) for k in range(depth + 1)]
-    jk_levels = [np.zeros(tree.level_size(k)) for k in range(depth + 1)]
-    da_levels = [np.zeros(tree.level_size(k)) for k in range(depth + 1)]
-    ja_levels = [np.zeros(tree.level_size(k)) for k in range(depth + 1)]
-    dm_levels: list[list[np.ndarray]] = []
+    l_jump = jump_masks(lower, tree)
+    u_jump = jump_masks(upper, tree)
     degenerate: list[tuple[int, int]] = []
 
-    for k in range(depth - 1, -1, -1):
+    def step(k: int, e: np.ndarray) -> np.ndarray:
         t = float(grid.instants[k])
         dt = grid.dt(k)
-        y_next = y_levels[k + 1]
-        width = tree.level_size(k)
-        y_here = np.empty(width)
-        dm_row = []
         lo_vals = None if lower is None else lower.value.level(k)
         up_vals = None if upper is None else upper.value.level(k)
-        for j in range(width):
-            e = expect_children(tree, k, y_next, j)
-            cs = tree.children[k][j]
-            dm_row.append(np.asarray([float(y_next[c]) - e for c in cs]))
-            y = implicit_step(e, t, dt, driver)
+        out = []
+        for j, e_j in enumerate(e.tolist()):
+            y = implicit_step(e_j, t, dt, driver)
+            dk = jk = da = ja = 0.0
             pushed_up = False
             pushed_down = False
             # declared-jump corrections act on the value at the instant
             if lo_vals is not None and l_jump[k][j]:
                 lo = float(lo_vals[j])
                 if y < lo:
-                    jk_levels[k][j] = lo - y
+                    jk = lo - y
                     y = lo
                     pushed_up = True
             if up_vals is not None and u_jump[k][j]:
                 up = float(up_vals[j])
                 if y > up:
-                    ja_levels[k][j] = y - up
+                    ja = y - up
                     y = up
                     pushed_down = True
             # plain-node clamps are cadlag increments over the interval
             if lo_vals is not None and not l_jump[k][j]:
                 lo = float(lo_vals[j])
                 if y < lo:
-                    dk_levels[k][j] = max(lo - (e + driver(t, lo) * dt), 0.0)
+                    dk = max(lo - (e_j + driver(t, lo) * dt), 0.0)
                     y = lo
                     pushed_up = True
             if up_vals is not None and not u_jump[k][j]:
                 up = float(up_vals[j])
                 if y > up:
-                    da_levels[k][j] = max((e + driver(t, up) * dt) - up, 0.0)
+                    da = max((e_j + driver(t, up) * dt) - up, 0.0)
                     y = up
                     pushed_down = True
             if pushed_up and pushed_down:
                 degenerate.append((k, j))
-            y_here[j] = y
-        y_levels[k] = y_here
-        dm_levels.append(dm_row)
-    dm_levels.reverse()
+            out.append((y, dk, jk, da, ja))
+        return np.array(out).T
 
-    value = AdaptedField(tree, y_levels)
-    jump_k = AdaptedField(tree, jk_levels)
-    jump_a = AdaptedField(tree, ja_levels)
-    right = AdaptedField(
-        tree,
-        [(value.level(k) - jump_k.level(k)) + jump_a.level(k) for k in range(depth + 1)],
-    )
-    return SolutionBundle(
-        tree=tree,
-        grid=grid,
-        y=RegulatedField(value, right),
-        dm=EdgeField(tree, dm_levels),
-        dk_star=AdaptedField(tree, dk_levels),
-        jump_k=jump_k,
-        da_star=AdaptedField(tree, da_levels),
-        jump_a=jump_a,
-        method="projection",
-        degenerate_nodes=tuple(degenerate),
-    )
+    bundle = backward_sweep(instance, step, "projection")
+    return replace(bundle, degenerate_nodes=tuple(degenerate))
 
 
 def solve_reflected_lower(instance: ProblemInstance) -> SolutionBundle:
@@ -140,7 +82,7 @@ def solve_reflected_lower(instance: ProblemInstance) -> SolutionBundle:
     """
     if instance.upper is not None:
         raise PreconditionError("solve_reflected_lower requires an absent upper barrier")
-    _require_valid(instance)
+    require_valid(instance)
     return _projection_sweep(instance)
 
 
@@ -148,10 +90,8 @@ def solve_reflected_upper(instance: ProblemInstance) -> SolutionBundle:
     """One-barrier solution held below the upper barrier, via negation duality."""
     if instance.lower is not None:
         raise PreconditionError("solve_reflected_upper requires an absent lower barrier")
-    _require_valid(instance)
-    dual = solve_reflected_lower(negation_dual(instance))
-    out = dual.negate_swap(method="projection")
-    return out
+    require_valid(instance)
+    return _projection_sweep(negation_dual(instance)).negate_swap()
 
 
 def solve_doubly_reflected(instance: ProblemInstance) -> SolutionBundle:
@@ -163,5 +103,5 @@ def solve_doubly_reflected(instance: ProblemInstance) -> SolutionBundle:
     """
     if instance.lower is None or instance.upper is None:
         raise PreconditionError("solve_doubly_reflected requires both barriers")
-    _require_valid(instance)
+    require_valid(instance)
     return _projection_sweep(instance)

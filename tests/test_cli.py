@@ -93,6 +93,20 @@ def test_converge_matches_committed_golden(tmp_path, args, golden):
     assert out.read_bytes() == (GOLDENS / golden).read_bytes()
 
 
+def test_solve_decreasing_penalization_gates_upper_side_at_sweep_accuracy(tmp_path):
+    out = tmp_path / "dec.json"
+    eps = 1e-5
+    code = run("solve", INSTANCES / "two_sided_affine.json", "--method", "dec-pen",
+               "--eps", eps, "--out", out)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["method"] == "decreasing-penalization"
+    slack = {"sandwich_upper", "skorokhod_upper"}
+    for gate, tol in doc["tolerances"].items():
+        assert tol == (2 * eps if gate in slack else 1e-9), gate
+    assert doc["passed"]
+
+
 def test_converge_trace_eventually_decreasing():
     csv = (GOLDENS / "two_sided_affine.converge.csv").read_text().strip().splitlines()
     dists = [float(line.split(",")[1]) for line in csv[1:]]
@@ -257,3 +271,8 @@ def test_residual_tolerance_env_override(tmp_path, monkeypatch):
     assert code == 4
     monkeypatch.setenv("RBSDE_LAB_TOL", "not-a-number")
     assert run("solve", INSTANCES / "two_sided_affine.json") == 1
+    # non-finite or negative tolerances are invalid input, not theorem violations
+    for raw in ("nan", "inf", "-1"):
+        monkeypatch.setenv("RBSDE_LAB_TOL", raw)
+        assert run("solve", INSTANCES / "two_sided_affine.json") == 1
+        assert run("verify", INSTANCES / "two_sided_affine.json") == 1

@@ -189,6 +189,16 @@ def test_negation_duality_of_penalized_solutions_exact():
             assert np.array_equal(flipped.jump_a.level(k), sol.jump_a.level(k))
 
 
+def test_upper_side_modes_keep_their_label_and_level():
+    from rbsde_lab.oracle import InstanceRecipe, random_instance
+
+    inst = random_instance(InstanceRecipe(seed=5, steps=(5, 7), right_jumps=1))
+    for mode in (PenalizationMode.PURE_UPPER, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT):
+        sol = solve_penalized(inst, 8, mode)
+        assert sol.method == mode.value
+        assert sol.n == 8
+
+
 def test_sweep_converges_and_is_monotone():
     from rbsde_lab.oracle import InstanceRecipe, random_instance
 
