@@ -55,13 +55,14 @@ class SolutionBundle:
         The increment between t_k and t_{k+1} is jump_k + dk_star at the
         level-k node of the path.
         """
-        inc = self.jump_k.path_matrix()[:, :-1] + self.dk_star.path_matrix()[:, :-1]
-        out = np.zeros((inc.shape[0], inc.shape[1] + 1))
-        np.cumsum(inc, axis=1, out=out[:, 1:])
-        return out
+        return self._cumulative_paths(self.jump_k, self.dk_star)
 
     def cumulative_a_paths(self) -> np.ndarray:
-        inc = self.jump_a.path_matrix()[:, :-1] + self.da_star.path_matrix()[:, :-1]
+        return self._cumulative_paths(self.jump_a, self.da_star)
+
+    @staticmethod
+    def _cumulative_paths(jump: AdaptedField, star: AdaptedField) -> np.ndarray:
+        inc = jump.path_matrix()[:, :-1] + star.path_matrix()[:, :-1]
         out = np.zeros((inc.shape[0], inc.shape[1] + 1))
         np.cumsum(inc, axis=1, out=out[:, 1:])
         return out

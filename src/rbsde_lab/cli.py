@@ -66,6 +66,12 @@ def _residual_tol() -> float:
     return tol
 
 
+def _check_eps(eps: float) -> None:
+    """The sweep accuracy ``--eps`` must be finite and > 0."""
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise InvalidInstanceError(f"--eps must be finite and > 0: {eps!r}")
+
+
 def _solve_projection(instance) -> SolutionBundle:
     if instance.lower is not None and instance.upper is not None:
         return solve_doubly_reflected(instance)
@@ -133,6 +139,7 @@ def _bundle_report(bundle: SolutionBundle, instance, tol: float, eps: float | No
 
 
 def cmd_solve(args) -> int:
+    _check_eps(args.eps)
     instance = load_instance(args.instance)
     if _print_invalid(instance):
         return EXIT_INVALID
@@ -159,10 +166,9 @@ def cmd_solve(args) -> int:
         bundle = sweep.final
         converged = sweep.converged
         if not converged:
-            print(
-                f"non-convergence: last sup distance {sweep.trace[-1].sup_distance}",
-                file=sys.stderr,
-            )
+            rows = sweep.trace
+            last = f"last sup distance {rows[-1].sup_distance}" if rows else "one level ran"
+            print(f"non-convergence: {last}", file=sys.stderr)
     eps = None if args.method == "projection" else args.eps
     residuals, tolerances, passed = _bundle_report(bundle, instance, tol, eps=eps)
     doc = solution_document(bundle, residuals, tolerances, passed, warnings)
@@ -178,6 +184,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    _check_eps(args.eps)
     instance = load_instance(args.instance)
     if _print_invalid(instance):
         return EXIT_INVALID

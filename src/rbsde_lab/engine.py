@@ -12,10 +12,12 @@ is the penalty term n (y - L)^- dt: the piecewise-linear equation is solved
 exactly by case analysis, with fixed-point refinement only for non-affine
 drivers.  Explicit penalties would blow up along the level schedule.
 
-Upper-side modes are solved by negation duality of the lower-side code:
-(Y, M, K, A) solves the upper problem iff (-Y, -M, A, K) solves the lower
-problem for the negated data.  This makes the duality identities exact in
-floating point.
+The per-node kernel is lower-side only.  Upper-side modes are solved by
+negation duality: (Y, M, K, A) solves the upper problem iff (-Y, -M, A, K)
+solves the lower problem for the negated data.  :func:`solve_penalized`
+negates once per call, :func:`penalization_sweep` once per sweep (not per
+penalty level).  Negation is exact, so the duality identities hold bit for
+bit.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .errors import (
     SchemeMonotonicityError,
     StabilityError,
 )
-from .lattice import AdaptedField, EdgeField, edge_increments, expect_level, sup_distance
+from .lattice import AdaptedField, EdgeField, edge_increments, expect_level
 from .regulated import (
     ProblemInstance,
     RegulatedField,
@@ -58,24 +60,9 @@ class PenalizationMode(enum.Enum):
     LOWER_PENALTY_UPPER_REFLECT = "lower-penalty-upper-reflect"
     UPPER_PENALTY_LOWER_REFLECT = "upper-penalty-lower-reflect"
 
-    @property
-    def penalizes_lower(self) -> bool:
-        return self in (
-            PenalizationMode.PURE_LOWER,
-            PenalizationMode.LOWER_PENALTY_UPPER_REFLECT,
-        )
-
-    @property
-    def increasing(self) -> bool:
-        """Whether the scheme approaches its limit from below."""
-        return self.penalizes_lower
-
-    @property
-    def reflects(self) -> bool:
-        return self in (
-            PenalizationMode.LOWER_PENALTY_UPPER_REFLECT,
-            PenalizationMode.UPPER_PENALTY_LOWER_REFLECT,
-        )
+    def __init__(self, value: str) -> None:
+        self.penalizes_lower = value in ("pure-lower", "lower-penalty-upper-reflect")
+        self.reflects = value.endswith("-reflect")
 
     @property
     def dual(self) -> "PenalizationMode":
@@ -128,30 +115,27 @@ def _pl_lower(c: float, scale: float, n: int, dt: float, lower: float) -> tuple[
     return y, n * dt * max(lower - y, 0.0)
 
 
-def _pl_upper(c: float, scale: float, n: int, dt: float, upper: float) -> tuple[float, float]:
-    if c <= upper * scale:
-        return c / scale, 0.0
-    y = (c + n * dt * upper) / (scale + n * dt)
-    return y, n * dt * max(y - upper, 0.0)
-
-
 def _flow_unclamped(
-    e: float, t: float, dt: float, n: int, driver: Driver, penalty_side: str, barrier: float
+    e: float, t: float, dt: float, n: int, driver: Driver, lower: float
 ) -> tuple[float, float]:
-    """Implicit flow value over one interval with the one-sided penalty."""
-    pl = _pl_lower if penalty_side == "lower" else _pl_upper
+    """Implicit flow value over one interval with the lower penalty."""
     if driver.affine:
         a, b = driver.coefficients(t)
-        return pl(e + a * dt, 1.0 - b * dt, n, dt, barrier)
+        return _pl_lower(e + a * dt, 1.0 - b * dt, n, dt, lower)
     z = e
     for _ in range(FIXED_POINT_MAX_ITER):
-        y, pen = pl(e + driver(t, z) * dt, 1.0, n, dt, barrier)
+        y, pen = _pl_lower(e + driver(t, z) * dt, 1.0, n, dt, lower)
         if abs(y - z) <= FIXED_POINT_TOL:
             return y, pen
         z = y
     raise NumericalError(
         f"penalized step failed to converge: e={e!r}, t={t!r}, dt={dt!r}, n={n}"
     )
+
+
+def _require_lower_side(mode: PenalizationMode) -> None:
+    if not mode.penalizes_lower:
+        raise PreconditionError(f"mode {mode.value} is upper-side; solve its negation dual")
 
 
 def penalized_step(
@@ -164,32 +148,26 @@ def penalized_step(
     upper: float | None,
     driver: Driver,
 ) -> tuple[float, float, float]:
-    """One implicit interval step with penalty and (in reflect modes) a clamp.
+    """One implicit interval step with the lower penalty and, in the reflect
+    mode, a clamp at the upper barrier.
 
-    Returns (y, dk_star, da_star).  In reflect modes the opposing barrier
-    clamps the interval value; the recorded clamp increment re-solves the
-    budget at the barrier exactly, so the one-step identity holds to
-    round-off.  Pass ``None`` for the clamp barrier at nodes where a declared
-    right jump takes over (the value correction then books the excess).
+    Returns (y, dk_star, da_star).  The recorded clamp increment re-solves
+    the budget at the barrier exactly, so the one-step identity holds to
+    round-off.  Pass ``None`` for ``upper`` at nodes where a declared right
+    jump takes over (the value correction then books the excess).  Only
+    lower-side modes are accepted; upper-side modes are solved on the
+    negated problem.
     """
+    _require_lower_side(mode)
     _check_stability(driver, dt)
-    if mode.penalizes_lower:
-        if lower is None:
-            raise PreconditionError(f"mode {mode.value} needs the lower barrier")
-        y, dk = _flow_unclamped(e, t, dt, n, driver, "lower", lower)
-        if mode.reflects and upper is not None and y > upper:
-            dk = n * dt * max(lower - upper, 0.0)
-            da = max((e + driver(t, upper) * dt + dk) - upper, 0.0)
-            return upper, dk, da
-        return y, dk, 0.0
-    if upper is None:
-        raise PreconditionError(f"mode {mode.value} needs the upper barrier")
-    y, da = _flow_unclamped(e, t, dt, n, driver, "upper", upper)
-    if mode.reflects and lower is not None and y < lower:
-        da = n * dt * max(lower - upper, 0.0)
-        dk = max(lower - (e + driver(t, lower) * dt - da), 0.0)
-        return lower, dk, da
-    return y, 0.0, da
+    if lower is None:
+        raise PreconditionError(f"mode {mode.value} needs the lower barrier")
+    y, dk = _flow_unclamped(e, t, dt, n, driver, lower)
+    if mode.reflects and upper is not None and y > upper:
+        dk = n * dt * max(lower - upper, 0.0)
+        da = max((e + driver(t, upper) * dt + dk) - upper, 0.0)
+        return upper, dk, da
+    return y, dk, 0.0
 
 
 def right_jump_correction(
@@ -199,34 +177,25 @@ def right_jump_correction(
     upper: float | None,
     *,
     lower_scheduled: bool = False,
-    upper_scheduled: bool = False,
-    lower_declared: bool = False,
     upper_declared: bool = False,
 ) -> tuple[float, float, float]:
     """Value-at-the-instant correction from the right-limit value.
 
-    On the penalized side only nodes scheduled at the current penalty level
-    receive the correction (full absorption to the barrier); on the reflected
-    side every node with a declared barrier jump does.  Identity elsewhere.
-    Returns (y, jump_k, jump_a).
+    A node scheduled at the current penalty level is absorbed fully to the
+    lower barrier; in the reflect mode a node with a declared upper jump is
+    pulled down to the upper barrier.  Identity elsewhere.  Only lower-side
+    modes are accepted.  Returns (y, jump_k, jump_a).
     """
+    _require_lower_side(mode)
     y = y_plus
     jump_k = 0.0
     jump_a = 0.0
-    if mode.penalizes_lower:
-        if lower_scheduled and lower is not None and y < lower:
-            jump_k = lower - y
-            y = lower
-        if mode.reflects and upper_declared and upper is not None and y > upper:
-            jump_a = y - upper
-            y = upper
-    else:
-        if upper_scheduled and upper is not None and y > upper:
-            jump_a = y - upper
-            y = upper
-        if mode.reflects and lower_declared and lower is not None and y < lower:
-            jump_k = lower - y
-            y = lower
+    if lower_scheduled and lower is not None and y < lower:
+        jump_k = lower - y
+        y = lower
+    if mode.reflects and upper_declared and upper is not None and y > upper:
+        jump_a = y - upper
+        y = upper
     return y, jump_k, jump_a
 
 
@@ -370,11 +339,20 @@ def penalization_sweep(
     lower-penalty modes, nonincreasing for the upper-penalty modes) and
     raises when it fails beyond 1e-10.  Non-convergence within the schedule
     is reported in the result, not raised.
+
+    An upper-side mode sweeps the negation dual of the validated instance and
+    maps back only the final bundle, plus each level's when residuals are
+    asked for.  Negation is exact: distances and monotonicity carry over.
     """
     if levels is None:
         levels = default_levels()
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise PreconditionError("penalty levels must be strictly increasing")
+    upper_side = not mode.penalizes_lower
+    if upper_side:
+        require_valid(instance)
+    frame = negation_dual(instance) if upper_side else instance
+    frame_mode = mode.dual if upper_side else mode
     prev: SolutionBundle | None = None
     trace: list[TraceRow] = []
     ran: list[int] = []
@@ -382,20 +360,21 @@ def penalization_sweep(
     converged = False
     sol: SolutionBundle | None = None
     for n in levels:
-        sol = solve_penalized(instance, n, mode)
+        sol = solve_penalized(frame, n, frame_mode)
         ran.append(n)
         if prev is not None:
-            dist = sup_distance(sol.y.value, prev.y.value)
+            dist = 0.0
             for k in range(instance.tree.levels):
                 diff = sol.y.value.level(k) - prev.y.value.level(k)
-                viol = float(np.max(-diff)) if mode.increasing else float(np.max(diff))
-                worst_mono = max(worst_mono, viol)
+                dist = max(dist, float(np.max(np.abs(diff))))
+                worst_mono = max(worst_mono, float(np.max(-diff)))
             row = TraceRow(n, dist)
             if compute_residuals:
-                rep = skorokhod_residual(sol, instance.barriers)
+                here = sol.negate_swap(mode.value) if upper_side else sol
+                rep = skorokhod_residual(here, instance.barriers)
                 row.lower_skorokhod_residual = rep.lower_residual
                 row.upper_skorokhod_residual = rep.upper_residual
-                row.lu4_residual = lu4_residual(sol, instance)
+                row.lu4_residual = lu4_residual(here, instance)
             trace.append(row)
             if worst_mono > MONOTONICITY_TOL:
                 raise SchemeMonotonicityError(
@@ -406,13 +385,14 @@ def penalization_sweep(
                 break
         prev = sol
     assert sol is not None
-    label = "increasing-penalization" if mode.increasing else "decreasing-penalization"
+    label = "decreasing-penalization" if upper_side else "increasing-penalization"
+    final = sol.negate_swap(label) if upper_side else replace(sol, method=label)
     return SweepResult(
         mode=mode,
         eps=eps,
         converged=converged,
         levels=ran,
-        final=replace(sol, method=label),
+        final=final,
         trace=trace,
         monotone_violation=worst_mono,
     )

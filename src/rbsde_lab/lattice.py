@@ -8,6 +8,7 @@ statistically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -142,6 +143,15 @@ class FiltrationTree:
                     return False
         return self.level_size(self.depth) == other.level_size(self.depth)
 
+    @cached_property
+    def edge_offsets(self) -> tuple[np.ndarray, ...]:
+        """Per level, where each node's edges start in the level's flat edge
+        list, then the level's edge count: ``level_size(k) + 1`` entries."""
+        out = tuple(np.cumsum([0] + [c.size for c in level]) for level in self.children)
+        for offsets in out:
+            offsets.setflags(write=False)
+        return out
+
     def path_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All root-to-leaf paths as matrices.
 
@@ -158,13 +168,11 @@ class FiltrationTree:
             nodes = np.zeros((1, 1), dtype=np.int64)
             choices = np.zeros((1, 0), dtype=np.int64)
             probs = np.ones(1)
-            for k in range(self.depth):
-                sizes = np.asarray([c.size for c in self.children[k]], dtype=np.int64)
-                offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+            for k, offsets in enumerate(self.edge_offsets):
                 flat_children = np.concatenate(self.children[k])
                 flat_probs = np.concatenate(self.probs[k])
                 last = nodes[:, -1]
-                counts = sizes[last]
+                counts = offsets[last + 1] - offsets[last]
                 rows = np.repeat(np.arange(nodes.shape[0]), counts)
                 starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
                 slots = np.arange(int(np.sum(counts))) - np.repeat(starts, counts)
@@ -386,10 +394,8 @@ class EdgeField:
         """Edge values along every path: shape (P, N), entry k is the k -> k+1 increment."""
         nodes, choices, _ = self.tree.path_arrays()
         out = np.empty(choices.shape, dtype=float)
-        for k in range(self.tree.depth):
+        for k, offsets in enumerate(self.tree.edge_offsets):
             flat = np.concatenate(self._levels[k])
-            sizes = np.asarray([arr.size for arr in self._levels[k]], dtype=np.int64)
-            offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
             out[:, k] = flat[offsets[nodes[:, k]] + choices[:, k]]
         return out
 

@@ -544,12 +544,10 @@ def patch_global(instance: ProblemInstance, pieces: list[LocalSolution]) -> Solu
 
     dm_rows: list[list[np.ndarray]] = []
     _, choices, _ = tree.path_arrays()
-    for k in range(depth):
-        sizes = np.asarray([tree.children[k][j].size for j in range(tree.level_size(k))])
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        flat = np.zeros(int(np.sum(sizes)))
+    for k, offsets in enumerate(tree.edge_offsets):
+        flat = np.zeros(int(offsets[-1]))
         flat[offsets[nodes[:, k]] + choices[:, k]] = dm[:, k]
-        dm_rows.append([flat[offsets[j] : offsets[j] + sizes[j]] for j in range(sizes.size)])
+        dm_rows.append(np.split(flat, offsets[1:-1]))
 
     y_field = AdaptedField(tree, y_levels)
     patched = SolutionBundle(

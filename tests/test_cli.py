@@ -142,6 +142,20 @@ def test_converge_nmax_one_exits_two(tmp_path):
     assert out.exists()  # trace still written
 
 
+@pytest.mark.parametrize("nmax", ["1", "0"])
+def test_solve_nmax_below_two_reports_non_convergence(nmax, capsys):
+    code = run("solve", INSTANCES / "two_sided_affine.json", "--method", "inc-pen", "--nmax", nmax)
+    assert code == 2
+    assert "non-convergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "0", "-1"])
+def test_sweep_eps_must_be_finite_and_positive(eps):
+    path = INSTANCES / "two_sided_affine.json"
+    assert run("solve", path, "--method", "inc-pen", "--eps", eps) == 1
+    assert run("converge", path, "--eps", eps) == 1
+
+
 def test_solution_round_trip_reproduces_residuals(tmp_path):
     inst = load_instance(INSTANCES / "barrier_jumps.json")
     out = tmp_path / "sol.json"

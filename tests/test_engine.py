@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from rbsde_lab import engine
 from rbsde_lab.bundles import (
+    SolutionBundle,
     lu4_residual,
     right_jump_identity_defect,
     skorokhod_residual,
@@ -16,7 +18,7 @@ from rbsde_lab.engine import (
     right_jump_correction,
     solve_penalized,
 )
-from rbsde_lab.errors import PreconditionError, StabilityError
+from rbsde_lab.errors import InvalidInstanceError, PreconditionError, StabilityError
 from rbsde_lab.lattice import AdaptedField, TimeGrid, build_binomial, sup_distance
 from rbsde_lab.regulated import BarrierPair, ProblemInstance, RegulatedField
 from rbsde_lab.solvers import negation_dual
@@ -256,3 +258,94 @@ def test_mode_preconditions():
         solve_penalized(inst, 4, PenalizationMode.PURE_UPPER)  # upper barrier absent
     with pytest.raises(PreconditionError):
         solve_penalized(inst, 0, PenalizationMode.PURE_LOWER)
+
+
+UPPER_SIDE = (PenalizationMode.PURE_UPPER, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT)
+
+
+def _assert_bundles_identical(a, b):
+    assert (a.method, a.n, a.degenerate_nodes) == (b.method, b.n, b.degenerate_nodes)
+    tree = a.tree
+    for name in ("dk_star", "jump_k", "da_star", "jump_a"):
+        for k in range(tree.levels):
+            assert np.array_equal(getattr(a, name).level(k), getattr(b, name).level(k))
+    for k in range(tree.levels):
+        assert np.array_equal(a.y.value.level(k), b.y.value.level(k))
+        assert np.array_equal(a.y.right_value.level(k), b.y.right_value.level(k))
+    for k in range(tree.depth):
+        for j in range(tree.level_size(k)):
+            assert np.array_equal(a.dm.edges(k, j), b.dm.edges(k, j))
+
+
+@pytest.mark.parametrize("mode", UPPER_SIDE)
+def test_upper_side_sweep_is_the_negated_lower_side_sweep(mode):
+    from rbsde_lab.oracle import InstanceRecipe, random_instance
+
+    inst = random_instance(InstanceRecipe(seed=55, steps=(5, 7), right_jumps=2))
+    res = penalization_sweep(inst, mode, eps=1e-6)
+    assert len(res.levels) > 2
+    dual = penalization_sweep(negation_dual(inst), mode.dual, eps=1e-6)
+    assert res.levels == dual.levels and res.converged == dual.converged
+    assert res.monotone_violation == dual.monotone_violation
+    assert [r.sup_distance for r in res.trace] == [r.sup_distance for r in dual.trace]
+    _assert_bundles_identical(res.final, dual.final.negate_swap("decreasing-penalization"))
+
+
+@pytest.mark.parametrize("mode", UPPER_SIDE)
+def test_upper_side_sweep_residuals_are_those_of_the_original_frame(mode):
+    from rbsde_lab.oracle import InstanceRecipe, random_instance
+
+    inst = random_instance(InstanceRecipe(seed=11, steps=(5, 6), right_jumps=2))
+    res = penalization_sweep(inst, mode, eps=1e-6, compute_residuals=True)
+    assert len(res.trace) > 1
+    for row in res.trace:
+        sol = solve_penalized(inst, row.n, mode)
+        rep = skorokhod_residual(sol, inst.barriers)
+        assert row.lower_skorokhod_residual == rep.lower_residual
+        assert row.upper_skorokhod_residual == rep.upper_residual
+        assert row.lu4_residual == lu4_residual(sol, inst)
+
+
+def test_upper_side_sweep_validates_the_callers_instance():
+    from rbsde_lab.oracle import InstanceRecipe, random_instance
+
+    good = random_instance(InstanceRecipe(seed=3, steps=(4, 5)))
+    terminal = good.terminal.copy()
+    terminal[0] = good.lower.value.level(good.tree.depth)[0] - 0.5
+    bad = ProblemInstance(good.tree, good.grid, terminal, good.driver, good.barriers)
+    with pytest.raises(InvalidInstanceError, match="terminal_below_lower") as info:
+        penalization_sweep(bad, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT)
+    assert "terminal_above_upper" not in str(info.value)
+
+
+def test_kernels_reject_upper_side_modes():
+    with pytest.raises(PreconditionError):
+        penalized_step(
+            0.0, 0.0, 0.1, 4, PenalizationMode.PURE_UPPER, lower=None, upper=1.0,
+            driver=zero_driver(),
+        )
+    with pytest.raises(PreconditionError):
+        right_jump_correction(2.0, PenalizationMode.PURE_UPPER, None, 1.0)
+
+
+def test_upper_side_sweep_negates_once_and_solves_once_per_level(monkeypatch):
+    """Timing harnesses wrap ``engine.solve_penalized`` to clock each level."""
+    from rbsde_lab.oracle import InstanceRecipe, random_instance
+
+    calls = {"solve_penalized": 0, "negation_dual": 0, "negate_swap": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("solve_penalized", "negation_dual"):
+        monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+    monkeypatch.setattr(
+        SolutionBundle, "negate_swap", counting("negate_swap", SolutionBundle.negate_swap)
+    )
+    inst = random_instance(InstanceRecipe(seed=55, steps=(5, 6), right_jumps=1))
+    res = penalization_sweep(inst, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT, eps=1e-6)
+    assert len(res.levels) > 2
+    assert calls == {"solve_penalized": len(res.levels), "negation_dual": 1, "negate_swap": 1}
