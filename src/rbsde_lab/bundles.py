@@ -146,37 +146,28 @@ def lu4_residual(bundle: SolutionBundle, instance: ProblemInstance) -> float:
     - (dA*_k + jumpA_k) - dM on each edge, with the driver evaluated at the
     right-limit value that rules the open interval.
     """
-    tree = bundle.tree
-    grid = bundle.grid
-    driver = instance.driver
-    worst = 0.0
-    for k in range(tree.depth):
+    tree, grid, driver, y = bundle.tree, bundle.grid, instance.driver, bundle.y
+
+    def level_defect(k: int) -> float:
         t = float(grid.instants[k])
         dt = grid.dt(k)
-        y_k = bundle.y.value.level(k)
-        y_plus = bundle.y.right_value.level(k)
-        y_next = bundle.y.value.level(k + 1)
-        dk = bundle.dk_star.level(k)
-        jk = bundle.jump_k.level(k)
-        da = bundle.da_star.level(k)
-        ja = bundle.jump_a.level(k)
-        for j in range(tree.level_size(k)):
-            drift = driver(t, float(y_plus[j])) * dt
-            cs = tree.children[k][j]
-            dm = bundle.dm.edges(k, j)
-            for slot in range(cs.size):
-                r = (
-                    float(y_k[j])
-                    - float(y_next[cs[slot]])
-                    + float(dm[slot])
-                    - drift
-                    - float(dk[j])
-                    - float(jk[j])
-                    + float(da[j])
-                    + float(ja[j])
-                )
-                worst = max(worst, abs(r))
-    return worst
+        parent = tree.edge_parent[k]
+        # custom drivers are scalar callables: one call per node
+        drift = np.array([driver(t, v) * dt for v in y.right_value.level(k).tolist()])
+        r = (
+            y.value.level(k)[parent]
+            - y.value.level(k + 1)[tree.edge_child[k]]
+            + bundle.dm.level(k)
+            - drift[parent]
+            - bundle.dk_star.level(k)[parent]
+            - bundle.jump_k.level(k)[parent]
+            + bundle.da_star.level(k)[parent]
+            + bundle.jump_a.level(k)[parent]
+        )
+        return np.max(np.abs(r))
+
+    # np.max, unlike the builtin, propagates a NaN defect into the residual
+    return float(np.max([level_defect(k) for k in range(tree.depth)]))
 
 
 def sandwich_defect(bundle: SolutionBundle, barrier: RegulatedField | None, lower: bool) -> float:

@@ -17,7 +17,7 @@ from .bundles import SolutionBundle
 from .drivers import Driver, constant_driver, linear_driver, zero_driver
 from .engine import TraceRow
 from .errors import InvalidInstanceError
-from .lattice import AdaptedField, EdgeField, FiltrationTree, TimeGrid, build_binomial
+from .lattice import AdaptedField, EdgeField, FiltrationTree, TimeGrid, build_binomial, flatten_node_lists
 from .regulated import BarrierPair, ProblemInstance, RegulatedField
 
 SOLUTION_SCHEMA = "rbsde-lab/solution-v1"
@@ -151,10 +151,25 @@ def _field_levels(field: AdaptedField) -> list[list[float]]:
 
 
 def _edge_levels(edges: EdgeField) -> list[list[list[float]]]:
-    return [
-        [[float(v) for v in edges.edges(k, j)] for j in range(edges.tree.level_size(k))]
-        for k in range(edges.tree.depth)
-    ]
+    """Per level, each node's edge values as one list (the dumped dM layout)."""
+    out = []
+    for k, offsets in enumerate(edges.tree.offsets):
+        flat, bounds = edges.level(k).tolist(), offsets.tolist()
+        out.append([flat[a:b] for a, b in zip(bounds, bounds[1:])])
+    return out
+
+
+def _flat_edges(tree: FiltrationTree, levels: list) -> list[np.ndarray]:
+    """Dumped per-node dM lists as flat per-level arrays, one value per child."""
+    if len(levels) != tree.depth:
+        raise InvalidInstanceError("dM must cover every transition level")
+    out = []
+    for k, level in enumerate(levels):
+        counts, flat = flatten_node_lists(level, f"dM level {k}")
+        if not np.array_equal(counts, np.diff(tree.offsets[k])):
+            raise InvalidInstanceError(f"dM level {k}: edge values mismatch children")
+        out.append(flat)
+    return out
 
 
 def solution_document(
@@ -199,7 +214,7 @@ def load_solution(path: str | Path, instance: ProblemInstance) -> SolutionBundle
         tree=tree,
         grid=instance.grid,
         y=RegulatedField(field("Y"), field("Y_right")),
-        dm=EdgeField(tree, [[np.asarray(e, dtype=float) for e in level] for level in sol["dM"]]),
+        dm=EdgeField(tree, _flat_edges(tree, sol["dM"])),
         dk_star=field("dK_star"),
         jump_k=field("jump_K"),
         da_star=field("dA_star"),

@@ -1,14 +1,18 @@
 """Finite-state filtration model.
 
 Trees with per-node transition probabilities carry every process in the
-package.  Conditional expectations are exact weighted sums over children, so
-martingale and tower properties can be asserted to round-off rather than
-statistically.
+package.  A tree stores the edges out of each level flat (a CSR layout):
+node offsets, then one child-id and one probability array per level, and
+edge fields keep one flat array per level in the same order.  Conditional
+expectations and martingale increments are level-wide expressions on these
+arrays, exact weighted sums over children taken slot by slot, so martingale
+and tower properties can be asserted to round-off rather than statistically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -17,6 +21,11 @@ from .errors import EnumerationCapError, InvalidInstanceError, PreconditionError
 
 PROB_TOL = 1e-12
 PATH_ENUMERATION_CAP = 22  # levels; beyond this use node-based routines
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 class TimeGrid:
@@ -30,8 +39,7 @@ class TimeGrid:
             raise InvalidInstanceError("time grid must start at 0")
         if not np.all(np.diff(arr) > 0.0):
             raise InvalidInstanceError("time grid instants must be strictly increasing")
-        arr.setflags(write=False)
-        self.instants = arr
+        self.instants = _frozen(arr)
 
     @classmethod
     def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
@@ -63,11 +71,48 @@ class TimeGrid:
         return f"TimeGrid(steps={self.steps}, T={self.horizon})"
 
 
+def flatten_node_lists(lists: Sequence, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """One level's per-node lists as (each node's length, one flat numeric array)."""
+    try:
+        rect = np.asarray(lists)
+    except ValueError:  # ragged: the nodes differ in fan-out
+        rect = None
+    try:
+        if rect is not None and rect.ndim == 2:
+            counts, flat = np.full(rect.shape[0], rect.shape[1]), rect.ravel()
+        else:
+            counts = np.fromiter(map(len, lists), np.int64, len(lists))
+            flat = np.asarray(list(chain.from_iterable(lists)))
+    except (TypeError, ValueError):
+        flat = None
+    if flat is None or flat.ndim != 1 or flat.dtype.kind not in "iuf":
+        raise InvalidInstanceError(f"{what} must be lists of numbers")
+    return counts, flat
+
+
+def _slot_sums(offsets: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Per node, the sum of its edge terms (last axis) in child-slot order.
+
+    Node ``j`` owns the terms ``offsets[j]:offsets[j+1]``.  Every sum runs
+    from 0.0 one slot at a time, the order of a scalar running sum, so the
+    results equal a per-node loop bit for bit.
+    """
+    starts, counts = offsets[:-1], np.diff(offsets)
+    total = np.zeros(terms.shape[:-1] + starts.shape)
+    for slot in range(int(counts.max())):
+        nodes = np.flatnonzero(counts > slot)
+        total[..., nodes] += terms[..., starts[nodes] + slot]
+    return total
+
+
 class FiltrationTree:
     """Finite rooted tree: nodes indexed by (level, id), all leaves at level N.
 
-    ``children[k][j]`` and ``probs[k][j]`` give the child ids at level ``k+1``
-    and their transition probabilities.  Immutable after construction.
+    The edges out of level ``k`` are stored flat, node by node in child-slot
+    order: node ``j`` owns edges ``offsets[k][j]:offsets[k][j+1]``, and edge
+    ``e`` leads from node ``edge_parent[k][e]`` to node ``edge_child[k][e]``
+    of level ``k+1`` with probability ``edge_prob[k][e]``.  Immutable after
+    construction.
     """
 
     def __init__(
@@ -80,36 +125,42 @@ class FiltrationTree:
             raise InvalidInstanceError("tree needs at least one transition level")
         if len(children) != len(states) - 1 or len(probs) != len(states) - 1:
             raise InvalidInstanceError("children/probs must cover every non-leaf level")
-        self.states = tuple(np.asarray(s, dtype=float) for s in states)
-        for s in self.states:
-            if s.ndim != 1 or s.size == 0:
-                raise InvalidInstanceError("each level must hold at least one node")
-            s.setflags(write=False)
-        self.children = tuple(
-            tuple(np.asarray(c, dtype=np.int64) for c in level) for level in children
+        self.states = tuple(_frozen(np.asarray(s, dtype=float)) for s in states)
+        if any(s.ndim != 1 or s.size == 0 for s in self.states):
+            raise InvalidInstanceError("each level must hold at least one node")
+        layout = zip(*(self._level_edges(k, children[k], probs[k]) for k in range(self.depth)))
+        self.offsets, self.edge_parent, self.edge_child, self.edge_prob = (
+            tuple(_frozen(arr) for arr in arrays) for arrays in layout
         )
-        self.probs = tuple(
-            tuple(np.asarray(p, dtype=float) for p in level) for level in probs
-        )
-        for k in range(self.levels - 1):
-            if len(self.children[k]) != self.level_size(k) or len(self.probs[k]) != self.level_size(k):
-                raise InvalidInstanceError(f"level {k}: child lists must match node count")
-            width_next = self.level_size(k + 1)
-            for j in range(self.level_size(k)):
-                c, p = self.children[k][j], self.probs[k][j]
-                if c.size == 0:
-                    raise InvalidInstanceError(f"node ({k},{j}) has no children")
-                if c.size != p.size:
-                    raise InvalidInstanceError(f"node ({k},{j}): children/probs length mismatch")
-                if np.any(c < 0) or np.any(c >= width_next):
-                    raise InvalidInstanceError(f"node ({k},{j}): child id out of range")
-                if np.any(p < 0.0):
-                    raise InvalidInstanceError(f"node ({k},{j}): negative transition probability")
-                if abs(float(np.sum(p)) - 1.0) > PROB_TOL:
-                    raise InvalidInstanceError(f"node ({k},{j}): probabilities sum to {np.sum(p)}")
-                c.setflags(write=False)
-                p.setflags(write=False)
         self._paths_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def _level_edges(self, k: int, children: Sequence, probs: Sequence) -> tuple[np.ndarray, ...]:
+        """Level k's (offsets, parents, children, probabilities), checked level-wide."""
+        width = self.level_size(k)
+        if len(children) != width or len(probs) != width:
+            raise InvalidInstanceError(f"level {k}: child lists must match node count")
+        counts, child = flatten_node_lists(children, f"level {k}: child ids")
+        p_counts, prob = flatten_node_lists(probs, f"level {k}: transition probabilities")
+        node_checks = ((counts == 0, "has no children"), (counts != p_counts, "children/probs length mismatch"))
+        for bad, what in node_checks:
+            if np.any(bad):
+                raise InvalidInstanceError(f"node ({k},{int(np.argmax(bad))}): {what}")
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        parent = np.repeat(np.arange(width), counts)
+        for bad, what in (
+            (child != np.trunc(child), "child id is not an integer"),
+            ((child < 0) | (child >= self.level_size(k + 1)), "child id out of range"),
+            (~np.isfinite(prob), "non-finite transition probability"),
+            (prob < 0.0, "negative transition probability"),
+        ):
+            if np.any(bad):
+                raise InvalidInstanceError(f"node ({k},{parent[np.argmax(bad)]}): {what}")
+        sums = _slot_sums(offsets, prob)
+        bad = np.abs(sums - 1.0) > PROB_TOL
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise InvalidInstanceError(f"node ({k},{j}): probabilities sum to {sums[j]}")
+        return offsets, parent, child.astype(np.int64), prob.astype(float)
 
     @property
     def levels(self) -> int:
@@ -130,27 +181,22 @@ class FiltrationTree:
     def state(self, k: int, j: int) -> float:
         return float(self.states[k][j])
 
-    def same_shape(self, other: "FiltrationTree") -> bool:
-        if self.depth != other.depth:
-            return False
-        for k in range(self.depth):
-            if self.level_size(k) != other.level_size(k):
-                return False
-            for j in range(self.level_size(k)):
-                if not np.array_equal(self.children[k][j], other.children[k][j]):
-                    return False
-                if not np.array_equal(self.probs[k][j], other.probs[k][j]):
-                    return False
-        return self.level_size(self.depth) == other.level_size(self.depth)
+    @cached_property
+    def children(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """``children[k][j]``: node (k, j)'s child ids, read-only views of ``edge_child`` built on first use."""
+        return tuple(tuple(np.split(c, o[1:-1])) for c, o in zip(self.edge_child, self.offsets))
 
     @cached_property
-    def edge_offsets(self) -> tuple[np.ndarray, ...]:
-        """Per level, where each node's edges start in the level's flat edge
-        list, then the level's edge count: ``level_size(k) + 1`` entries."""
-        out = tuple(np.cumsum([0] + [c.size for c in level]) for level in self.children)
-        for offsets in out:
-            offsets.setflags(write=False)
-        return out
+    def probs(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """``probs[k][j]``: node (k, j)'s transition probabilities, views of ``edge_prob``."""
+        return tuple(tuple(np.split(p, o[1:-1])) for p, o in zip(self.edge_prob, self.offsets))
+
+    def same_shape(self, other: "FiltrationTree") -> bool:
+        if self.depth != other.depth or self.level_size(self.depth) != other.level_size(self.depth):
+            return False
+        mine = self.offsets + self.edge_child + self.edge_prob
+        pairs = zip(mine, other.offsets + other.edge_child + other.edge_prob)
+        return all(np.array_equal(a, b) for a, b in pairs)
 
     def path_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All root-to-leaf paths as matrices.
@@ -168,21 +214,17 @@ class FiltrationTree:
             nodes = np.zeros((1, 1), dtype=np.int64)
             choices = np.zeros((1, 0), dtype=np.int64)
             probs = np.ones(1)
-            for k, offsets in enumerate(self.edge_offsets):
-                flat_children = np.concatenate(self.children[k])
-                flat_probs = np.concatenate(self.probs[k])
+            for k, offsets in enumerate(self.offsets):
                 last = nodes[:, -1]
                 counts = offsets[last + 1] - offsets[last]
                 rows = np.repeat(np.arange(nodes.shape[0]), counts)
-                starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+                starts = np.cumsum(counts) - counts
                 slots = np.arange(int(np.sum(counts))) - np.repeat(starts, counts)
                 edge = offsets[last[rows]] + slots
-                nodes = np.hstack([nodes[rows], flat_children[edge][:, None]])
+                nodes = np.hstack([nodes[rows], self.edge_child[k][edge][:, None]])
                 choices = np.hstack([choices[rows], slots[:, None]])
-                probs = probs[rows] * flat_probs[edge]
-            self._paths_cache = (nodes, choices, probs)
-            for arr in self._paths_cache:
-                arr.setflags(write=False)
+                probs = probs[rows] * self.edge_prob[k][edge]
+            self._paths_cache = (_frozen(nodes), _frozen(choices), _frozen(probs))
         return self._paths_cache
 
 
@@ -198,15 +240,10 @@ def build_binomial(steps: int, x0: float, up: float, down: float, p_up: float) -
         raise InvalidInstanceError("p_up must lie strictly between 0 and 1")
     if not up > down:
         raise InvalidInstanceError("up factor must exceed down factor")
-    states = [
-        [x0 + j * up + (k - j) * down for j in range(k + 1)] for k in range(steps + 1)
-    ]
-    children = [
-        [[j, j + 1] for j in range(k + 1)] for k in range(steps)
-    ]
-    probs = [
-        [[1.0 - p_up, p_up] for _ in range(k + 1)] for k in range(steps)
-    ]
+    nodes = [np.arange(k + 1) for k in range(steps + 1)]
+    states = [x0 + j * up + (k - j) * down for k, j in enumerate(nodes)]
+    children = [np.stack([j, j + 1], axis=1) for j in nodes[:-1]]
+    probs = [np.tile([1.0 - p_up, p_up], (j.size, 1)) for j in nodes[:-1]]
     return FiltrationTree(states, children, probs)
 
 
@@ -225,8 +262,7 @@ class AdaptedField:
                 )
             if not np.all(np.isfinite(arr)):
                 raise InvalidInstanceError(f"level {k}: non-finite field value")
-            arr.setflags(write=False)
-            vals.append(arr)
+            vals.append(_frozen(arr))
         self.tree = tree
         self._levels = tuple(vals)
 
@@ -295,8 +331,10 @@ def enumerate_paths(tree: FiltrationTree, cap: int = PATH_ENUMERATION_CAP) -> li
 def conditional_expectation(field, node: tuple[int, int], tree: FiltrationTree | None = None) -> float:
     """Exact one-step conditional expectation at ``node`` of a level-(k+1) field.
 
-    ``field`` may be an :class:`AdaptedField` (its level k+1 values are used)
-    or a plain array of values for level k+1.
+    The scalar reference: one running sum over the node's edges, which the
+    level-wide :func:`expect_level` matches bit for bit.  ``field`` may be
+    an :class:`AdaptedField` (its level k+1 values are used) or a plain
+    array of values for level k+1.
     """
     k, j = node
     if isinstance(field, AdaptedField):
@@ -311,104 +349,86 @@ def conditional_expectation(field, node: tuple[int, int], tree: FiltrationTree |
                 f"level mismatch: expected {tree.level_size(k + 1)} values for level {k + 1}, "
                 f"got {values.shape}"
             )
-    return expect_children(tree, k, values, j)
-
-
-def expect_children(tree: FiltrationTree, k: int, values_next: np.ndarray, j: int) -> float:
-    """Sum of p_child * value(child) in declared child order."""
-    cs = tree.children[k][j]
-    ps = tree.probs[k][j]
     total = 0.0
-    for slot in range(cs.size):
-        total += float(ps[slot]) * float(values_next[cs[slot]])
+    for e in range(tree.offsets[k][j], tree.offsets[k][j + 1]):
+        total += float(tree.edge_prob[k][e]) * float(values[tree.edge_child[k][e]])
     return total
 
 
 def expect_level(tree: FiltrationTree, k: int, values_next: np.ndarray) -> np.ndarray:
-    """Conditional expectation of level-(k+1) values at every level-k node."""
-    out = np.empty(tree.level_size(k), dtype=float)
-    for j in range(tree.level_size(k)):
-        out[j] = expect_children(tree, k, values_next, j)
-    return out
+    """Conditional expectation of level-(k+1) values at every level-k node.
+
+    ``values_next`` indexes the level-(k+1) nodes on its last axis; leading
+    axes (one row per scenario, say) are kept.
+    """
+    return _slot_sums(tree.offsets[k], tree.edge_prob[k] * values_next[..., tree.edge_child[k]])
 
 
 class EdgeField:
-    """One real value per tree edge, indexed ``[level k][parent j][child slot]``.
+    """One real value per tree edge, one flat array per level in the tree's edge order.
 
     Martingale increments live here: on a recombining tree a node can have
     several parents, so the increment over a transition is a function of the
     edge taken, not of the arrival node alone.
     """
 
-    def __init__(self, tree: FiltrationTree, levels: Sequence[Sequence[np.ndarray]]):
+    def __init__(self, tree: FiltrationTree, levels: Sequence[np.ndarray]):
         if len(levels) != tree.depth:
             raise InvalidInstanceError("edge field must cover every transition level")
         out = []
-        for k, level in enumerate(levels):
-            if len(level) != tree.level_size(k):
-                raise InvalidInstanceError(f"level {k}: edge lists must match node count")
-            row = []
-            for j, vals in enumerate(level):
-                arr = np.array(vals, dtype=float)
-                if arr.shape != tree.children[k][j].shape:
-                    raise InvalidInstanceError(f"node ({k},{j}): edge values mismatch children")
-                arr.setflags(write=False)
-                row.append(arr)
-            out.append(tuple(row))
+        for k, lv in enumerate(levels):
+            arr = np.array(lv, dtype=float)
+            if arr.shape != tree.edge_child[k].shape:
+                raise InvalidInstanceError(
+                    f"level {k}: expected {tree.edge_child[k].size} edge values, got {arr.shape}"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise InvalidInstanceError(f"level {k}: non-finite edge value")
+            out.append(_frozen(arr))
         self.tree = tree
         self._levels = tuple(out)
 
     @classmethod
     def zeros(cls, tree: FiltrationTree) -> "EdgeField":
-        return cls(
-            tree,
-            [
-                [np.zeros(tree.children[k][j].size) for j in range(tree.level_size(k))]
-                for k in range(tree.depth)
-            ],
-        )
+        return cls(tree, [np.zeros(c.size) for c in tree.edge_child])
+
+    def level(self, k: int) -> np.ndarray:
+        """The values on the edges out of level k, flat in the tree's edge order."""
+        return self._levels[k]
 
     def edges(self, k: int, j: int) -> np.ndarray:
-        return self._levels[k][j]
+        offsets = self.tree.offsets[k]
+        return self._levels[k][offsets[j] : offsets[j + 1]]
 
     def negate(self) -> "EdgeField":
-        return EdgeField(
-            self.tree,
-            [[-self._levels[k][j] for j in range(self.tree.level_size(k))] for k in range(self.tree.depth)],
-        )
+        return EdgeField(self.tree, [-lv for lv in self._levels])
 
     def conditional_mean_deviation(self) -> float:
         """Max over nodes of |sum_children p * value|; zero for centered fields."""
-        worst = 0.0
-        for k in range(self.tree.depth):
-            for j in range(self.tree.level_size(k)):
-                ps = self.tree.probs[k][j]
-                vals = self._levels[k][j]
-                total = 0.0
-                for slot in range(ps.size):
-                    total += float(ps[slot]) * float(vals[slot])
-                worst = max(worst, abs(total))
-        return worst
+        tree = self.tree
+        return max(
+            float(np.max(np.abs(_slot_sums(tree.offsets[k], tree.edge_prob[k] * lv))))
+            for k, lv in enumerate(self._levels)
+        )
 
     def path_matrix(self) -> np.ndarray:
         """Edge values along every path: shape (P, N), entry k is the k -> k+1 increment."""
         nodes, choices, _ = self.tree.path_arrays()
         out = np.empty(choices.shape, dtype=float)
-        for k, offsets in enumerate(self.tree.edge_offsets):
-            flat = np.concatenate(self._levels[k])
-            out[:, k] = flat[offsets[nodes[:, k]] + choices[:, k]]
+        for k, offsets in enumerate(self.tree.offsets):
+            out[:, k] = self._levels[k][offsets[nodes[:, k]] + choices[:, k]]
         return out
 
 
 def edge_increments(
     tree: FiltrationTree, k: int, values_next: np.ndarray, expected: np.ndarray
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Per edge out of level k: the child value minus the parent's expectation.
 
     ``expected`` holds the conditional expectations of ``values_next`` at the
     level-k nodes, as :func:`expect_level` returns them.
     """
-    return [values_next[cs] - expected[j] for j, cs in enumerate(tree.children[k])]
+    return values_next[tree.edge_child[k]] - expected[tree.edge_parent[k]]
 
 
 def martingale_increments(y: AdaptedField) -> EdgeField:
@@ -419,11 +439,8 @@ def martingale_increments(y: AdaptedField) -> EdgeField:
     conditionally centered at every node.
     """
     tree = y.tree
-    levels = []
-    for k in range(tree.depth):
-        nxt = y.level(k + 1)
-        levels.append(edge_increments(tree, k, nxt, expect_level(tree, k, nxt)))
-    return EdgeField(tree, levels)
+    nexts = [y.level(k + 1) for k in range(tree.depth)]
+    return EdgeField(tree, [edge_increments(tree, k, v, expect_level(tree, k, v)) for k, v in enumerate(nexts)])
 
 
 def _iter_fields(obj) -> Iterable[AdaptedField]:

@@ -21,7 +21,7 @@ from .errors import (
     TheoremViolationError,
     UnsupportedDriverError,
 )
-from .lattice import AdaptedField, FiltrationTree, TimeGrid, build_binomial, expect_children, sup_distance
+from .lattice import AdaptedField, FiltrationTree, TimeGrid, build_binomial, expect_level, sup_distance
 from .regulated import (
     BarrierPair,
     ProblemInstance,
@@ -44,18 +44,13 @@ def _game_recursion(instance: ProblemInstance) -> list[np.ndarray]:
     levels[depth] = np.array(instance.terminal, dtype=float)
     for k in range(depth - 1, -1, -1):
         drift = driver(float(grid.instants[k]), 0.0) * grid.dt(k)
-        width = tree.level_size(k)
-        out = np.empty(width)
-        lo = None if lower is None else lower.value.level(k)
-        up = None if upper is None else upper.value.level(k)
-        for j in range(width):
-            c = expect_children(tree, k, levels[k + 1], j) + drift
-            if lo is not None:
-                c = max(float(lo[j]), c)
-            if up is not None:
-                c = min(float(up[j]), c)
-            out[j] = c
-        levels[k] = out
+        c = expect_level(tree, k, levels[k + 1]) + drift
+        # np.where, not np.maximum/np.minimum: a tie keeps the barrier value, sign of zero included
+        if lower is not None:
+            c = np.where(c > lower.value.level(k), c, lower.value.level(k))
+        if upper is not None:
+            c = np.where(c < upper.value.level(k), c, upper.value.level(k))
+        levels[k] = c
     return levels
 
 
@@ -78,7 +73,7 @@ def _enumerate_stop_rules(tree: FiltrationTree, max_rules: int) -> list[list[np.
     depth = tree.depth
     rules: list[list[np.ndarray]] = []
 
-    def rec(k: int, reachable: tuple[int, ...], flags: list[np.ndarray]) -> None:
+    def rec(k: int, reachable: np.ndarray, flags: list[np.ndarray]) -> None:
         if len(rules) > max_rules:
             raise EnumerationCapError(
                 f"stopping-rule enumeration exceeds cap {max_rules}; use the fast variant"
@@ -87,21 +82,16 @@ def _enumerate_stop_rules(tree: FiltrationTree, max_rules: int) -> list[list[np.
             rules.append([f.copy() for f in flags])
             return
         for bits in range(2 ** len(reachable)):
+            stop = (bits >> np.arange(reachable.size)) & 1 == 1
             mask = np.zeros(tree.level_size(k), dtype=bool)
-            survivors = []
-            for i, j in enumerate(reachable):
-                if bits >> i & 1:
-                    mask[j] = True
-                else:
-                    survivors.append(j)
-            nxt: set[int] = set()
-            for j in survivors:
-                nxt.update(int(c) for c in tree.children[k][j])
+            mask[reachable] = stop
+            alive = np.zeros(tree.level_size(k), dtype=bool)
+            alive[reachable[~stop]] = True
             flags.append(mask)
-            rec(k + 1, tuple(sorted(nxt)), flags)
+            rec(k + 1, np.unique(tree.edge_child[k][alive[tree.edge_parent[k]]]), flags)
             flags.pop()
 
-    rec(0, (0,), [])
+    rec(0, np.zeros(1, dtype=np.int64), [])
     return rules
 
 
@@ -129,22 +119,8 @@ def _pair_game_matrix(
         values = np.tile(terminal, (n_nu, 1))
         for k in range(depth - 1, -1, -1):
             drift = driver(float(grid.instants[k]), 0.0) * grid.dt(k)
-            width = tree.level_size(k)
-            nxt = np.empty((n_nu, width))
-            lo = lower.value.level(k)
-            up = upper.value.level(k)
-            for j in range(width):
-                cs = tree.children[k][j]
-                ps = tree.probs[k][j]
-                e = ps[0] * values[:, cs[0]]
-                for slot in range(1, cs.size):
-                    e = e + ps[slot] * values[:, cs[slot]]
-                cont = e + drift
-                if rho[k][j]:
-                    nxt[:, j] = lo[j]
-                else:
-                    nxt[:, j] = np.where(nu_stack[k][:, j], up[j], cont)
-            values = nxt
+            cont = expect_level(tree, k, values) + drift
+            values = np.where(rho[k], lower.value.level(k), np.where(nu_stack[k], upper.value.level(k), cont))
         out[r, :] = values[:, 0]
     return out
 

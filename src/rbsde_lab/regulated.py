@@ -135,11 +135,8 @@ def jump_exhaustion_schedule(barrier: RegulatedField, n: int, side: str = "lower
     events = []
     for k in range(barrier.tree.depth):
         jumps = barrier.jump_levels(k)
-        if side == "upper":
-            jumps = -jumps
-        for j in range(jumps.size):
-            if jumps[j] < threshold:
-                events.append(ScheduleEvent(k, j, float(barrier.jump_levels(k)[j])))
+        below = (-jumps if side == "upper" else jumps) < threshold
+        events.extend(ScheduleEvent(k, int(j), float(jumps[j])) for j in np.flatnonzero(below))
     return JumpExhaustionSchedule(n, side, tuple(events))
 
 

@@ -542,12 +542,12 @@ def patch_global(instance: ProblemInstance, pieces: list[LocalSolution]) -> Solu
     da_levels = _scatter_consistent(tree, np.hstack([da, pad]), "dA*", tol)
     ja_levels = _scatter_consistent(tree, np.hstack([ja, pad]), "right jumps of A", tol)
 
-    dm_rows: list[list[np.ndarray]] = []
+    dm_rows: list[np.ndarray] = []
     _, choices, _ = tree.path_arrays()
-    for k, offsets in enumerate(tree.edge_offsets):
+    for k, offsets in enumerate(tree.offsets):
         flat = np.zeros(int(offsets[-1]))
         flat[offsets[nodes[:, k]] + choices[:, k]] = dm[:, k]
-        dm_rows.append(np.split(flat, offsets[1:-1]))
+        dm_rows.append(flat)
 
     y_field = AdaptedField(tree, y_levels)
     patched = SolutionBundle(

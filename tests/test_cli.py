@@ -268,6 +268,60 @@ def test_explicit_tree_instance(tmp_path):
     assert run("solve", path) == 1
 
 
+
+def _explicit_doc() -> dict:
+    return {
+        "grid": {"T": 1.0, "steps": 1},
+        "tree": {
+            "kind": "explicit",
+            "states": [[0.0], [-1.0, 1.0]],
+            "children": [[[0, 1]]],
+            "probs": [[[0.5, 0.5]]],
+        },
+        "terminal": {"family": "affine_state", "a": 0.3, "b": 0.0},
+        "driver": {"family": "zero"},
+        "barriers": {"L": {"family": "constant", "c": -1.0}, "U": {"family": "constant", "c": 1.0}},
+    }
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("children", [[[0, 0.7]]], "child id is not an integer"),
+        ("probs", [[[0.5, "half"]]], "transition probabilities must be lists of numbers"),
+        ("children", [[[0, [1]]]], "child ids must be lists of numbers"),
+        ("probs", [[[0.5, None]]], "transition probabilities must be lists of numbers"),
+    ],
+)
+def test_explicit_tree_rejects_malformed_edges(tmp_path, capsys, key, value, message):
+    doc = _explicit_doc()
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(doc))
+    assert run("solve", path) == 0
+    doc["tree"][key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with pytest.raises(InvalidInstanceError, match=message):
+        load_instance(path)
+    assert run("solve", path) == 1
+    assert "invalid input:" in capsys.readouterr().err
+
+
+def test_load_solution_rejects_non_finite_and_misshapen_dm(tmp_path):
+    inst = load_instance(INSTANCES / "two_sided_affine.json")
+    out = tmp_path / "sol.json"
+    assert run("solve", INSTANCES / "two_sided_affine.json", "--out", out) == 0
+    doc = json.loads(out.read_text())
+    assert lu4_residual(load_solution(out, inst), inst) < 1e-12
+    doc["solution"]["dM"][1][0][1] = float("nan")
+    out.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInstanceError, match="non-finite"):
+        load_solution(out, inst)
+    doc["solution"]["dM"][1][0] = [0.0]
+    out.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInstanceError, match="dM level 1: edge values mismatch children"):
+        load_solution(out, inst)
+
 def test_console_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "rbsde_lab", "solve", str(INSTANCES / "lower_only.json")],

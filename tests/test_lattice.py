@@ -6,11 +6,13 @@ import pytest
 from rbsde_lab.errors import EnumerationCapError, InvalidInstanceError, PreconditionError
 from rbsde_lab.lattice import (
     AdaptedField,
+    EdgeField,
     FiltrationTree,
     TimeGrid,
     build_binomial,
     conditional_expectation,
     enumerate_paths,
+    expect_level,
     martingale_increments,
     sup_distance,
 )
@@ -170,3 +172,73 @@ def test_time_grid_invariants():
         TimeGrid([0.0, 0.5, 0.5, 1.0])
     with pytest.raises(InvalidInstanceError):
         TimeGrid([0.1, 0.5])
+
+
+def shared_children_tree(rng: np.random.Generator, depth: int) -> tuple[list, list, list]:
+    """Explicit tree data: fan-out 1-4, children shared between parents in
+    shuffled slot order, about a quarter of the edges with probability 0."""
+    widths = [1] + [int(rng.integers(2, 6)) for _ in range(depth)]
+    states = [list(rng.normal(size=w)) for w in widths]
+    children, probs = [], []
+    for k in range(depth):
+        nxt = widths[k + 1]
+        level = [list(rng.permutation(nxt)[: int(rng.integers(1, min(4, nxt) + 1))]) for _ in range(widths[k])]
+        for orphan in sorted(set(range(nxt)) - {c for cs in level for c in cs}):
+            level[int(rng.integers(0, len(level)))].append(orphan)
+        children.append([[int(c) for c in cs] for cs in level])
+        level_probs = []
+        for cs in level:
+            w = rng.uniform(0.1, 1.0, size=len(cs))
+            w[rng.uniform(size=len(cs)) < 0.25] = 0.0
+            if not np.any(w):
+                w[-1] = 1.0
+            level_probs.append(list(w / np.sum(w)))
+        probs.append(level_probs)
+    return states, children, probs
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flat_kernels_match_the_scalar_reference_on_explicit_trees(seed):
+    rng = np.random.default_rng(seed)
+    states, children, probs = shared_children_tree(rng, depth=6)
+    tree = FiltrationTree(states, children, probs)
+    assert any(len(set(c for cs in level for c in cs)) < sum(map(len, level)) for level in children)
+    assert any(p == 0.0 for level in probs for ps in level for p in ps)
+    field = AdaptedField(tree, [rng.normal(size=tree.level_size(k)) for k in range(tree.levels)])
+    for k in range(tree.depth):
+        nxt = field.level(k + 1)
+        reference = [conditional_expectation(nxt, (k, j), tree=tree) for j in range(tree.level_size(k))]
+        # bit for bit: compare the IEEE encodings, not the values
+        assert [v.hex() for v in expect_level(tree, k, nxt).tolist()] == [v.hex() for v in reference]
+        for j in range(tree.level_size(k)):
+            assert tree.children[k][j].tolist() == children[k][j]
+            assert tree.probs[k][j].tolist() == probs[k][j]
+    assert martingale_increments(field).conditional_mean_deviation() <= 1e-12
+    assert tree.same_shape(FiltrationTree(states, children, probs))
+    # move 1e-3 of probability between two edges of one node
+    k, j = next((k, j) for k, level in enumerate(probs) for j, ps in enumerate(level) if len(ps) > 1)
+    nudged = [[list(ps) for ps in level] for level in probs]
+    i = int(np.argmax(nudged[k][j]))
+    nudged[k][j][i] -= 1e-3
+    nudged[k][j][(i + 1) % len(nudged[k][j])] += 1e-3
+    assert not tree.same_shape(FiltrationTree(states, children, nudged))
+
+
+def test_tree_rejects_non_finite_probabilities_naming_the_node():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInstanceError, match=r"node \(1,1\)"):
+            FiltrationTree(
+                [[0.0], [1.0, 2.0], [0.0, 1.0]],
+                [[[0, 1]], [[0], [0, 1]]],
+                [[[0.5, 0.5]], [[1.0], [bad, 0.5]]],
+            )
+
+
+def test_edge_field_rejects_non_finite_values():
+    tree = build_binomial(2, 0.0, 1.0, -1.0, 0.5)
+    good = [np.zeros(2), np.zeros(4)]
+    assert EdgeField(tree, good).conditional_mean_deviation() == 0.0
+    for bad in (float("nan"), float("inf")):
+        values = [np.zeros(2), np.array([0.0, 0.0, bad, 0.0])]
+        with pytest.raises(InvalidInstanceError, match="non-finite"):
+            EdgeField(tree, values)
