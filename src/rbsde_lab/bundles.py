@@ -149,11 +149,8 @@ def lu4_residual(bundle: SolutionBundle, instance: ProblemInstance) -> float:
     tree, grid, driver, y = bundle.tree, bundle.grid, instance.driver, bundle.y
 
     def level_defect(k: int) -> float:
-        t = float(grid.instants[k])
-        dt = grid.dt(k)
         parent = tree.edge_parent[k]
-        # custom drivers are scalar callables: one call per node
-        drift = np.array([driver(t, v) * dt for v in y.right_value.level(k).tolist()])
+        drift = driver.level(float(grid.instants[k]), y.right_value.level(k)) * grid.dt(k)
         r = (
             y.value.level(k)[parent]
             - y.value.level(k + 1)[tree.edge_child[k]]
@@ -202,12 +199,3 @@ def right_jump_identity_defect(bundle: SolutionBundle) -> float:
         target = (bundle.y.value.level(k) - bundle.jump_k.level(k)) + bundle.jump_a.level(k)
         worst = max(worst, float(np.max(np.abs(bundle.y.right_value.level(k) - target))))
     return worst
-
-
-def increment_nonnegativity_defect(bundle: SolutionBundle) -> float:
-    """Most negative increment across dK*, jumpK, dA*, jumpA (0 when clean)."""
-    worst = 0.0
-    for f in (bundle.dk_star, bundle.jump_k, bundle.da_star, bundle.jump_a):
-        for k in range(bundle.tree.levels):
-            worst = min(worst, float(np.min(f.level(k))))
-    return -worst

@@ -2,13 +2,16 @@
 
 Affine drivers f(t, y) = a + b*y are solved in closed form inside the
 implicit steps; arbitrary Lipschitz callables fall back to fixed-point
-iteration.  Negation wrapping supports the duality (Y, M, K, A) ->
-(-Y, -M, A, K) between lower- and upper-reflected problems.
+iteration.  :meth:`Driver.level` evaluates a rule on a whole level at once.
+Negation wrapping supports the duality (Y, M, K, A) -> (-Y, -M, A, K)
+between lower- and upper-reflected problems.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import InvalidInstanceError
 
@@ -33,14 +36,15 @@ class Driver:
             return self.fn(t, y)
         return self.intercept + self.slope * y
 
+    def level(self, t: float, y: np.ndarray) -> np.ndarray:
+        """f(t, y) entry by entry; custom rules get one scalar call per entry."""
+        if self.fn is None:
+            return self.intercept + self.slope * y
+        return np.array([self.fn(t, v) for v in y.tolist()], dtype=float)
+
     @property
     def affine(self) -> bool:
         return self.fn is None
-
-    def coefficients(self, t: float) -> tuple[float, float]:
-        if not self.affine:
-            raise InvalidInstanceError("driver is not affine")
-        return self.intercept, self.slope
 
 
 def zero_driver() -> Driver:

@@ -12,7 +12,11 @@ is the penalty term n (y - L)^- dt: the piecewise-linear equation is solved
 exactly by case analysis, with fixed-point refinement only for non-affine
 drivers.  Explicit penalties would blow up along the level schedule.
 
-The per-node kernel is lower-side only.  Upper-side modes are solved by
+The steps act on whole levels, with masked updates where nodes differ, and
+one fixed-point loop serves both implicit solves; the scalar steps
+(:func:`implicit_step` and the like) run the level code on one entry.
+
+The penalized step is lower-side only.  Upper-side modes are solved by
 negation duality: (Y, M, K, A) solves the upper problem iff (-Y, -M, A, K)
 solves the lower problem for the negated data.  :func:`solve_penalized`
 negates once per call, :func:`penalization_sweep` once per sweep (not per
@@ -45,8 +49,8 @@ from .regulated import (
     require_valid,
 )
 
-# (k, e) -> the level's rows (y, dK*, jumpK, dA*, jumpA), shape (5, width)
-LevelStep = Callable[[int, np.ndarray], np.ndarray]
+# (k, e) -> the level's rows (y, dK*, jumpK, dA*, jumpA), one array each
+LevelStep = Callable[[int, np.ndarray], tuple[np.ndarray, ...]]
 
 FIXED_POINT_TOL = 1e-13
 FIXED_POINT_MAX_ITER = 200
@@ -76,61 +80,105 @@ class PenalizationMode(enum.Enum):
 
 def _check_stability(driver: Driver, dt: float) -> None:
     if not driver.mu * dt < 0.5:
-        raise StabilityError(
-            f"mu * dt = {driver.mu * dt} is not < 1/2; refusing the implicit step"
-        )
+        raise StabilityError(f"mu * dt = {driver.mu * dt} is not < 1/2; refusing the implicit step")
+
+
+def positive_part(x: np.ndarray) -> np.ndarray:
+    """The builtin max(x, 0.0) entry by entry: keeps -0.0 and NaN, unlike np.maximum."""
+    return np.where(0.0 > x, 0.0, x)
+
+
+def _fixed_point(e: np.ndarray, t: float, dt: float, driver: Driver, settle, failure: str):
+    """Level-wide solve of y = settle(e + f(t, y) dt) for an implicit step.
+
+    ``settle(c, scale, at)`` returns, at the entries ``at``, the y with
+    scale*y = c plus the step's own terms.  Affine drivers move b*y to the
+    left: one call with c = e + a dt and scale = 1 - b dt.  Other drivers
+    iterate y -> settle(e + f(t, y) dt, 1) from y = e, a contraction while
+    mu * dt < 1/2; each entry stops once its own iterates are within 1e-13,
+    so it repeats its scalar sequence and the driver is not called on it
+    again.  Returns (y, c, scale) of the last iterate.
+    """
+    if driver.affine:
+        c, scale = e + driver.intercept * dt, 1.0 - driver.slope * dt
+        return settle(c, scale, slice(None)), c, scale
+    y, c = e.copy(), np.empty_like(e)
+    live = np.arange(e.size)
+    for _ in range(FIXED_POINT_MAX_ITER):
+        c[live] = e[live] + driver.level(t, y[live]) * dt
+        nxt = settle(c[live], 1.0, live)
+        done = np.abs(nxt - y[live]) <= FIXED_POINT_TOL
+        y[live] = nxt
+        live = live[~done]
+        if not live.size:
+            return y, c, 1.0
+    raise NumericalError(failure.format(e=float(e[live[0]]), t=t, dt=dt, z=float(y[live[0]])))
+
+
+def implicit_level(e: np.ndarray, t: float, dt: float, driver: Driver) -> np.ndarray:
+    """The unique y with y = e + f(t, y) dt, entry by entry."""
+    failure = "implicit step failed to converge: e={e!r}, t={t!r}, dt={dt!r}, last iterate {z!r}"
+    return _fixed_point(e, t, dt, driver, lambda c, scale, at: c / scale, failure)[0]
+
+
+def penalized_level(
+    e: np.ndarray, t: float, dt: float, n: int,
+    lower: np.ndarray, upper: np.ndarray, clamp: np.ndarray, driver: Driver,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The implicit step with the lower penalty n (lower - y)^+ dt, then, at
+    the entries of ``clamp``, a clamp at ``upper``: (y, dk_star, da_star).
+
+    A clamped entry re-solves the budget at the barrier exactly, so the
+    one-step identity holds to round-off.
+    """
+    ndt = n * dt
+
+    def settle(c, scale, at):
+        lo = lower[at]
+        return np.where(c >= lo * scale, c / scale, (c + ndt * lo) / (scale + ndt))
+
+    failure = f"penalized step failed to converge: e={{e!r}}, t={{t!r}}, dt={{dt!r}}, n={n}"
+    y, c, scale = _fixed_point(e, t, dt, driver, settle, failure)
+    dk, da = np.where(c >= lower * scale, 0.0, ndt * positive_part(lower - y)), np.zeros(y.size)
+    i = (clamp & (y > upper)).nonzero()[0]
+    cap = upper[i]
+    dk[i] = ndt * positive_part(lower[i] - cap)
+    da[i] = positive_part(e[i] + driver.level(t, cap) * dt + dk[i] - cap)
+    y[i] = cap
+    return y, dk, da
+
+
+def jump_corrections(
+    y: np.ndarray, lower: np.ndarray, upper: np.ndarray, at_lower: np.ndarray, at_upper: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value-at-the-instant corrections of the right-limit value y: (y, jump_k, jump_a).
+
+    Entries of ``at_lower`` below ``lower`` move up to it, booked as a right
+    jump of K; then entries of ``at_upper`` above ``upper`` move down to it,
+    a right jump of A.  A jump is positive exactly where its side acted.
+    """
+    y, jump_k, jump_a = y.copy(), np.zeros(y.size), np.zeros(y.size)
+    if not (np.count_nonzero(at_lower) or np.count_nonzero(at_upper)):
+        return y, jump_k, jump_a
+    i = (at_lower & (y < lower)).nonzero()[0]
+    jump_k[i] = lower[i] - y[i]
+    y[i] = lower[i]
+    i = (at_upper & (y > upper)).nonzero()[0]
+    jump_a[i] = y[i] - upper[i]
+    y[i] = upper[i]
+    return y, jump_k, jump_a
+
+
+def _one(value: float | None) -> np.ndarray:
+    """A one-entry level; an absent barrier (None) sits under an unset mask."""
+    return np.array([0.0 if value is None else value], dtype=float)
 
 
 def implicit_step(e: float, t: float, dt: float, driver: Driver) -> float:
-    """The unique y with y = e + f(t, y) dt.
-
-    Affine drivers are solved in closed form; general Lipschitz drivers by
-    fixed-point iteration to 1e-13, a guaranteed contraction while
-    mu * dt < 1/2.
-    """
+    """The unique y with y = e + f(t, y) dt: :func:`implicit_level` on one
+    entry, refused unless mu * dt < 1/2."""
     _check_stability(driver, dt)
-    if driver.affine:
-        a, b = driver.coefficients(t)
-        return (e + a * dt) / (1.0 - b * dt)
-    z = e
-    for _ in range(FIXED_POINT_MAX_ITER):
-        z_next = e + driver(t, z) * dt
-        if abs(z_next - z) <= FIXED_POINT_TOL:
-            return z_next
-        z = z_next
-    raise NumericalError(
-        f"implicit step failed to converge: e={e!r}, t={t!r}, dt={dt!r}, "
-        f"last iterate {z!r}"
-    )
-
-
-def _pl_lower(c: float, scale: float, n: int, dt: float, lower: float) -> tuple[float, float]:
-    """Exact solve of scale*y = c + n dt (lower - y)^+ by case analysis.
-
-    Returns (y, dk_star).  ``scale`` is 1 - b*dt for affine drivers, 1 else.
-    """
-    if c >= lower * scale:
-        return c / scale, 0.0
-    y = (c + n * dt * lower) / (scale + n * dt)
-    return y, n * dt * max(lower - y, 0.0)
-
-
-def _flow_unclamped(
-    e: float, t: float, dt: float, n: int, driver: Driver, lower: float
-) -> tuple[float, float]:
-    """Implicit flow value over one interval with the lower penalty."""
-    if driver.affine:
-        a, b = driver.coefficients(t)
-        return _pl_lower(e + a * dt, 1.0 - b * dt, n, dt, lower)
-    z = e
-    for _ in range(FIXED_POINT_MAX_ITER):
-        y, pen = _pl_lower(e + driver(t, z) * dt, 1.0, n, dt, lower)
-        if abs(y - z) <= FIXED_POINT_TOL:
-            return y, pen
-        z = y
-    raise NumericalError(
-        f"penalized step failed to converge: e={e!r}, t={t!r}, dt={dt!r}, n={n}"
-    )
+    return float(implicit_level(_one(e), t, dt, driver)[0])
 
 
 def _require_lower_side(mode: PenalizationMode) -> None:
@@ -148,26 +196,18 @@ def penalized_step(
     upper: float | None,
     driver: Driver,
 ) -> tuple[float, float, float]:
-    """One implicit interval step with the lower penalty and, in the reflect
-    mode, a clamp at the upper barrier.
+    """:func:`penalized_level` of a lower-side mode on one entry: (y, dk_star, da_star).
 
-    Returns (y, dk_star, da_star).  The recorded clamp increment re-solves
-    the budget at the barrier exactly, so the one-step identity holds to
-    round-off.  Pass ``None`` for ``upper`` at nodes where a declared right
-    jump takes over (the value correction then books the excess).  Only
-    lower-side modes are accepted; upper-side modes are solved on the
-    negated problem.
+    The clamp at ``upper`` acts in the reflect mode; pass ``None`` where a
+    declared right jump takes over (the value correction books the excess).
     """
     _require_lower_side(mode)
     _check_stability(driver, dt)
     if lower is None:
         raise PreconditionError(f"mode {mode.value} needs the lower barrier")
-    y, dk = _flow_unclamped(e, t, dt, n, driver, lower)
-    if mode.reflects and upper is not None and y > upper:
-        dk = n * dt * max(lower - upper, 0.0)
-        da = max((e + driver(t, upper) * dt + dk) - upper, 0.0)
-        return upper, dk, da
-    return y, dk, 0.0
+    clamp = np.array([mode.reflects and upper is not None])
+    rows = penalized_level(_one(e), t, dt, n, _one(lower), _one(upper), clamp, driver)
+    return tuple(float(v[0]) for v in rows)
 
 
 def right_jump_correction(
@@ -179,24 +219,17 @@ def right_jump_correction(
     lower_scheduled: bool = False,
     upper_declared: bool = False,
 ) -> tuple[float, float, float]:
-    """Value-at-the-instant correction from the right-limit value.
+    """:func:`jump_corrections` of a lower-side mode on one entry: (y, jump_k, jump_a).
 
     A node scheduled at the current penalty level is absorbed fully to the
     lower barrier; in the reflect mode a node with a declared upper jump is
-    pulled down to the upper barrier.  Identity elsewhere.  Only lower-side
-    modes are accepted.  Returns (y, jump_k, jump_a).
+    pulled down to the upper barrier.
     """
     _require_lower_side(mode)
-    y = y_plus
-    jump_k = 0.0
-    jump_a = 0.0
-    if lower_scheduled and lower is not None and y < lower:
-        jump_k = lower - y
-        y = lower
-    if mode.reflects and upper_declared and upper is not None and y > upper:
-        jump_a = y - upper
-        y = upper
-    return y, jump_k, jump_a
+    at_lower = np.array([lower_scheduled and lower is not None])
+    at_upper = np.array([mode.reflects and upper_declared and upper is not None])
+    rows = jump_corrections(_one(y_plus), _one(lower), _one(upper), at_lower, at_upper)
+    return tuple(float(v[0]) for v in rows)
 
 
 def backward_sweep(
@@ -238,42 +271,32 @@ def backward_sweep(
     )
 
 
+def _require_barriers(instance: ProblemInstance, mode: PenalizationMode) -> None:
+    """Raise unless the instance has the barriers ``mode`` acts on, named in its frame."""
+    penalized, reflected = ("lower", "upper") if mode.penalizes_lower else ("upper", "lower")
+    if getattr(instance, penalized) is None:
+        raise PreconditionError(f"mode {mode.value} needs the {penalized} barrier")
+    if mode.reflects and getattr(instance, reflected) is None:
+        raise PreconditionError(f"mode {mode.value} needs the {reflected} barrier to reflect on")
+
+
 def _penalized_lower_side(instance: ProblemInstance, n: int, mode: PenalizationMode) -> SolutionBundle:
     """The penalized sweep of a lower-side mode on a validated instance."""
     tree, grid, driver = instance.tree, instance.grid, instance.driver
-    lower = instance.lower
-    if lower is None:
-        raise PreconditionError(f"mode {mode.value} needs the lower barrier")
-    upper = instance.upper
-    if mode.reflects and upper is None:
-        raise PreconditionError(f"mode {mode.value} needs the upper barrier to reflect on")
-
+    lower, upper = instance.lower, instance.upper
     sched = jump_exhaustion_schedule(lower, n, side="lower").mask(tree)
-    upper_jumps = jump_masks(upper, tree)
-    reflects = mode.reflects
+    # in the reflect mode a declared upper jump takes over from the clamp
+    declared = jump_masks(upper if mode.reflects else None, tree)
+    clamp = [~d for d in declared] if mode.reflects else declared
 
-    def step(k: int, e: np.ndarray) -> np.ndarray:
-        t = float(grid.instants[k])
-        dt = grid.dt(k)
-        lo_vals = lower.value.level(k)
-        up_vals = None if upper is None else upper.value.level(k)
-        out = []
-        for j, e_j in enumerate(e.tolist()):
-            lo = float(lo_vals[j])
-            up = None if up_vals is None else float(up_vals[j])
-            declared = reflects and bool(upper_jumps[k][j])
-            clamp_upper = up if reflects and not declared else None
-            y_plus, dk, da = penalized_step(e_j, t, dt, n, mode, lo, clamp_upper, driver)
-            y, jk, ja = right_jump_correction(
-                y_plus,
-                mode,
-                lo,
-                up,
-                lower_scheduled=bool(sched[k][j]),
-                upper_declared=declared,
-            )
-            out.append((y, dk, jk, da, ja))
-        return np.array(out).T
+    def step(k: int, e: np.ndarray) -> tuple[np.ndarray, ...]:
+        t, dt = float(grid.instants[k]), grid.dt(k)
+        lo = lower.value.level(k)
+        up = lo if upper is None else upper.value.level(k)  # read only where a mask is set
+        y, dk, da = penalized_level(e, t, dt, n, lo, up, clamp[k], driver)
+        # scheduled nodes are absorbed fully to the lower barrier
+        y, jk, ja = jump_corrections(y, lo, up, sched[k], declared[k])
+        return y, dk, jk, da, ja
 
     return backward_sweep(instance, step, mode.value, n)
 
@@ -287,6 +310,7 @@ def solve_penalized(instance: ProblemInstance, n: int, mode: PenalizationMode) -
     if n < 1:
         raise PreconditionError("penalty level must be >= 1")
     require_valid(instance)
+    _require_barriers(instance, mode)
     if mode.penalizes_lower:
         return _penalized_lower_side(instance, n, mode)
     dual = _penalized_lower_side(negation_dual(instance), n, mode.dual)
@@ -351,6 +375,7 @@ def penalization_sweep(
     upper_side = not mode.penalizes_lower
     if upper_side:
         require_valid(instance)
+        _require_barriers(instance, mode)
     frame = negation_dual(instance) if upper_side else instance
     frame_mode = mode.dual if upper_side else mode
     prev: SolutionBundle | None = None

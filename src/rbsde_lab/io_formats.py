@@ -8,6 +8,7 @@ shortest round-trip form.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -33,6 +34,15 @@ def _take(obj: dict, where: str, required: list[str], optional: list[str] = ()) 
     if unknown:
         raise InvalidInstanceError(f"{where}: unknown keys {unknown}")
     return obj
+
+
+def _number(value: Any, where: str, integral: bool = False) -> float:
+    """A finite JSON number, integral if asked; bools, strings and nulls are not numbers."""
+    real = not isinstance(value, bool) and isinstance(value, (int, float))
+    if not (real and abs(value) <= sys.float_info.max) or (integral and value != int(value)):
+        kind = "an integer" if integral else "a finite number"
+        raise InvalidInstanceError(f"{where}: expected {kind}, got {value!r}")
+    return float(value)
 
 
 def _evaluate_function_spec(
@@ -104,7 +114,8 @@ def _parse_tree(spec: dict, steps: int) -> FiltrationTree:
 def parse_instance(doc: dict) -> ProblemInstance:
     _take(doc, "instance", ["grid", "tree", "terminal", "driver", "barriers"])
     grid_spec = _take(doc["grid"], "grid", ["T", "steps"])
-    grid = TimeGrid.uniform(float(grid_spec["T"]), int(grid_spec["steps"]))
+    steps = int(_number(grid_spec["steps"], "grid.steps", integral=True))
+    grid = TimeGrid.uniform(_number(grid_spec["T"], "grid.T"), steps)
     tree = _parse_tree(doc["tree"], grid.steps)
     terminal = _evaluate_function_spec(doc["terminal"], "terminal", tree, grid, leaves_only=True)
     driver = _parse_driver(doc["driver"])
@@ -126,7 +137,8 @@ def parse_instance(doc: dict) -> ProblemInstance:
             side = e["barrier"]
             if side not in by_side:
                 raise InvalidInstanceError(f"right_jumps[{i}]: barrier must be 'L' or 'U'")
-            by_side[side].append((int(e["level"]), int(e["node"]), float(e["new_value"])))
+            new_value = _number(e["new_value"], f"right_jumps[{i}].new_value")
+            by_side[side].append((e["level"], e["node"], new_value))
         if by_side["L"]:
             if lower is None:
                 raise InvalidInstanceError("right_jumps: lower barrier is absent")

@@ -260,21 +260,11 @@ class AdaptedField:
                 raise InvalidInstanceError(
                     f"level {k}: expected {tree.level_size(k)} values, got {arr.shape}"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise InvalidInstanceError(f"level {k}: non-finite field value")
             vals.append(_frozen(arr))
         self.tree = tree
         self._levels = tuple(vals)
-
-    @classmethod
-    def from_function(cls, tree: FiltrationTree, fn: Callable[[int, int, float], float]) -> "AdaptedField":
-        return cls(
-            tree,
-            [
-                np.asarray([fn(k, j, tree.state(k, j)) for j in range(tree.level_size(k))])
-                for k in range(tree.levels)
-            ],
-        )
 
     @classmethod
     def constant(cls, tree: FiltrationTree, value: float) -> "AdaptedField":
@@ -382,7 +372,7 @@ class EdgeField:
                 raise InvalidInstanceError(
                     f"level {k}: expected {tree.edge_child[k].size} edge values, got {arr.shape}"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise InvalidInstanceError(f"level {k}: non-finite edge value")
             out.append(_frozen(arr))
         self.tree = tree

@@ -50,13 +50,22 @@ class RegulatedField:
     def with_right_jumps(self, jumps: Sequence[tuple[int, int, float]]) -> "RegulatedField":
         """Return a copy whose right value at each (level, node) is replaced.
 
-        ``jumps`` entries are ``(level, node, new_right_value)``.
+        ``jumps`` entries are ``(level, node, new_right_value)``; level and
+        node must be integral and name a node before the terminal level.
         """
         levels = [np.array(self.right_value.level(k)) for k in range(self.tree.levels)]
         for k, j, new_value in jumps:
+            where = f"right jump at (level {k!r}, node {j!r})"
+            if any(np.asarray(i).dtype.kind not in "iuf" or i != np.trunc(i) for i in (k, j)):
+                raise InvalidInstanceError(f"{where}: level and node must be integers")
             if k == self.tree.depth:
                 raise InvalidInstanceError("right jumps at the terminal instant are not allowed")
-            levels[k][j] = new_value
+            if not 0 <= k < self.tree.depth:
+                raise InvalidInstanceError(f"{where}: level out of range 0..{self.tree.depth - 1}")
+            width = self.tree.level_size(int(k))
+            if not 0 <= j < width:
+                raise InvalidInstanceError(f"{where}: node out of range 0..{width - 1}")
+            levels[int(k)][int(j)] = new_value
         return RegulatedField(self.value, AdaptedField(self.tree, levels))
 
     def right_jump(self, node: tuple[int, int]) -> float:

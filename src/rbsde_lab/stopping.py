@@ -286,20 +286,11 @@ class LocalSolution:
 
 def _drift_matrix(instance: ProblemInstance, y_right_paths: np.ndarray) -> np.ndarray:
     """f(t_k, Y_k+) * dt_k along paths, shape (P, N)."""
-    grid = instance.grid
-    driver = instance.driver
-    depth = instance.tree.depth
-    out = np.empty((y_right_paths.shape[0], depth))
-    for k in range(depth):
-        t = float(grid.instants[k])
-        dt = grid.dt(k)
-        col = y_right_paths[:, k]
-        if driver.affine:
-            a, b = driver.coefficients(t)
-            out[:, k] = (a + b * col) * dt
-        else:
-            out[:, k] = np.asarray([driver(t, float(v)) for v in col]) * dt
-    return out
+    grid, driver = instance.grid, instance.driver
+    return np.column_stack([
+        driver.level(float(grid.instants[k]), y_right_paths[:, k]) * grid.dt(k)
+        for k in range(instance.tree.depth)
+    ])
 
 
 def local_solution(

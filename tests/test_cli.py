@@ -344,3 +344,79 @@ def test_residual_tolerance_env_override(tmp_path, monkeypatch):
         monkeypatch.setenv("RBSDE_LAB_TOL", raw)
         assert run("solve", INSTANCES / "two_sided_affine.json") == 1
         assert run("verify", INSTANCES / "two_sided_affine.json") == 1
+
+
+def _edited_instance(tmp_path, name: str, edit) -> Path:
+    doc = json.loads((INSTANCES / name).read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("node", -1, r"node out of range 0\.\.2"),
+        ("node", 999, r"node out of range 0\.\.2"),
+        ("level", 1.5, "level and node must be integers"),
+        ("level", "2", "level and node must be integers"),
+        ("level", 99, r"level out of range 0\.\.7"),
+        ("level", -1, r"level out of range 0\.\.7"),
+    ],
+)
+def test_right_jump_entries_are_range_checked(tmp_path, capsys, key, value, message):
+    def edit(doc):
+        doc["barriers"]["right_jumps"][0][key] = value
+
+    path = _edited_instance(tmp_path, "barrier_jumps.json", edit)
+    with pytest.raises(InvalidInstanceError, match=message):
+        load_instance(path)
+    capsys.readouterr()
+    assert run("solve", path) == 1
+    err = capsys.readouterr().err
+    assert "invalid input:" in err and f"{key} {value!r}" in err
+
+
+def test_right_jumps_checked_for_library_callers():
+    lower = load_instance(INSTANCES / "barrier_jumps.json").lower
+    with pytest.raises(InvalidInstanceError, match="node out of range"):
+        lower.with_right_jumps([(2, -1, -1.5)])
+    with pytest.raises(InvalidInstanceError, match="terminal instant"):
+        lower.with_right_jumps([(8, 0, -1.5)])
+    moved = lower.with_right_jumps([(np.int64(2), 2.0, -1.5)])
+    assert moved.right_jump((2, 2)) == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("steps", 8.5, "grid.steps: expected an integer"),
+        ("steps", "8", "grid.steps: expected an integer"),
+        ("steps", True, "grid.steps: expected an integer"),
+        ("T", "abc", "grid.T: expected a finite number"),
+        ("T", None, "grid.T: expected a finite number"),
+        ("T", float("inf"), "grid.T: expected a finite number"),
+    ],
+)
+def test_grid_must_be_numeric(tmp_path, capsys, key, value, message):
+    def edit(doc):
+        doc["grid"][key] = value
+
+    path = _edited_instance(tmp_path, "barrier_jumps.json", edit)
+    with pytest.raises(InvalidInstanceError, match=message):
+        load_instance(path)
+    capsys.readouterr()
+    assert run("solve", path) == 1
+    assert "invalid input:" in capsys.readouterr().err
+
+
+def test_integral_grid_and_jump_numbers_still_load(tmp_path):
+    def edit(doc):
+        doc["grid"].update(T=1, steps=8.0)
+        doc["barriers"]["right_jumps"][0].update(level=2.0, node=1.0)
+
+    edited = load_instance(_edited_instance(tmp_path, "barrier_jumps.json", edit))
+    shipped = load_instance(INSTANCES / "barrier_jumps.json")
+    assert edited.grid == shipped.grid
+    assert edited.lower.jump_events() == shipped.lower.jump_events()

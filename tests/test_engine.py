@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,31 @@ def test_mode_preconditions():
 
 
 UPPER_SIDE = (PenalizationMode.PURE_UPPER, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT)
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+
+
+@pytest.mark.parametrize("mode", UPPER_SIDE)
+def test_upper_side_errors_name_the_callers_mode_and_barrier(mode):
+    from rbsde_lab.io_formats import load_instance
+
+    lower_only = load_instance(INSTANCES / "lower_only.json")
+    needs_upper = f"^mode {mode.value} needs the upper barrier$"
+    with pytest.raises(PreconditionError, match=needs_upper):
+        solve_penalized(lower_only, 4, mode)
+    with pytest.raises(PreconditionError, match=needs_upper):
+        penalization_sweep(lower_only, mode)
+    both = load_instance(INSTANCES / "two_sided_affine.json")
+    upper_only = ProblemInstance(
+        both.tree, both.grid, both.terminal, both.driver, BarrierPair(None, both.upper)
+    )
+    if mode.reflects:
+        needs_lower = f"^mode {mode.value} needs the lower barrier to reflect on$"
+        with pytest.raises(PreconditionError, match=needs_lower):
+            solve_penalized(upper_only, 4, mode)
+        with pytest.raises(PreconditionError, match=needs_lower):
+            penalization_sweep(upper_only, mode)
+    else:
+        assert solve_penalized(upper_only, 4, mode).method == mode.value
 
 
 def _assert_bundles_identical(a, b):

@@ -1,4 +1,6 @@
 """End-to-end checks on arbitrary finite trees (variable child counts)."""
+import math
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,25 @@ from rbsde_lab.bundles import (
     sandwich_violation,
     skorokhod_residual,
 )
-from rbsde_lab.drivers import linear_driver
-from rbsde_lab.engine import PenalizationMode, penalization_sweep
+from rbsde_lab.drivers import custom_driver, linear_driver
+from rbsde_lab.engine import (
+    PenalizationMode,
+    implicit_level,
+    implicit_step,
+    jump_corrections,
+    penalization_sweep,
+    penalized_level,
+    penalized_step,
+    right_jump_correction,
+    solve_penalized,
+)
+from rbsde_lab.errors import NumericalError
 from rbsde_lab.lattice import (
     AdaptedField,
     FiltrationTree,
     TimeGrid,
     enumerate_paths,
+    expect_level,
     martingale_increments,
     sup_distance,
 )
@@ -164,3 +178,97 @@ def test_patching_on_general_trees(seed):
     assert sup_distance(patched.y.value, sol.y.value) <= 1e-9
     for rule in rules[1:]:
         assert rule.adaptedness_violations() == []
+
+
+class CountingRule:
+    """0.3 sin(y) - 0.1 y + t, a non-affine rule; counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, t: float, y: float) -> float:
+        self.calls += 1
+        return 0.3 * math.sin(y) - 0.1 * y + t
+
+
+def custom_instance(rule, seed: int = 11, depth: int = 6) -> ProblemInstance:
+    """A fan-out 1-4 tree, both barriers active and carrying right jumps."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, depth, max_children=4)
+    grid = TimeGrid.uniform(1.0, depth)
+    lower = RegulatedField.from_values(
+        tree, [tree.states[k] * 0.3 - 0.2 - 0.5 * grid.instants[k] for k in range(depth + 1)]
+    )
+    upper = RegulatedField.from_values(tree, [lower.value.level(k) + 0.35 for k in range(depth + 1)])
+    # declared jumps at the lowest (L) and highest (U) state of each inner level
+    low, high = (
+        [(k, int(pick(tree.states[k]))) for k in range(1, depth)] for pick in (np.argmin, np.argmax)
+    )
+    lower = lower.with_right_jumps([(k, j, lower.value[(k, j)] - 0.2) for k, j in low])
+    upper = upper.with_right_jumps([(k, j, upper.value[(k, j)] + 0.2) for k, j in high])
+    terminal = lower.value.level(depth) + rng.uniform(0.0, 0.35, size=tree.level_size(depth))
+    inst = ProblemInstance(tree, grid, terminal, custom_driver(rule, mu=0.4), BarrierPair(lower, upper))
+    assert validate_instance(inst).ok
+    return inst
+
+
+def test_custom_driver_level_solves_repeat_their_scalar_calls():
+    rule = CountingRule()
+    inst = custom_instance(rule)
+    tree, driver = inst.tree, inst.driver
+    sol = solve_doubly_reflected(inst)
+    k = max(range(tree.depth), key=tree.level_size)
+    t, dt = float(inst.grid.instants[k]), inst.grid.dt(k)
+    e = expect_level(tree, k, sol.y.value.level(k + 1))
+    lower, upper = inst.lower.value.level(k), inst.upper.value.level(k)
+    clamp = np.arange(e.size) % 3 != 0
+
+    def hexes(*values):
+        return [float(v).hex() for v in values]
+
+    rule.calls = 0
+    level = implicit_level(e, t, dt, driver)
+    level_calls, per_entry = rule.calls, []
+    for j, e_j in enumerate(e.tolist()):
+        rule.calls = 0
+        assert hexes(implicit_step(e_j, t, dt, driver)) == hexes(level[j])
+        per_entry.append(rule.calls)
+    assert len(set(per_entry)) > 1  # the entries need different iteration counts
+    assert level_calls == sum(per_entry)  # a converged entry is not evaluated again
+
+    mode = PenalizationMode.LOWER_PENALTY_UPPER_REFLECT
+    rule.calls = 0
+    rows = penalized_level(e, t, dt, 64, lower, upper, clamp, driver)
+    level_calls = rule.calls
+    rule.calls = 0
+    for j, e_j in enumerate(e.tolist()):
+        up = float(upper[j]) if clamp[j] else None
+        one = penalized_step(e_j, t, dt, 64, mode, float(lower[j]), up, driver)
+        assert hexes(*one) == hexes(*(row[j] for row in rows))
+    assert level_calls == rule.calls  # the clamp calls the driver at clamped entries only
+    assert np.any(rows[1] > 0.0) and np.any(rows[2] > 0.0)  # both sides pushed
+
+    jumps = jump_corrections(e, lower, upper, clamp, ~clamp)
+    for j, e_j in enumerate(e.tolist()):
+        one = right_jump_correction(
+            e_j, mode, float(lower[j]), float(upper[j]),
+            lower_scheduled=bool(clamp[j]), upper_declared=not clamp[j],
+        )
+        assert hexes(*one) == hexes(*(row[j] for row in jumps))
+    assert np.any(jumps[1] > 0.0) and np.any(jumps[2] > 0.0)
+
+
+def test_custom_driver_through_the_solvers():
+    inst = custom_instance(CountingRule())
+    sol = solve_doubly_reflected(inst)
+    assert lu4_residual(sol, inst) <= 1e-12
+    for name in ("dk_star", "da_star", "jump_k", "jump_a"):
+        assert any(np.any(getattr(sol, name).level(k) > 0.0) for k in range(inst.tree.depth)), name
+    for mode in PenalizationMode:
+        assert lu4_residual(solve_penalized(inst, 64, mode), inst) <= 1e-12
+    lying = ProblemInstance(
+        inst.tree, inst.grid, inst.terminal,
+        custom_driver(lambda t, y: 100.0 * y + 1.0, mu=0.1), inst.barriers,
+    )
+    with pytest.raises(NumericalError, match="implicit step failed to converge"):
+        solve_doubly_reflected(lying)
