@@ -41,6 +41,7 @@ from .bundles import (
     SkorokhodReport,
     SolutionBundle,
     lu4_residual,
+    process_distances,
     sandwich_violation,
     skorokhod_residual,
 )
@@ -59,10 +60,12 @@ from .solvers import (
     solve_reflected_upper,
 )
 from .stopping import (
+    ChainReport,
     LocalSolution,
     PathContext,
     StoppingRule,
     alternating_sequence,
+    chain_report,
     hitting_time_lower,
     hitting_time_upper,
     local_solution,

@@ -9,10 +9,12 @@ budget identity and the minimality sums from stored data alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+
 import numpy as np
 
-from .lattice import AdaptedField, EdgeField, FiltrationTree, TimeGrid
+from .lattice import AdaptedField, EdgeField, FiltrationTree, TimeGrid, running_sum_maxima
 from .regulated import BarrierPair, ProblemInstance, RegulatedField
 from .errors import PreconditionError
 
@@ -74,84 +76,108 @@ class SkorokhodReport:
 
     ``lower_residual`` is the max over paths of
     sum_k (Y_k+ - L_k+) dK*_k + (Y_k - L_k) jumpK_k, and symmetrically for
-    the upper side with (U - Y) weights.  The ``alt_*`` figures weight the
-    jump sums by left limits (previous post-jump values) instead; they are
-    diagnostics for the alternative reading of the jump minimality term.
+    the upper side with (U - Y) weights.  ``lower_paths`` and ``upper_paths``
+    hold every path's sum; reading them enumerates the paths, so they are
+    computed on first read and refused beyond the enumeration cap.
     """
 
     lower_residual: float
     upper_residual: float
-    lower_paths: np.ndarray
-    upper_paths: np.ndarray
-    alt_lower_residual: float
-    alt_upper_residual: float
+    bundle: SolutionBundle = field(repr=False)
+    barriers: BarrierPair = field(repr=False)
+
+    @cached_property
+    def lower_paths(self) -> np.ndarray:
+        return _path_sums(self.bundle, self.barriers.lower, lower=True)
+
+    @cached_property
+    def upper_paths(self) -> np.ndarray:
+        return _path_sums(self.bundle, self.barriers.upper, lower=False)
 
 
-def _left_limit_paths(value_paths: np.ndarray, right_paths: np.ndarray) -> np.ndarray:
-    """Left limits at each level along paths: previous post-jump values.
+def minimality_terms(bundle: SolutionBundle, barrier: RegulatedField, lower: bool) -> list[np.ndarray]:
+    """Per level k < N, each node's term of the minimality sum of K (``lower``) or A.
 
-    At level 0 the value itself is used (nothing precedes time zero).
+    (Y+ - L+) dK* + (Y - L) jumpK for K; (U+ - Y+) dA* + (U - Y) jumpA for A.
     """
-    out = np.empty_like(value_paths)
-    out[:, 0] = value_paths[:, 0]
-    out[:, 1:] = right_paths[:, :-1]
-    return out
+    y = bundle.y
+    star, jump = (bundle.dk_star, bundle.jump_k) if lower else (bundle.da_star, bundle.jump_a)
+    terms = []
+    for k in range(bundle.tree.depth):
+        if lower:
+            w_star = y.right_value.level(k) - barrier.right_value.level(k)
+            w_jump = y.value.level(k) - barrier.value.level(k)
+        else:
+            w_star = barrier.right_value.level(k) - y.right_value.level(k)
+            w_jump = barrier.value.level(k) - y.value.level(k)
+        terms.append(w_star * star.level(k) + w_jump * jump.level(k))
+    return terms
+
+
+def _path_sums(bundle: SolutionBundle, barrier: RegulatedField | None, lower: bool) -> np.ndarray:
+    """Every enumerated path's minimality sum (the path oracle); zeros without a barrier."""
+    nodes = bundle.tree.path_gather()[0][:, :-1]
+    if barrier is None:
+        return np.zeros(nodes.shape[0])
+    terms = minimality_terms(bundle, barrier, lower)
+    return np.sum(np.concatenate(terms)[nodes], axis=1)
 
 
 def skorokhod_residual(bundle: SolutionBundle, barriers: BarrierPair) -> SkorokhodReport:
-    """Minimality sums of (K, A) against the barriers, per path."""
+    """Minimality sums of (K, A) against the barriers, maximised over paths.
+
+    One max-plus recursion over the levels, no path enumeration: the sums
+    add the node terms in path order from 0.0, so each residual equals the
+    sequential sum along its worst path bit for bit.
+    """
     if barriers.lower is not None and barriers.lower.tree is not bundle.tree:
         raise PreconditionError("bundle and barriers must share one tree")
-    n_steps = bundle.tree.depth
-    y_val = bundle.y.value.path_matrix()
-    y_right = bundle.y.right_value.path_matrix()
-    zeros = np.zeros(y_val.shape[0])
-
-    def side(barrier: RegulatedField | None, dstar: AdaptedField, jump: AdaptedField, is_lower: bool):
+    tree = bundle.tree
+    sides = []
+    for barrier, lower in ((barriers.lower, True), (barriers.upper, False)):
         if barrier is None:
-            return zeros, zeros
-        b_val = barrier.value.path_matrix()
-        b_right = barrier.right_value.path_matrix()
-        if is_lower:
-            w_star = y_right - b_right
-            w_jump = y_val - b_val
+            sides.append([np.zeros(tree.level_size(k)) for k in range(tree.depth)])
         else:
-            w_star = b_right - y_right
-            w_jump = b_val - y_val
-        ds = dstar.path_matrix()[:, :n_steps]
-        js = jump.path_matrix()[:, :n_steps]
-        sums = np.sum(w_star[:, :n_steps] * ds + w_jump[:, :n_steps] * js, axis=1)
-        y_left = _left_limit_paths(y_val, y_right)
-        b_left = _left_limit_paths(b_val, b_right)
-        w_alt = (y_left - b_left) if is_lower else (b_left - y_left)
-        alt = np.sum(w_star[:, :n_steps] * ds + w_alt[:, :n_steps] * js, axis=1)
-        return sums, alt
-
-    lower_sums, lower_alt = side(barriers.lower, bundle.dk_star, bundle.jump_k, True)
-    upper_sums, upper_alt = side(barriers.upper, bundle.da_star, bundle.jump_a, False)
-    return SkorokhodReport(
-        lower_residual=float(np.max(lower_sums)),
-        upper_residual=float(np.max(upper_sums)),
-        lower_paths=lower_sums,
-        upper_paths=upper_sums,
-        alt_lower_residual=float(np.max(lower_alt)),
-        alt_upper_residual=float(np.max(upper_alt)),
-    )
+            sides.append(minimality_terms(bundle, barrier, lower))
+    leaves = running_sum_maxima(tree, [np.stack(level) for level in zip(*sides)])[-1]
+    lower_residual, upper_residual = np.max(leaves, axis=1).tolist()
+    return SkorokhodReport(lower_residual, upper_residual, bundle, barriers)
 
 
-def lu4_residual(bundle: SolutionBundle, instance: ProblemInstance) -> float:
-    """Max one-step budget identity defect over every tree edge.
+def process_distances(first: SolutionBundle, second: SolutionBundle) -> tuple[float, float, float]:
+    """Max over paths and instants of |K - K'|, |A - A'| and |(K - A) - (K' - A')|.
 
-    Checks Y_k = Y_{k+1} + f(t_k, Y_k+) dt + (dK*_k + jumpK_k)
-    - (dA*_k + jumpA_k) - dM on each edge, with the driver evaluated at the
-    right-limit value that rules the open interval.
+    Each is the largest |running sum| of the per-node increment differences,
+    from one forward max recursion over the levels (no path enumeration).
+    """
+    def increments(b: SolutionBundle, k: int) -> tuple[np.ndarray, np.ndarray]:
+        return b.jump_k.level(k) + b.dk_star.level(k), b.jump_a.level(k) + b.da_star.level(k)
+
+    def gaps(k: int) -> np.ndarray:
+        (k1, a1), (k2, a2) = increments(first, k), increments(second, k)
+        rows = np.array([k1 - k2, a1 - a2, (k1 - a1) - (k2 - a2)])
+        return np.stack([rows, -rows])  # the max of both signs is the max |.|
+
+    tree = first.tree
+    maxima = running_sum_maxima(tree, [gaps(k) for k in range(tree.depth)])
+    worst = np.max([np.max(level, axis=-1) for level in maxima], axis=0).max(axis=0)
+    k_gap, a_gap, ka_gap = worst.tolist()
+    return k_gap, a_gap, ka_gap
+
+
+def budget_defects(bundle: SolutionBundle, instance: ProblemInstance) -> list[np.ndarray]:
+    """Per level k < N, each edge's defect of the one-step budget identity.
+
+    Y_k - Y_{k+1} + dM - f(t_k, Y_k+) dt - (dK*_k + jumpK_k) + (dA*_k +
+    jumpA_k) on the edge, with the driver evaluated at the right-limit value
+    that rules the open interval; zero on an exact solution.
     """
     tree, grid, driver, y = bundle.tree, bundle.grid, instance.driver, bundle.y
-
-    def level_defect(k: int) -> float:
+    defects = []
+    for k in range(tree.depth):
         parent = tree.edge_parent[k]
         drift = driver.level(float(grid.instants[k]), y.right_value.level(k)) * grid.dt(k)
-        r = (
+        defects.append(
             y.value.level(k)[parent]
             - y.value.level(k + 1)[tree.edge_child[k]]
             + bundle.dm.level(k)
@@ -161,10 +187,17 @@ def lu4_residual(bundle: SolutionBundle, instance: ProblemInstance) -> float:
             + bundle.da_star.level(k)[parent]
             + bundle.jump_a.level(k)[parent]
         )
-        return np.max(np.abs(r))
+    return defects
 
+
+def lu4_residual(bundle: SolutionBundle, instance: ProblemInstance) -> float:
+    """Max one-step budget identity defect over every tree edge.
+
+    Checks Y_k = Y_{k+1} + f(t_k, Y_k+) dt + (dK*_k + jumpK_k)
+    - (dA*_k + jumpA_k) - dM on each edge (see :func:`budget_defects`).
+    """
     # np.max, unlike the builtin, propagates a NaN defect into the residual
-    return float(np.max([level_defect(k) for k in range(tree.depth)]))
+    return float(np.max([np.max(np.abs(d)) for d in budget_defects(bundle, instance)]))
 
 
 def sandwich_defect(bundle: SolutionBundle, barrier: RegulatedField | None, lower: bool) -> float:

@@ -46,13 +46,17 @@ class PatchingError(RBSDELabError):
 
 
 class AlternationStuckError(RBSDELabError):
-    """The alternating barrier-hitting sequence failed to advance on a path."""
+    """The alternating barrier-hitting sequence failed to advance.
 
-    def __init__(self, path_index: int, level: int, gap: float):
-        self.path_index = path_index
+    ``where`` names the path (path oracle) or the node (level-wise
+    evaluation) on which two consecutive hits fall on one level.
+    """
+
+    def __init__(self, where: str, level: int, gap: float):
+        self.where = where
         self.level = level
         self.gap = gap
         super().__init__(
-            f"alternating sequence stuck on path {path_index} at level {level}; "
+            f"alternating sequence stuck on {where} at level {level}; "
             f"local barrier gap U - L = {gap!r}"
         )

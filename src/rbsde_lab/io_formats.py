@@ -22,6 +22,7 @@ from .lattice import AdaptedField, EdgeField, FiltrationTree, TimeGrid, build_bi
 from .regulated import BarrierPair, ProblemInstance, RegulatedField
 
 SOLUTION_SCHEMA = "rbsde-lab/solution-v1"
+MAX_TREE_NODES = 1_000_000  # the 1000-step binomial tree has 501 501 nodes
 
 
 def _take(obj: dict, where: str, required: list[str], optional: list[str] = ()) -> dict:
@@ -115,6 +116,13 @@ def parse_instance(doc: dict) -> ProblemInstance:
     _take(doc, "instance", ["grid", "tree", "terminal", "driver", "barriers"])
     grid_spec = _take(doc["grid"], "grid", ["T", "steps"])
     steps = int(_number(grid_spec["steps"], "grid.steps", integral=True))
+    binomial = isinstance(doc["tree"], dict) and doc["tree"].get("kind") == "binomial"
+    nodes = (steps + 1) * (steps + 2) // 2 if binomial else steps + 1
+    if nodes > MAX_TREE_NODES:
+        raise InvalidInstanceError(
+            f"grid.steps: {steps} steps need a tree of at least {nodes} nodes, "
+            f"more than the {MAX_TREE_NODES} supported"
+        )
     grid = TimeGrid.uniform(_number(grid_spec["T"], "grid.T"), steps)
     tree = _parse_tree(doc["tree"], grid.steps)
     terminal = _evaluate_function_spec(doc["terminal"], "terminal", tree, grid, leaves_only=True)

@@ -133,6 +133,7 @@ class FiltrationTree:
             tuple(_frozen(arr) for arr in arrays) for arrays in layout
         )
         self._paths_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._gather_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def _level_edges(self, k: int, children: Sequence, probs: Sequence) -> tuple[np.ndarray, ...]:
         """Level k's (offsets, parents, children, probabilities), checked level-wide."""
@@ -191,6 +192,41 @@ class FiltrationTree:
         """``probs[k][j]``: node (k, j)'s transition probabilities, views of ``edge_prob``."""
         return tuple(tuple(np.split(p, o[1:-1])) for p, o in zip(self.edge_prob, self.offsets))
 
+    @cached_property
+    def _arrivals(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per level k, the edges out of k grouped by their child.
+
+        ``(order, starts, targets)``: edge ids sorted by child (stably), where
+        each child's group starts in that order, and the child of each group.
+        """
+        out = []
+        for child in self.edge_child:
+            order = np.argsort(child, kind="stable")
+            ordered = child[order]
+            starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+            out.append((order, starts, ordered[starts]))
+        return tuple(out)
+
+    @cached_property
+    def reached(self) -> tuple[np.ndarray, ...]:
+        """Per level, which nodes some path from the root passes through."""
+        out = [_frozen(np.ones(1, dtype=bool))]
+        for k in range(self.depth):
+            live = np.where(out[-1], 0.0, -np.inf)[self.edge_parent[k]]
+            out.append(_frozen(self.push_max(k, live) == 0.0))
+        return tuple(out)
+
+    def push_max(self, k: int, edge_values: np.ndarray) -> np.ndarray:
+        """Per level-(k+1) node, the max of ``edge_values`` over the edges into it.
+
+        ``edge_values`` holds one value per edge out of level k on its last
+        axis; leading axes are kept.  A node no edge reaches gets -inf.
+        """
+        order, starts, targets = self._arrivals[k]
+        out = np.full(edge_values.shape[:-1] + (self.level_size(k + 1),), -np.inf)
+        out[..., targets] = np.maximum.reduceat(edge_values[..., order], starts, axis=-1)
+        return out
+
     def same_shape(self, other: "FiltrationTree") -> bool:
         if self.depth != other.depth or self.level_size(self.depth) != other.level_size(self.depth):
             return False
@@ -226,6 +262,26 @@ class FiltrationTree:
                 probs = probs[rows] * self.edge_prob[k][edge]
             self._paths_cache = (_frozen(nodes), _frozen(choices), _frozen(probs))
         return self._paths_cache
+
+    def path_gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices that gather fields along every enumerated path.
+
+        ``(node_index, edge_index)`` with shapes ``(P, N+1)`` and ``(P, N)``:
+        entry ``[p, k]`` is the position of path p's level-k node among all
+        nodes listed level by level, and of its level-k edge among all edges.
+        Cached with the path arrays.
+        """
+        if self._gather_cache is None:
+            nodes, choices, _ = self.path_arrays()
+            widths = [self.level_size(k) for k in range(self.levels)]
+            node_start = np.concatenate(([0], np.cumsum(widths[:-1])))
+            edge_start = np.concatenate(([0], np.cumsum([c.size for c in self.edge_child[:-1]])))
+            first_edge = np.stack([o[nodes[:, k]] for k, o in enumerate(self.offsets)], axis=1)
+            self._gather_cache = (
+                _frozen(nodes + node_start),
+                _frozen(first_edge + choices + edge_start),
+            )
+        return self._gather_cache
 
 
 def build_binomial(steps: int, x0: float, up: float, down: float, p_up: float) -> FiltrationTree:
@@ -289,11 +345,7 @@ class AdaptedField:
 
     def path_matrix(self) -> np.ndarray:
         """Field values gathered along every enumerated path: shape (P, N+1)."""
-        nodes, _, _ = self.tree.path_arrays()
-        out = np.empty(nodes.shape, dtype=float)
-        for k in range(self.tree.levels):
-            out[:, k] = self._levels[k][nodes[:, k]]
-        return out
+        return np.concatenate(self._levels)[self.tree.path_gather()[0]]
 
 
 @dataclass(frozen=True)
@@ -403,11 +455,24 @@ class EdgeField:
 
     def path_matrix(self) -> np.ndarray:
         """Edge values along every path: shape (P, N), entry k is the k -> k+1 increment."""
-        nodes, choices, _ = self.tree.path_arrays()
-        out = np.empty(choices.shape, dtype=float)
-        for k, offsets in enumerate(self.tree.offsets):
-            out[:, k] = self._levels[k][offsets[nodes[:, k]] + choices[:, k]]
-        return out
+        return np.concatenate(self._levels)[self.tree.path_gather()[1]]
+
+
+def running_sum_maxima(tree: FiltrationTree, increments: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per level and node, the max over the paths from the root of a running sum.
+
+    ``increments[k]`` holds one term per level-k node on its last axis
+    (k < N; leading axes are kept).  A sum starts from 0.0 at the root and
+    adds the terms of the nodes it passes in path order; rounding is
+    monotone, so each max equals the sequential sum along its best path
+    bit for bit.  Entry k of the result is level k's maxima; a node no path
+    reaches holds -inf.
+    """
+    best = [np.zeros(np.shape(increments[0])[:-1] + (1,))]
+    for k, inc in enumerate(increments):
+        here = best[-1] + inc
+        best.append(tree.push_max(k, here[..., tree.edge_parent[k]]))
+    return best
 
 
 def edge_increments(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bundles import process_distances
 from .drivers import Driver, constant_driver, linear_driver, zero_driver
 from .engine import PenalizationMode, penalization_sweep
 from .errors import (
@@ -282,19 +283,12 @@ def uniqueness_probe(instance: ProblemInstance, eps: float = 1e-5) -> Uniqueness
     bundles = {"projection": proj, "increasing": inc, "decreasing": dec}
     names = list(bundles)
     y_d, k_d, a_d, ka_d = {}, {}, {}, {}
-    cum = {
-        name: (b.cumulative_k_paths(), b.cumulative_a_paths()) for name, b in bundles.items()
-    }
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             key = f"{names[i]}/{names[j]}"
             bi, bj = bundles[names[i]], bundles[names[j]]
             y_d[key] = sup_distance(bi.y.value, bj.y.value)
-            ki, ai = cum[names[i]]
-            kj, aj = cum[names[j]]
-            k_d[key] = float(np.max(np.abs(ki - kj)))
-            a_d[key] = float(np.max(np.abs(ai - aj)))
-            ka_d[key] = float(np.max(np.abs((ki - ai) - (kj - aj))))
+            k_d[key], a_d[key], ka_d[key] = process_distances(bi, bj)
     sep = check_separation(instance.barriers).satisfied
     return UniquenessReport(
         y_distances=y_d,

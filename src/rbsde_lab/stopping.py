@@ -3,9 +3,16 @@
 Stopping rules are stored as per-node stop sets, optionally chained to a
 prior rule ("first hit at or after the prior stop").  The chain keeps the
 rules adapted by construction even on recombining trees, where the prior
-stop level is path information rather than node information.  Pathwise
-evaluation uses the enumerated path matrices, which the tree caps at a
-manageable depth.
+stop level is path information rather than node information.
+
+A chain of first hits is evaluated by one forward recursion over
+``(phase, node)`` states, the phase counting the rules already stopped:
+the local-property checks, the alternating sequence's stationarity index
+and stall diagnostic, and the per-interval residuals of the patching gate
+all read it, in time polynomial in the depth.  The path-based evaluation
+(``StoppingRule.levels``, ``alternating_sequence``, ``local_solution``,
+``patch_global``) enumerates the paths and is kept as the small-depth
+reference oracle.
 """
 from __future__ import annotations
 
@@ -13,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import SolutionBundle
+from .bundles import SolutionBundle, budget_defects, minimality_terms, process_distances
 from .errors import AlternationStuckError, PatchingError, PreconditionError
 from .lattice import AdaptedField, EdgeField, FiltrationTree, sup_distance
 from .regulated import BarrierPair, ProblemInstance, RegulatedField
 from .solvers import solve_doubly_reflected
 
 HIT_TOL = 1e-9
+PATCH_TOL = 1e-9  # seams, path agreement, and patched against direct solve
 
 
 class StoppingRule:
@@ -105,6 +113,14 @@ class StoppingRule:
         return bad
 
 
+def _hit_mask(y: RegulatedField, barrier: RegulatedField, tol: float, upper: bool) -> list[np.ndarray]:
+    """Per level, where Y reaches the barrier: Y >= U - tol (``upper``) or Y <= L + tol."""
+    if y.tree is not barrier.tree:
+        raise PreconditionError("fields must share one tree")
+    levels = [(y.value.level(k), barrier.value.level(k)) for k in range(y.tree.levels)]
+    return [yv >= b - tol if upper else yv <= b + tol for yv, b in levels]
+
+
 def hitting_time_upper(
     y: RegulatedField, upper: RegulatedField, tau: StoppingRule, tol: float = HIT_TOL
 ) -> StoppingRule:
@@ -112,24 +128,95 @@ def hitting_time_upper(
 
     Equality is read as Y >= U - tol; paths that never hit stop at N.
     """
-    if y.tree is not upper.tree:
-        raise PreconditionError("fields must share one tree")
-    mask = [
-        y.value.level(k) >= upper.value.level(k) - tol for k in range(y.tree.levels)
-    ]
-    return StoppingRule(y.tree, mask, prior=tau, label="hit-upper")
+    return StoppingRule(y.tree, _hit_mask(y, upper, tol, upper=True), prior=tau, label="hit-upper")
 
 
 def hitting_time_lower(
     y: RegulatedField, lower: RegulatedField, tau: StoppingRule, tol: float = HIT_TOL
 ) -> StoppingRule:
     """First level at or after tau where Y reaches the lower barrier."""
-    if y.tree is not lower.tree:
-        raise PreconditionError("fields must share one tree")
-    mask = [
-        y.value.level(k) <= lower.value.level(k) + tol for k in range(y.tree.levels)
-    ]
-    return StoppingRule(y.tree, mask, prior=tau, label="hit-lower")
+    return StoppingRule(y.tree, _hit_mask(y, lower, tol, upper=False), prior=tau, label="hit-lower")
+
+
+def _chain_masks(rule: StoppingRule) -> list:
+    """The stop sets of a rule's chain, first rule first."""
+    masks = []
+    while rule is not None:
+        masks.append(rule.stop_mask)
+        rule = rule.prior
+    return masks[::-1]
+
+
+def _chain_walk(tree: FiltrationTree, pattern: list, n_rules: int, terms: list[np.ndarray] | None = None):
+    """Forward recursion over ``(phase, node)`` states of a chain of first hits.
+
+    The chain has ``n_rules`` rules; rule r's per-level stop set is
+    ``pattern[(r - 1) % len(pattern)]`` (None: no stop before the terminal
+    level).  Rule 1 stops at the first level where its set holds, rule r at
+    the first level at or after rule r-1's stop, and a rule that never hits
+    stops at N.  A path is in phase a at a node when a rules stopped before
+    that node's level.  A path advances at most one period at one node: if
+    every stop set of the period holds there (a stall, for the alternating
+    sequence) it leaves ``len(pattern)`` phases later.  Only phases some
+    path is in are carried, so a level costs its width times the phases
+    alive there.
+
+    ``terms[k]`` (k < N) holds C rows of per-node terms at level k.  Each
+    path keeps, for its current phase, the sum of the terms since the phase
+    opened, in path order from 0.0 (one channel of zeros when ``terms`` is
+    None).  Yields ``(k, arrive, depart)`` per level: ``arrive`` (C, phases,
+    width) is, per arrival phase and node, the max of that sum over the
+    paths reaching the node in that phase (-inf where none does), and
+    ``depart`` (phases, width) the phase after the level's stops
+    (``n_rules`` at level N).
+    """
+    period = len(pattern)
+    channels = 1 if terms is None else len(terms[0])
+    arrive = np.zeros((channels, 1, 1))
+    for k in range(tree.levels):
+        width = tree.level_size(k)
+        phases = np.arange(arrive.shape[1])[:, None]
+        if k == tree.depth:
+            yield k, arrive, np.full((phases.size, width), n_rules)
+            return
+        hits = np.zeros((period, width), dtype=bool)
+        for r, mask in enumerate(pattern):
+            if mask is not None:
+                hits[r] = mask[k]
+        depart = np.repeat(phases, width, axis=1)
+        nodes = np.arange(width)
+        for _ in range(period):
+            step = (depart < n_rules) & hits[depart % period, nodes]
+            if not step.any():
+                break
+            depart += step
+        yield k, arrive, depart
+
+        live = arrive[0] > -np.inf
+        shift = np.where(live, depart - phases, -1)
+        vals = np.where(shift > 0, 0.0, arrive)  # a phase opened here restarts its sum
+        if terms is not None:
+            vals = vals + terms[k][:, None, :]
+        out = np.full((channels, int(np.max(depart[live])) + 1, width), -np.inf)
+        for s in np.unique(shift[live]).tolist():
+            n = min(phases.size, out.shape[1] - s)
+            moved = np.where(shift == s, vals, -np.inf)[:, :n]
+            out[:, s : s + n] = np.maximum(out[:, s : s + n], moved)
+        arrive = tree.push_max(k, out[..., tree.edge_parent[k]])
+
+
+def _interior_stop_max(rule: StoppingRule, values: list[np.ndarray]) -> float:
+    """Max of ``values`` over the nodes where ``rule`` stops before level N (0.0 if none)."""
+    masks = _chain_masks(rule)
+    last = len(masks)
+    worst = 0.0
+    for k, arrive, depart in _chain_walk(rule.tree, masks, last):
+        if k == rule.tree.depth:
+            break
+        stops = np.any((arrive[0, :last] > -np.inf) & (depart[:last] == last), axis=0)
+        if stops.any():
+            worst = max(worst, float(np.max(values[k][stops])))
+    return worst
 
 
 @dataclass
@@ -153,35 +240,28 @@ def verify_local_properties(
 
     On every path whose upper hitting time is interior, Y equals the upper
     barrier there (within tol); Y dominates the lower barrier everywhere.
-    Mirrored for the lower hitting time.
+    Mirrored for the lower hitting time.  Evaluated level by level over the
+    nodes the paths reach, without enumerating paths.
     """
     if barriers.lower is None or barriers.upper is None:
         raise PreconditionError("local property checks need both barriers")
     tree = y.tree
-    nodes, _, _ = tree.path_arrays()
-    n_paths = nodes.shape[0]
-    depth = tree.depth
-    y_paths = y.value.path_matrix()
-    u_paths = barriers.upper.value.path_matrix()
-    l_paths = barriers.lower.value.path_matrix()
-    rows = np.arange(n_paths)
-
-    delta = hitting_time_upper(y, barriers.upper, tau, tol).levels()
-    interior = delta < depth
-    up_dev = 0.0
-    if interior.any():
-        up_dev = float(
-            np.max(np.abs(y_paths[rows, delta] - u_paths[rows, delta])[interior])
-        )
-    theta = hitting_time_lower(y, barriers.lower, tau, tol).levels()
-    interior_lo = theta < depth
-    lo_dev = 0.0
-    if interior_lo.any():
-        lo_dev = float(
-            np.max(np.abs(y_paths[rows, theta] - l_paths[rows, theta])[interior_lo])
-        )
-    lower_violation = max(0.0, float(np.max(l_paths - y_paths)))
-    upper_violation = max(0.0, float(np.max(y_paths - u_paths)))
+    y_val, u_val, l_val = y.value, barriers.upper.value, barriers.lower.value
+    up_dev = _interior_stop_max(
+        hitting_time_upper(y, barriers.upper, tau, tol),
+        [np.abs(y_val.level(k) - u_val.level(k)) for k in range(tree.levels)],
+    )
+    lo_dev = _interior_stop_max(
+        hitting_time_lower(y, barriers.lower, tau, tol),
+        [np.abs(y_val.level(k) - l_val.level(k)) for k in range(tree.levels)],
+    )
+    reached = tree.reached
+    lower_violation = max(0.0, max(
+        float(np.max((l_val.level(k) - y_val.level(k))[reached[k]])) for k in range(tree.levels)
+    ))
+    upper_violation = max(0.0, max(
+        float(np.max((y_val.level(k) - u_val.level(k))[reached[k]])) for k in range(tree.levels)
+    ))
 
     failures = []
     bound = tol + 1e-10
@@ -247,15 +327,9 @@ class PathContext:
         self.l_right = None if instance.lower is None else instance.lower.right_value.path_matrix()
         self.u_val = None if instance.upper is None else instance.upper.value.path_matrix()
         self.u_right = None if instance.upper is None else instance.upper.right_value.path_matrix()
-        self.drift = _drift_matrix(instance, self.y_right)
-        self.budget_residuals = (
-            self.y[:, :-1]
-            - self.y[:, 1:]
-            - self.drift
-            - (self.dk + self.jk)
-            + (self.da + self.ja)
-            + self.dm
-        )
+        self.budget_residuals = np.concatenate(budget_defects(bundle, instance))[
+            instance.tree.path_gather()[1]
+        ]
 
 
 @dataclass
@@ -282,15 +356,6 @@ class LocalSolution:
     k_paths: np.ndarray
     a_paths: np.ndarray
     report: IntervalReport
-
-
-def _drift_matrix(instance: ProblemInstance, y_right_paths: np.ndarray) -> np.ndarray:
-    """f(t_k, Y_k+) * dt_k along paths, shape (P, N)."""
-    grid, driver = instance.grid, instance.driver
-    return np.column_stack([
-        driver.level(float(grid.instants[k]), y_right_paths[:, k]) * grid.dt(k)
-        for k in range(instance.tree.depth)
-    ])
 
 
 def local_solution(
@@ -442,23 +507,128 @@ def alternating_sequence(
     return rules, StationarityReport(indices=indices, max_index=int(np.max(indices)))
 
 
+@dataclass
+class ChainReport:
+    """The alternating sequence of a solved bundle and its patching residuals.
+
+    ``intervals[n]`` measures the bundle restricted to the n-th interval
+    [tau_n, tau_{n+1}] of the sequence, as :func:`local_solution` does, for
+    n below the stationarity index.  ``y_gap`` and ``ka_gap`` compare the
+    processes patched from those restrictions with a direct solve.
+    """
+
+    stationarity_index: int
+    intervals: list[IntervalReport]
+    y_gap: float
+    ka_gap: float
+
+    def worst_interval(self) -> dict[str, float]:
+        """Each interval residual's largest magnitude over the intervals."""
+        fields = ("budget_residual", "sandwich_violation", "lower_skorokhod", "upper_skorokhod")
+        return {f: max(abs(getattr(r, f)) for r in self.intervals) for f in fields}
+
+
+def _spread_max(acc: np.ndarray, first: np.ndarray, last: np.ndarray, values: np.ndarray) -> None:
+    """acc[n] = max(acc[n], value) for every n in first..last, entry by entry."""
+    for s in range(int(np.max(last - first, initial=-1)) + 1):
+        sel = last - first >= s
+        np.maximum.at(acc, first[sel] + s, values[sel])
+
+
+def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float = HIT_TOL) -> ChainReport:
+    """The alternating sequence of ``bundle`` and the patching checks, path-free.
+
+    tau_0 = 0, then alternating first hits of the upper (odd indices) and
+    lower barrier, evaluated by one :func:`_chain_walk` over the depth.  A
+    path whose two consecutive hits fall on one level before N (touching
+    barriers within tol) raises :class:`AlternationStuckError` naming the
+    node, at the smallest index where any path stalls.  Otherwise, per
+    interval: the budget identity on its steps, the sandwich on its
+    instants, and the minimality sums of K and A rebased to zero at its
+    opening.  Restrictions of one bundle tile [0, T] and agree at every seam
+    by construction, so the patched Y and K - A are compared with a direct
+    solve.
+    """
+    lower, upper = instance.lower, instance.upper
+    if lower is None or upper is None:
+        raise PreconditionError("alternating sequence needs both barriers")
+    tree = instance.tree
+    depth = tree.depth
+    y = bundle.y
+    hit_up = _hit_mask(y, upper, tol, upper=True)
+    hit_lo = _hit_mask(y, lower, tol, upper=False)
+    lo_terms = minimality_terms(bundle, lower, lower=True)
+    up_terms = minimality_terms(bundle, upper, lower=False)
+    terms = [np.stack(pair) for pair in zip(lo_terms, up_terms)]
+    defects = budget_defects(bundle, instance)
+
+    n_phases = depth + 2
+    budget = np.zeros(n_phases)
+    sandwich = np.full(n_phases, -np.inf)
+    sums = np.full((2, n_phases), -np.inf)
+    stall = None  # (stalled index, level, node), smallest index first
+    index = 0
+    for k, arrive, depart in _chain_walk(tree, [hit_up, hit_lo], depth + 1, terms):
+        live = arrive[0] > -np.inf
+        phase, node = np.nonzero(live)
+        leave = depart[phase, node]
+        y_k = y.value.level(k)
+        outside = np.maximum(lower.value.level(k) - y_k, y_k - upper.value.level(k))
+        _spread_max(sandwich, phase, leave, outside[node])  # instant k is in intervals phase..leave
+        # an interval closing here ends its sum; the ones it skips are empty
+        closing = leave > phase
+        shut, skip_to, at = phase[closing], leave[closing] - 1, node[closing]
+        for side in range(2):
+            np.maximum.at(sums[side], shut, arrive[side, shut, at])
+            _spread_max(sums[side], shut + 1, skip_to, np.zeros(shut.size))
+        if k == depth:
+            index = int(np.max(phase)) + 1
+            break
+        stalled = leave - phase >= 2
+        if stalled.any():
+            first = min(zip(phase[stalled] + 2, node[stalled]))
+            if stall is None or first[0] < stall[0]:
+                stall = (int(first[0]), k, int(first[1]))
+        node_budget = np.zeros(tree.level_size(k))
+        np.maximum.at(node_budget, tree.edge_parent[k], np.abs(defects[k]))
+        np.maximum.at(budget, leave, node_budget[node])
+    if stall is not None:
+        _, k, j = stall
+        gap = float(upper.value.level(k)[j] - lower.value.level(k)[j])
+        raise AlternationStuckError(f"node {j}", k, gap)
+
+    direct = solve_doubly_reflected(instance)
+    intervals = [
+        IntervalReport(
+            budget_residual=float(budget[n]),
+            sandwich_violation=max(0.0, float(sandwich[n])),
+            lower_skorokhod=float(sums[0, n]),
+            upper_skorokhod=float(sums[1, n]),
+        )
+        for n in range(index)
+    ]
+    return ChainReport(
+        stationarity_index=index,
+        intervals=intervals,
+        y_gap=sup_distance(bundle.y.value, direct.y.value),
+        ka_gap=process_distances(bundle, direct)[2],
+    )
+
+
 def _scatter_consistent(
     tree: FiltrationTree, matrix: np.ndarray, what: str, tol: float
 ) -> list[np.ndarray]:
     """Re-project pathwise values to node fields, checking path agreement."""
-    nodes, _, _ = tree.path_arrays()
-    out = []
-    for k in range(matrix.shape[1]):
-        width = tree.level_size(k)
-        rep = np.zeros(width)
-        rep[nodes[:, k]] = matrix[:, k]
-        spread = float(np.max(np.abs(matrix[:, k] - rep[nodes[:, k]])))
-        if spread > tol:
-            raise PatchingError(
-                f"patched {what} disagrees across paths at level {k} by {spread}"
-            )
-        out.append(rep)
-    return out
+    index = tree.path_gather()[0]
+    flat = np.zeros(tree.node_count())
+    flat[index] = matrix
+    spread = np.max(np.abs(matrix - flat[index]), axis=0)
+    if np.any(spread > tol):
+        k = int(np.argmax(spread > tol))
+        raise PatchingError(
+            f"patched {what} disagrees across paths at level {k} by {float(spread[k])}"
+        )
+    return np.split(flat, np.cumsum([tree.level_size(k) for k in range(tree.depth)]))
 
 
 def patch_global(instance: ProblemInstance, pieces: list[LocalSolution]) -> SolutionBundle:
@@ -490,7 +660,7 @@ def patch_global(instance: ProblemInstance, pieces: list[LocalSolution]) -> Solu
         left = pieces[i].y_paths[rows, seam]
         right = pieces[i + 1].y_paths[rows, seam]
         gap = float(np.max(np.abs(left - right)))
-        if gap > 1e-9:
+        if gap > PATCH_TOL:
             p = int(np.argmax(np.abs(left - right)))
             raise PatchingError(
                 f"seam {i}: Y mismatch {gap} on path {p} at level {int(seam[p])}"
@@ -524,21 +694,17 @@ def patch_global(instance: ProblemInstance, pieces: list[LocalSolution]) -> Solu
     if not np.all(owned_val):
         raise PatchingError("pieces leave uncovered instants")
 
-    tol = 1e-9
-    y_levels = _scatter_consistent(tree, y_pathwise, "Y", tol)
-    y_right_levels = _scatter_consistent(tree, y_right_pathwise, "right limit of Y", tol)
+    y_levels = _scatter_consistent(tree, y_pathwise, "Y", PATCH_TOL)
+    y_right_levels = _scatter_consistent(tree, y_right_pathwise, "right limit of Y", PATCH_TOL)
     pad = np.zeros((n_paths, 1))
-    dk_levels = _scatter_consistent(tree, np.hstack([dk, pad]), "dK*", tol)
-    jk_levels = _scatter_consistent(tree, np.hstack([jk, pad]), "right jumps of K", tol)
-    da_levels = _scatter_consistent(tree, np.hstack([da, pad]), "dA*", tol)
-    ja_levels = _scatter_consistent(tree, np.hstack([ja, pad]), "right jumps of A", tol)
+    dk_levels = _scatter_consistent(tree, np.hstack([dk, pad]), "dK*", PATCH_TOL)
+    jk_levels = _scatter_consistent(tree, np.hstack([jk, pad]), "right jumps of K", PATCH_TOL)
+    da_levels = _scatter_consistent(tree, np.hstack([da, pad]), "dA*", PATCH_TOL)
+    ja_levels = _scatter_consistent(tree, np.hstack([ja, pad]), "right jumps of A", PATCH_TOL)
 
-    dm_rows: list[np.ndarray] = []
-    _, choices, _ = tree.path_arrays()
-    for k, offsets in enumerate(tree.offsets):
-        flat = np.zeros(int(offsets[-1]))
-        flat[offsets[nodes[:, k]] + choices[:, k]] = dm[:, k]
-        dm_rows.append(flat)
+    flat = np.zeros(sum(child.size for child in tree.edge_child))
+    flat[tree.path_gather()[1]] = dm
+    dm_rows = np.split(flat, np.cumsum([child.size for child in tree.edge_child[:-1]]))
 
     y_field = AdaptedField(tree, y_levels)
     patched = SolutionBundle(
@@ -562,7 +728,7 @@ def patch_global(instance: ProblemInstance, pieces: list[LocalSolution]) -> Solu
             np.abs(ka_patched - (direct.cumulative_k_paths() - direct.cumulative_a_paths()))
         )
     )
-    if y_gap > 1e-9 or ka_gap > 1e-9:
+    if y_gap > PATCH_TOL or ka_gap > PATCH_TOL:
         raise PatchingError(
             f"patched solution deviates from the direct solve: Y by {y_gap}, K - A by {ka_gap}"
         )

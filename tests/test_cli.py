@@ -420,3 +420,64 @@ def test_integral_grid_and_jump_numbers_still_load(tmp_path):
     shipped = load_instance(INSTANCES / "barrier_jumps.json")
     assert edited.grid == shipped.grid
     assert edited.lower.jump_events() == shipped.lower.jump_events()
+
+
+@pytest.mark.parametrize("steps", [10_000_000_000_000, 1413])
+def test_huge_step_count_is_invalid_input_before_allocation(tmp_path, capsys, steps):
+    def edit(doc):
+        doc["grid"]["steps"] = steps
+
+    path = _edited_instance(tmp_path, "barrier_jumps.json", edit)
+    with pytest.raises(InvalidInstanceError, match="more than the 1000000 supported"):
+        load_instance(path)
+    capsys.readouterr()
+    assert run("solve", path) == 1
+    assert "invalid input:" in capsys.readouterr().err
+
+
+def test_thousand_step_tree_is_within_the_node_bound(tmp_path):
+    def edit(doc):
+        doc["grid"]["steps"] = 1000
+
+    inst = load_instance(_edited_instance(tmp_path, "two_sided_affine.json", edit))
+    assert inst.tree.node_count() == 501_501
+
+
+@pytest.fixture(scope="module")
+def thirty_steps(tmp_path_factory):
+    doc = json.loads((INSTANCES / "two_sided_affine.json").read_text())
+    doc["grid"]["steps"] = 30  # beyond the path enumeration cap
+    path = tmp_path_factory.mktemp("deep") / "two_sided_affine_30.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--method", "projection"],
+        ["solve", "--method", "inc-pen"],
+        ["solve", "--method", "dec-pen"],
+        ["converge"],
+        ["verify"],
+    ],
+)
+def test_commands_run_beyond_the_path_enumeration_cap(thirty_steps, args):
+    assert run(args[0], thirty_steps, *args[1:]) == 0
+
+
+def test_verify_never_enumerates_paths(monkeypatch):
+    from rbsde_lab.lattice import FiltrationTree
+
+    calls = []
+    enumerate_all = FiltrationTree.path_arrays
+
+    def spy(self):
+        calls.append(self.depth)
+        return enumerate_all(self)
+
+    monkeypatch.setattr(FiltrationTree, "path_arrays", spy)
+    for name in ("two_sided_affine.json", "barrier_jumps.json", "lower_only.json"):
+        assert run("verify", INSTANCES / name) == 0
+    assert run("verify", INSTANCES / "touching_barriers.json") == 1
+    assert calls == []

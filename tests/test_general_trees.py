@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from rbsde_lab.bundles import (
+    SolutionBundle,
     lu4_residual,
+    minimality_terms,
+    process_distances,
     right_jump_identity_defect,
     sandwich_violation,
     skorokhod_residual,
@@ -22,20 +25,32 @@ from rbsde_lab.engine import (
     right_jump_correction,
     solve_penalized,
 )
-from rbsde_lab.errors import NumericalError
+from rbsde_lab.errors import AlternationStuckError, EnumerationCapError, NumericalError
 from rbsde_lab.lattice import (
     AdaptedField,
     FiltrationTree,
     TimeGrid,
+    build_binomial,
     enumerate_paths,
     expect_level,
     martingale_increments,
     sup_distance,
 )
-from rbsde_lab.oracle import dynkin_value_bruteforce, game_value_field
+from rbsde_lab.oracle import InstanceRecipe, dynkin_value_bruteforce, game_value_field, random_instance
 from rbsde_lab.regulated import BarrierPair, ProblemInstance, RegulatedField, validate_instance
-from rbsde_lab.solvers import solve_doubly_reflected
-from rbsde_lab.stopping import PathContext, StoppingRule, alternating_sequence, local_solution, patch_global
+from rbsde_lab.solvers import solve_doubly_reflected, solve_reflected_lower, solve_reflected_upper
+from rbsde_lab.stopping import (
+    HIT_TOL,
+    PathContext,
+    StoppingRule,
+    alternating_sequence,
+    chain_report,
+    hitting_time_lower,
+    hitting_time_upper,
+    local_solution,
+    patch_global,
+    verify_local_properties,
+)
 
 
 def random_tree(rng: np.random.Generator, depth: int, max_children: int = 3) -> FiltrationTree:
@@ -272,3 +287,302 @@ def test_custom_driver_through_the_solvers():
     )
     with pytest.raises(NumericalError, match="implicit step failed to converge"):
         solve_doubly_reflected(lying)
+
+
+# --- node-level recursions against the path oracle --------------------------
+#
+# Each recursion is checked on seeded binomial trees (recombining) and
+# explicit trees with fan-out 1-4, zero-probability edges, right jumps on
+# both barriers and one-sided barrier pairs, all shallow enough to enumerate.
+# Where the oracle adds along a path one term at a time the results are
+# equal; numpy's row sums turn pairwise from 8 terms on, and the K/A
+# distances difference whole sums, so those agree to 1e-12 relative.
+
+
+def explicit_tree(rng: np.random.Generator, depth: int, recombining: bool) -> FiltrationTree:
+    """Fan-out 1-4, some zero-probability edges; recombining: node j's children start at j."""
+    states, children, probs = [[0.0]], [], []
+    for k in range(depth):
+        counts = rng.integers(1, 5, size=len(states[k]))
+        starts = np.arange(counts.size) if recombining else np.cumsum(counts) - counts
+        ids = [list(range(int(s), int(s + c))) for s, c in zip(starts, counts)]
+        plist = []
+        for group in ids:
+            raw = rng.uniform(0.2, 1.0, size=len(group))
+            raw[rng.random(raw.size) < 0.25] = 0.0
+            raw[0] += raw.sum() == 0.0
+            plist.append(list(raw / raw.sum()))
+        children.append(ids)
+        probs.append(plist)
+        width = max(group[-1] for group in ids) + 1
+        states.append(list(np.sort(rng.normal(0.0, 0.3 * np.sqrt(k + 1), size=width))))
+    return FiltrationTree(states, children, probs)
+
+
+def zigzag_instance(seed: int, depth: int, tree: str = "binomial", sides: str = "both") -> ProblemInstance:
+    """Barriers swinging up and down level by level, right jumps on both: Y alternates often."""
+    rng = np.random.default_rng(seed)
+    if tree == "binomial":
+        tree = build_binomial(depth, 0.0, 0.3, -0.3, float(rng.uniform(0.35, 0.65)))
+    else:
+        tree = explicit_tree(rng, depth, recombining=tree == "recombining")
+    swing = [
+        0.2 * (-1) ** k + 0.1 * tree.states[k] + rng.uniform(-0.05, 0.05, size=tree.level_size(k))
+        for k in range(tree.levels)
+    ]
+    lower = RegulatedField.from_values(tree, [s - 0.2 for s in swing])
+    upper = RegulatedField.from_values(tree, [s + 0.2 + rng.uniform(0.0, 0.1, size=s.size) for s in swing])
+
+    def sites():
+        return sorted({(int(k), int(rng.integers(tree.level_size(k)))) for k in rng.integers(0, depth, 3)})
+
+    lower = lower.with_right_jumps([(k, j, lower.value[(k, j)] - rng.uniform(0.05, 0.2)) for k, j in sites()])
+    upper = upper.with_right_jumps([(k, j, upper.value[(k, j)] + rng.uniform(0.05, 0.2)) for k, j in sites()])
+    leaf_lo, leaf_hi = lower.value.level(depth), upper.value.level(depth)
+    terminal = leaf_lo + rng.uniform(0.05, 0.95, size=leaf_lo.size) * (leaf_hi - leaf_lo)
+    pair = {"both": (lower, upper), "lower": (lower, None), "upper": (None, upper)}[sides]
+    driver = linear_driver(float(rng.uniform(-0.3, 0.3)), float(rng.uniform(-1.0, 1.0)))
+    inst = ProblemInstance(tree, TimeGrid.uniform(1.0, depth), terminal, driver, BarrierPair(*pair))
+    assert validate_instance(inst).ok
+    return inst
+
+
+CASES = {
+    "binomial-5": lambda: zigzag_instance(5, 5),
+    "binomial-7": lambda: zigzag_instance(7, 7),
+    "binomial-9": lambda: zigzag_instance(9, 9),
+    "binomial-12": lambda: zigzag_instance(12, 12),
+    "binomial-lower-only": lambda: random_instance(InstanceRecipe(seed=45, steps=(8, 8), one_sided="lower")),
+    "binomial-upper-only": lambda: zigzag_instance(6, 6, sides="upper"),
+    "explicit-tree-6": lambda: zigzag_instance(21, 6, tree="explicit"),
+    "explicit-tree-5-upper-only": lambda: zigzag_instance(52, 5, tree="explicit", sides="upper"),
+    "explicit-recombining-7": lambda: zigzag_instance(14, 7, tree="recombining"),
+    "explicit-recombining-8": lambda: zigzag_instance(23, 8, tree="recombining"),
+    "explicit-recombining-8-lower-only": lambda: zigzag_instance(55, 8, tree="recombining", sides="lower"),
+}
+TWO_SIDED = [name for name in CASES if "only" not in name]
+
+
+def solved(name: str):
+    inst = CASES[name]()
+    sides = (inst.lower, inst.upper)
+    if None in sides:
+        sol = solve_reflected_lower(inst) if inst.upper is None else solve_reflected_upper(inst)
+    else:
+        sol = solve_doubly_reflected(inst)
+    return inst, sol
+
+
+def perturbed(bundle: SolutionBundle, seed: int, y_scale: float = 0.0) -> SolutionBundle:
+    """The bundle with noise on K, A (and Y when ``y_scale``) at a third of the nodes."""
+    rng = np.random.default_rng(seed)
+    tree = bundle.tree
+
+    def bump(field: AdaptedField, scale: float, last: int) -> AdaptedField:
+        levels = [np.array(field.level(k)) for k in range(tree.levels)]
+        for lv in levels[:last]:
+            hit = rng.random(lv.size) < 0.35
+            lv[hit] += scale * rng.uniform(-0.5, 1.0, size=int(hit.sum()))
+        return AdaptedField(tree, levels)
+
+    y = bundle.y
+    if y_scale:
+        y = RegulatedField(bump(y.value, y_scale, tree.depth), bump(y.right_value, y_scale, tree.depth))
+    return SolutionBundle(
+        tree=tree, grid=bundle.grid, y=y, dm=bundle.dm,
+        dk_star=bump(bundle.dk_star, 0.2, tree.depth), jump_k=bump(bundle.jump_k, 0.2, tree.depth),
+        da_star=bump(bundle.da_star, 0.2, tree.depth), jump_a=bump(bundle.jump_a, 0.2, tree.depth),
+        method="perturbed",
+    )
+
+
+def assert_close(dp: float, oracle: float, depth: int, scale: float) -> None:
+    """Equal when the oracle sums one term at a time (depth < 8), else to 1e-12 relative."""
+    if depth < 8:
+        assert dp == oracle
+    else:
+        assert abs(dp - oracle) <= 1e-12 * max(scale, abs(oracle))
+
+
+def sequential_path_sums(bundle, barrier, lower: bool) -> np.ndarray:
+    nodes, _, _ = bundle.tree.path_arrays()
+    terms = minimality_terms(bundle, barrier, lower)
+    paths = np.column_stack([terms[k][nodes[:, k]] for k in range(bundle.tree.depth)])
+    return np.cumsum(paths, axis=1)[:, -1]  # one term at a time
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_skorokhod_recursion_matches_path_oracle(name):
+    inst, sol = solved(name)
+    depth = inst.tree.depth
+    for bundle in (sol, perturbed(sol, seed=depth)):
+        rep = skorokhod_residual(bundle, inst.barriers)
+        for barrier, lower, residual, paths in (
+            (inst.lower, True, rep.lower_residual, rep.lower_paths),
+            (inst.upper, False, rep.upper_residual, rep.upper_paths),
+        ):
+            if barrier is None:
+                assert residual == 0.0 and not np.any(paths)
+                continue
+            assert residual == float(np.max(sequential_path_sums(bundle, barrier, lower)))
+            assert_close(residual, float(np.max(paths)), depth, float(np.max(np.abs(paths))))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_process_distances_match_path_oracle(name):
+    inst, sol = solved(name)
+    first, second = perturbed(sol, seed=1), perturbed(sol, seed=2)
+    k1, a1 = first.cumulative_k_paths(), first.cumulative_a_paths()
+    k2, a2 = second.cumulative_k_paths(), second.cumulative_a_paths()
+    oracle = [np.max(np.abs(k1 - k2)), np.max(np.abs(a1 - a2)), np.max(np.abs((k1 - a1) - (k2 - a2)))]
+    scale = max(np.max(np.abs(m)) for m in (k1, a1, k2, a2))
+    for dp, want in zip(process_distances(first, second), oracle):
+        assert dp > 0.0
+        assert abs(dp - want) <= 1e-12 * scale
+    assert process_distances(sol, sol) == (0.0, 0.0, 0.0)
+
+
+def path_local_properties(y, barriers, tau, tol):
+    """The local-property deviations, read off the enumerated paths."""
+    rows = np.arange(y.tree.path_arrays()[0].shape[0])
+    y_paths = y.value.path_matrix()
+    out = []
+    for hit, barrier in ((hitting_time_upper, barriers.upper), (hitting_time_lower, barriers.lower)):
+        stop = hit(y, barrier, tau, tol).levels()
+        gaps = np.abs(y_paths - barrier.value.path_matrix())[rows, stop][stop < y.tree.depth]
+        out.append(float(np.max(gaps)) if gaps.size else 0.0)
+    out.append(max(0.0, float(np.max(barriers.lower.value.path_matrix() - y_paths))))
+    out.append(max(0.0, float(np.max(y_paths - barriers.upper.value.path_matrix()))))
+    return out
+
+
+@pytest.mark.parametrize("name", TWO_SIDED)
+def test_local_property_deviations_match_path_oracle(name):
+    inst, sol = solved(name)
+    tree = inst.tree
+    rng = np.random.default_rng(tree.depth)
+    y = perturbed(sol, seed=3, y_scale=0.1).y
+    first = StoppingRule(tree, [rng.random(tree.level_size(k)) < 0.15 for k in range(tree.levels)])
+    second = StoppingRule(tree, [rng.random(tree.level_size(k)) < 0.3 for k in range(tree.levels)], prior=first)
+    for tau in (StoppingRule.at_zero(tree), first, second, StoppingRule.at_terminal(tree)):
+        for tol in (HIT_TOL, 0.05):
+            rep = verify_local_properties(y, inst.barriers, tau, tol)
+            got = [rep.upper_hit_deviation, rep.lower_hit_deviation,
+                   rep.lower_sandwich_violation, rep.upper_sandwich_violation]
+            assert got == path_local_properties(y, inst.barriers, tau, tol)
+
+
+def pieces_of(inst, sol):
+    rules, _ = alternating_sequence(sol.y, inst.barriers)
+    return [local_solution(inst, rules[i], rules[i + 1], bundle=sol) for i in range(len(rules) - 1)]
+
+
+@pytest.mark.parametrize("name", TWO_SIDED)
+def test_chain_report_matches_local_solutions_and_patching(name):
+    inst, sol = solved(name)
+    depth = inst.tree.depth
+    for bundle in (sol, perturbed(sol, seed=4, y_scale=0.02)):
+        for tol in (HIT_TOL, 0.02):
+            chain = chain_report(inst, bundle, tol)
+            rules, stat = alternating_sequence(bundle.y, inst.barriers, tol)
+            assert chain.stationarity_index == stat.max_index
+            context = PathContext(inst, bundle)
+            pieces = [local_solution(inst, rules[i], rules[i + 1], context=context)
+                      for i in range(len(rules) - 1)]
+            assert len(chain.intervals) == len(pieces)
+            for got, piece in zip(chain.intervals, pieces):
+                want = piece.report
+                assert got.budget_residual == want.budget_residual
+                assert got.sandwich_violation == want.sandwich_violation
+                assert_close(got.lower_skorokhod, want.lower_skorokhod, depth, 1.0)
+                assert_close(got.upper_skorokhod, want.upper_skorokhod, depth, 1.0)
+    patched = patch_global(inst, pieces_of(inst, sol))
+    ka_oracle = np.max(np.abs(
+        (patched.cumulative_k_paths() - patched.cumulative_a_paths())
+        - (sol.cumulative_k_paths() - sol.cumulative_a_paths())
+    ))
+    chain = chain_report(inst, sol)
+    assert chain.y_gap == sup_distance(patched.y.value, sol.y.value) == 0.0
+    assert chain.ka_gap <= 1e-12 and ka_oracle <= 1e-12
+
+
+@pytest.mark.parametrize("name", TWO_SIDED)
+def test_stall_diagnostic_matches_path_oracle_on_touching_barriers(name):
+    inst = CASES[name]()
+    tree = inst.tree
+    rng = np.random.default_rng(tree.depth)
+    k = int(rng.integers(1, tree.depth))
+    touch = rng.random(tree.level_size(k)) < 0.5
+    touch[int(rng.integers(tree.level_size(k)))] = True
+    low = [np.array(inst.lower.value.level(i)) for i in range(tree.levels)]
+    up = [np.array(inst.upper.value.level(i)) for i in range(tree.levels)]
+    low[k][touch] = up[k][touch] = 0.5 * (low[k][touch] + up[k][touch])
+    touching = ProblemInstance(
+        tree, inst.grid, inst.terminal, inst.driver,
+        BarrierPair(RegulatedField.from_values(tree, low), RegulatedField.from_values(tree, up)),
+    )
+    sol = solve_doubly_reflected(touching)
+    with pytest.raises(AlternationStuckError) as path_err:
+        alternating_sequence(sol.y, touching.barriers)
+    with pytest.raises(AlternationStuckError) as node_err:
+        chain_report(touching, sol)
+    assert node_err.value.level == path_err.value.level == k
+    assert node_err.value.gap == path_err.value.gap == 0.0
+    assert node_err.value.where.startswith("node ")
+
+
+def test_injected_violation_beyond_the_enumeration_cap():
+    inst = random_instance(InstanceRecipe(seed=7, steps=(40, 40)))
+    with pytest.raises(EnumerationCapError):
+        inst.tree.path_arrays()
+    proj = solve_doubly_reflected(inst)
+    assert skorokhod_residual(proj, inst.barriers).lower_residual == 0.0
+    injected = 0.37
+    k = 30
+    gaps = proj.y.right_value.level(k) - inst.lower.right_value.level(k)
+    j = int(np.argmax(gaps))
+    weight = float(gaps[j])
+    assert weight > 0.05
+    dk = [np.array(proj.dk_star.level(i)) for i in range(inst.tree.levels)]
+    dk[k][j] += injected
+    tampered = SolutionBundle(
+        tree=proj.tree, grid=proj.grid, y=proj.y, dm=proj.dm,
+        dk_star=AdaptedField(proj.tree, dk), jump_k=proj.jump_k,
+        da_star=proj.da_star, jump_a=proj.jump_a, method="tampered",
+    )
+    rep = skorokhod_residual(tampered, inst.barriers)
+    assert abs(rep.lower_residual - weight * injected) <= 1e-12
+    assert rep.upper_residual == 0.0
+
+
+def test_recursions_skip_nodes_no_path_reaches():
+    # node (1, 2) has no parent: no path passes it, so no check may read it
+    tree = FiltrationTree(
+        [[0.0], [-1.0, 1.0, 5.0], [-1.5, 0.0, 1.5]],
+        [[[0, 1]], [[0, 1], [1, 2], [2]]],
+        [[[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5], [1.0]]],
+    )
+    lower = RegulatedField.from_values(tree, [0.3 * s - 0.5 for s in tree.states])
+    upper = RegulatedField.from_values(tree, [0.3 * s + 0.5 for s in tree.states])
+    inst = ProblemInstance(
+        tree, TimeGrid.uniform(1.0, 2), np.zeros(3), linear_driver(0.1, -0.5), BarrierPair(lower, upper)
+    )
+    sol = solve_doubly_reflected(inst)
+    y = [np.array(sol.y.value.level(k)) for k in range(3)]
+    y[1][2] = -10.0  # far below L at the unreachable node
+    dk = [np.array(sol.dk_star.level(k)) for k in range(3)]
+    dk[1][2] = -1.0  # a minimality term of +11 there
+    bad = SolutionBundle(
+        tree=tree, grid=sol.grid, y=RegulatedField(AdaptedField(tree, y)), dm=sol.dm,
+        dk_star=AdaptedField(tree, dk), jump_k=sol.jump_k, da_star=sol.da_star, jump_a=sol.jump_a,
+        method="orphan",
+    )
+    assert sandwich_violation(bad, inst.barriers) > 9.0  # the nodewise check still sees it
+    tau = StoppingRule.at_zero(tree)
+    rep = verify_local_properties(bad.y, inst.barriers, tau)
+    got = [rep.upper_hit_deviation, rep.lower_hit_deviation,
+           rep.lower_sandwich_violation, rep.upper_sandwich_violation]
+    assert got == path_local_properties(bad.y, inst.barriers, tau, HIT_TOL)
+    assert rep.passed
+    sk = skorokhod_residual(bad, inst.barriers)
+    assert sk.lower_residual == float(np.max(sk.lower_paths)) < 1.0
