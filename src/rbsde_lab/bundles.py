@@ -95,32 +95,39 @@ class SkorokhodReport:
         return _path_sums(self.bundle, self.barriers.upper, lower=False)
 
 
-def minimality_terms(bundle: SolutionBundle, barrier: RegulatedField, lower: bool) -> list[np.ndarray]:
-    """Per level k < N, each node's term of the minimality sum of K (``lower``) or A.
+def _node_terms(bundle: SolutionBundle, barrier: RegulatedField | None, lower: bool) -> np.ndarray:
+    """Each node's term of the minimality sum of K (``lower``) or A, flat in level order.
 
-    (Y+ - L+) dK* + (Y - L) jumpK for K; (U+ - Y+) dA* + (U - Y) jumpA for A.
+    (Y+ - L+) dK* + (Y - L) jumpK for K; (U+ - Y+) dA* + (U - Y) jumpA for A;
+    zeros without a barrier.  The sums stop before the terminal level.
     """
     y = bundle.y
-    star, jump = (bundle.dk_star, bundle.jump_k) if lower else (bundle.da_star, bundle.jump_a)
-    terms = []
-    for k in range(bundle.tree.depth):
-        if lower:
-            w_star = y.right_value.level(k) - barrier.right_value.level(k)
-            w_jump = y.value.level(k) - barrier.value.level(k)
-        else:
-            w_star = barrier.right_value.level(k) - y.right_value.level(k)
-            w_jump = barrier.value.level(k) - y.value.level(k)
-        terms.append(w_star * star.level(k) + w_jump * jump.level(k))
-    return terms
+    if barrier is None:
+        return np.zeros(bundle.tree.node_count())
+    if lower:
+        w_star = y.right_value.values - barrier.right_value.values
+        w_jump = y.value.values - barrier.value.values
+        return w_star * bundle.dk_star.values + w_jump * bundle.jump_k.values
+    w_star = barrier.right_value.values - y.right_value.values
+    w_jump = barrier.value.values - y.value.values
+    return w_star * bundle.da_star.values + w_jump * bundle.jump_a.values
+
+
+def minimality_terms(bundle: SolutionBundle, barrier: RegulatedField, lower: bool) -> list[np.ndarray]:
+    """Per level k < N, each node's term of the minimality sum of K (``lower``) or A."""
+    return bundle.tree.split_levels(_node_terms(bundle, barrier, lower))[:-1]
+
+
+def minimality_levels(bundle: SolutionBundle, barriers: BarrierPair) -> list[np.ndarray]:
+    """Per level k < N, the rows (K, A) of each node's minimality terms."""
+    rows = np.stack([_node_terms(bundle, barriers.lower, True), _node_terms(bundle, barriers.upper, False)])
+    return bundle.tree.split_levels(rows)[:-1]
 
 
 def _path_sums(bundle: SolutionBundle, barrier: RegulatedField | None, lower: bool) -> np.ndarray:
     """Every enumerated path's minimality sum (the path oracle); zeros without a barrier."""
     nodes = bundle.tree.path_gather()[0][:, :-1]
-    if barrier is None:
-        return np.zeros(nodes.shape[0])
-    terms = minimality_terms(bundle, barrier, lower)
-    return np.sum(np.concatenate(terms)[nodes], axis=1)
+    return np.sum(_node_terms(bundle, barrier, lower)[nodes], axis=1)
 
 
 def skorokhod_residual(bundle: SolutionBundle, barriers: BarrierPair) -> SkorokhodReport:
@@ -132,14 +139,7 @@ def skorokhod_residual(bundle: SolutionBundle, barriers: BarrierPair) -> Skorokh
     """
     if barriers.lower is not None and barriers.lower.tree is not bundle.tree:
         raise PreconditionError("bundle and barriers must share one tree")
-    tree = bundle.tree
-    sides = []
-    for barrier, lower in ((barriers.lower, True), (barriers.upper, False)):
-        if barrier is None:
-            sides.append([np.zeros(tree.level_size(k)) for k in range(tree.depth)])
-        else:
-            sides.append(minimality_terms(bundle, barrier, lower))
-    leaves = running_sum_maxima(tree, [np.stack(level) for level in zip(*sides)])[-1]
+    leaves = running_sum_maxima(bundle.tree, minimality_levels(bundle, barriers))[-1]
     lower_residual, upper_residual = np.max(leaves, axis=1).tolist()
     return SkorokhodReport(lower_residual, upper_residual, bundle, barriers)
 
@@ -150,44 +150,40 @@ def process_distances(first: SolutionBundle, second: SolutionBundle) -> tuple[fl
     Each is the largest |running sum| of the per-node increment differences,
     from one forward max recursion over the levels (no path enumeration).
     """
-    def increments(b: SolutionBundle, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return b.jump_k.level(k) + b.dk_star.level(k), b.jump_a.level(k) + b.da_star.level(k)
+    def increments(b: SolutionBundle) -> tuple[np.ndarray, np.ndarray]:
+        return b.jump_k.values + b.dk_star.values, b.jump_a.values + b.da_star.values
 
-    def gaps(k: int) -> np.ndarray:
-        (k1, a1), (k2, a2) = increments(first, k), increments(second, k)
-        rows = np.array([k1 - k2, a1 - a2, (k1 - a1) - (k2 - a2)])
-        return np.stack([rows, -rows])  # the max of both signs is the max |.|
-
-    tree = first.tree
-    maxima = running_sum_maxima(tree, [gaps(k) for k in range(tree.depth)])
+    (k1, a1), (k2, a2) = increments(first), increments(second)
+    rows = np.array([k1 - k2, a1 - a2, (k1 - a1) - (k2 - a2)])
+    gaps = np.stack([rows, -rows])  # the max of both signs is the max |.|
+    maxima = running_sum_maxima(first.tree, first.tree.split_levels(gaps)[:-1])
     worst = np.max([np.max(level, axis=-1) for level in maxima], axis=0).max(axis=0)
     k_gap, a_gap, ka_gap = worst.tolist()
     return k_gap, a_gap, ka_gap
 
 
-def budget_defects(bundle: SolutionBundle, instance: ProblemInstance) -> list[np.ndarray]:
-    """Per level k < N, each edge's defect of the one-step budget identity.
+def budget_defects(bundle: SolutionBundle, instance: ProblemInstance) -> np.ndarray:
+    """Each edge's defect of the one-step budget identity, flat in the tree's edge order.
 
     Y_k - Y_{k+1} + dM - f(t_k, Y_k+) dt - (dK*_k + jumpK_k) + (dA*_k +
     jumpA_k) on the edge, with the driver evaluated at the right-limit value
     that rules the open interval; zero on an exact solution.
     """
     tree, grid, driver, y = bundle.tree, bundle.grid, instance.driver, bundle.y
-    defects = []
-    for k in range(tree.depth):
-        parent = tree.edge_parent[k]
-        drift = driver.level(float(grid.instants[k]), y.right_value.level(k)) * grid.dt(k)
-        defects.append(
-            y.value.level(k)[parent]
-            - y.value.level(k + 1)[tree.edge_child[k]]
-            + bundle.dm.level(k)
-            - drift[parent]
-            - bundle.dk_star.level(k)[parent]
-            - bundle.jump_k.level(k)[parent]
-            + bundle.da_star.level(k)[parent]
-            + bundle.jump_a.level(k)[parent]
-        )
-    return defects
+    parent, child = tree.edge_source, tree.edge_target
+    drift = np.concatenate([
+        driver.level(float(grid.instants[k]), y.right_value.level(k)) * grid.dt(k) for k in range(tree.depth)
+    ])
+    return (
+        y.value.values[parent]
+        - y.value.values[child]
+        + bundle.dm.values
+        - drift[parent]
+        - bundle.dk_star.values[parent]
+        - bundle.jump_k.values[parent]
+        + bundle.da_star.values[parent]
+        + bundle.jump_a.values[parent]
+    )
 
 
 def lu4_residual(bundle: SolutionBundle, instance: ProblemInstance) -> float:
@@ -197,7 +193,7 @@ def lu4_residual(bundle: SolutionBundle, instance: ProblemInstance) -> float:
     - (dA*_k + jumpA_k) - dM on each edge (see :func:`budget_defects`).
     """
     # np.max, unlike the builtin, propagates a NaN defect into the residual
-    return float(np.max([np.max(np.abs(d)) for d in budget_defects(bundle, instance)]))
+    return float(np.max(np.abs(budget_defects(bundle, instance))))
 
 
 def sandwich_defect(bundle: SolutionBundle, barrier: RegulatedField | None, lower: bool) -> float:
@@ -205,12 +201,10 @@ def sandwich_defect(bundle: SolutionBundle, barrier: RegulatedField | None, lowe
 
     Zero when the barrier is absent or never crossed.
     """
-    worst = 0.0
-    if barrier is not None:
-        for k in range(bundle.tree.levels):
-            y, b = bundle.y.value.level(k), barrier.value.level(k)
-            worst = max(worst, float(np.max(b - y if lower else y - b)))
-    return worst
+    if barrier is None:
+        return 0.0
+    y, b = bundle.y.value.values, barrier.value.values
+    return max(0.0, float(np.max(b - y if lower else y - b)))
 
 
 def sandwich_violation(bundle: SolutionBundle, barriers: BarrierPair) -> float:
@@ -227,8 +221,5 @@ def right_jump_identity_defect(bundle: SolutionBundle) -> float:
     Checked as right_value == (value - jumpK) + jumpA, the association used
     when bundles are assembled, so solver outputs score an exact zero.
     """
-    worst = 0.0
-    for k in range(bundle.tree.levels):
-        target = (bundle.y.value.level(k) - bundle.jump_k.level(k)) + bundle.jump_a.level(k)
-        worst = max(worst, float(np.max(np.abs(bundle.y.right_value.level(k) - target))))
-    return worst
+    target = (bundle.y.value.values - bundle.jump_k.values) + bundle.jump_a.values
+    return max(0.0, float(np.max(np.abs(bundle.y.right_value.values - target))))

@@ -243,25 +243,22 @@ def backward_sweep(
     jumpA).  The right-limit value is assembled as (value - jumpK) + jumpA.
     """
     tree = instance.tree
-    depth = tree.depth
-    terminal = np.array(instance.terminal, dtype=float)
-    rows: list = [None] * depth + [[terminal] + [np.zeros(terminal.size)] * 4]
-    dm_levels: list = [None] * depth
-    for k in range(depth - 1, -1, -1):
-        y_next = rows[k + 1][0]
+    nodes, edges = tree.node_start, tree.edge_start
+    rows = np.zeros((5, tree.node_count()))  # y, dK*, jumpK, dA*, jumpA in level order
+    rows[0, nodes[-2]:] = instance.terminal
+    dm = np.empty(int(edges[-1]))
+    for k in range(tree.depth - 1, -1, -1):
+        y_next = rows[0, nodes[k + 1] : nodes[k + 2]]
         e = expect_level(tree, k, y_next)
-        dm_levels[k] = edge_increments(tree, k, y_next, e)
-        rows[k] = step(k, e)
-    value, dk_star, jump_k, da_star, jump_a = (AdaptedField(tree, lv) for lv in zip(*rows))
-    right = AdaptedField(
-        tree,
-        [(value.level(k) - jump_k.level(k)) + jump_a.level(k) for k in range(depth + 1)],
-    )
+        dm[edges[k] : edges[k + 1]] = edge_increments(tree, k, y_next, e)
+        rows[:, nodes[k] : nodes[k + 1]] = step(k, e)
+    value, dk_star, jump_k, da_star, jump_a = (AdaptedField.from_flat(tree, row) for row in rows)
+    right = AdaptedField.from_flat(tree, (rows[0] - rows[2]) + rows[4])
     return SolutionBundle(
         tree=tree,
         grid=instance.grid,
         y=RegulatedField(value, right),
-        dm=EdgeField(tree, dm_levels),
+        dm=EdgeField.from_flat(tree, dm),
         dk_star=dk_star,
         jump_k=jump_k,
         da_star=da_star,
@@ -388,11 +385,9 @@ def penalization_sweep(
         sol = solve_penalized(frame, n, frame_mode)
         ran.append(n)
         if prev is not None:
-            dist = 0.0
-            for k in range(instance.tree.levels):
-                diff = sol.y.value.level(k) - prev.y.value.level(k)
-                dist = max(dist, float(np.max(np.abs(diff))))
-                worst_mono = max(worst_mono, float(np.max(-diff)))
+            diff = sol.y.value.values - prev.y.value.values
+            dist = max(0.0, float(np.max(np.abs(diff))))
+            worst_mono = max(worst_mono, float(np.max(-diff)))
             row = TraceRow(n, dist)
             if compute_residuals:
                 here = sol.negate_swap(mode.value) if upper_side else sol

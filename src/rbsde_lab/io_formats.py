@@ -167,14 +167,16 @@ def load_instance(path: str | Path) -> ProblemInstance:
 
 
 def _field_levels(field: AdaptedField) -> list[list[float]]:
-    return [[float(v) for v in field.level(k)] for k in range(field.tree.levels)]
+    flat, bounds = field.values.tolist(), field.tree.node_start.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _edge_levels(edges: EdgeField) -> list[list[list[float]]]:
     """Per level, each node's edge values as one list (the dumped dM layout)."""
+    flat, tree = edges.values.tolist(), edges.tree
     out = []
-    for k, offsets in enumerate(edges.tree.offsets):
-        flat, bounds = edges.level(k).tolist(), offsets.tolist()
+    for offsets, start in zip(tree.offsets, tree.edge_start.tolist()):
+        bounds = (offsets + start).tolist()
         out.append([flat[a:b] for a, b in zip(bounds, bounds[1:])])
     return out
 

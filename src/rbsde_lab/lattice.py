@@ -2,8 +2,11 @@
 
 Trees with per-node transition probabilities carry every process in the
 package.  A tree stores the edges out of each level flat (a CSR layout):
-node offsets, then one child-id and one probability array per level, and
-edge fields keep one flat array per level in the same order.  Conditional
+node offsets, then one child-id and one probability array per level.  Nodes
+are numbered level by level, and edges level by level in that CSR order, so
+an adapted field is one flat array over all nodes and an edge field one
+flat array over all edges; ``level(k)`` is a read-only view of level k, and
+checks that read every node are single array expressions.  Conditional
 expectations and martingale increments are level-wide expressions on these
 arrays, exact weighted sums over children taken slot by slot, so martingale
 and tower properties can be asserted to round-off rather than statistically.
@@ -90,6 +93,35 @@ def flatten_node_lists(lists: Sequence, what: str) -> tuple[np.ndarray, np.ndarr
     return counts, flat
 
 
+def _checked(values: np.ndarray, starts: np.ndarray, what: str) -> np.ndarray:
+    """``values`` frozen, unless one is non-finite: then raise naming its level."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.searchsorted(starts, np.argmax(bad), side="right")) - 1
+        raise InvalidInstanceError(f"level {k}: non-finite {what}")
+    return _frozen(values)
+
+
+def _joined(levels: Sequence, starts: np.ndarray, unit: str, what: str) -> np.ndarray:
+    """Per-level values joined in level order, checked level by level.
+
+    Level k must hold ``starts[k+1] - starts[k]`` values; the first level
+    with a wrong shape or a non-finite value is named, the shape first.
+    """
+    parts = []
+    try:
+        for k, lv in enumerate(levels):
+            arr = np.asarray(lv, dtype=float)
+            width = int(starts[k + 1] - starts[k])
+            if arr.shape != (width,):
+                raise InvalidInstanceError(f"level {k}: expected {width} {unit}, got {arr.shape}")
+            parts.append(arr)
+    except Exception:
+        _checked(np.concatenate(parts or [np.empty(0)]), starts, what)  # an earlier level's fault first
+        raise
+    return _checked(np.concatenate(parts), starts, what)
+
+
 def _slot_sums(offsets: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Per node, the sum of its edge terms (last axis) in child-slot order.
 
@@ -111,8 +143,12 @@ class FiltrationTree:
     The edges out of level ``k`` are stored flat, node by node in child-slot
     order: node ``j`` owns edges ``offsets[k][j]:offsets[k][j+1]``, and edge
     ``e`` leads from node ``edge_parent[k][e]`` to node ``edge_child[k][e]``
-    of level ``k+1`` with probability ``edge_prob[k][e]``.  Immutable after
-    construction.
+    of level ``k+1`` with probability ``edge_prob[k][e]``.
+
+    Listed level by level, node (k, j) is node ``node_start[k] + j`` of the
+    whole tree and edge (k, e) is edge ``edge_start[k] + e``; ``edge_source``
+    and ``edge_target`` give each edge's end nodes in that numbering.
+    Immutable after construction.
     """
 
     def __init__(
@@ -132,6 +168,10 @@ class FiltrationTree:
         self.offsets, self.edge_parent, self.edge_child, self.edge_prob = (
             tuple(_frozen(arr) for arr in arrays) for arrays in layout
         )
+        self.node_start = _frozen(np.cumsum([0] + [s.size for s in self.states]))
+        self.edge_start = _frozen(np.cumsum([0] + [c.size for c in self.edge_child]))
+        self.edge_source = _frozen(np.concatenate([p + s for p, s in zip(self.edge_parent, self.node_start)]))
+        self.edge_target = _frozen(np.concatenate([c + s for c, s in zip(self.edge_child, self.node_start[1:])]))
         self._paths_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._gather_cache: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -177,7 +217,16 @@ class FiltrationTree:
         return self.states[k].size
 
     def node_count(self) -> int:
-        return sum(s.size for s in self.states)
+        return int(self.node_start[-1])
+
+    def locate(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(level, node) of each flat node index."""
+        level = np.searchsorted(self.node_start, index, side="right") - 1
+        return level, index - self.node_start[level]
+
+    def split_levels(self, values: np.ndarray) -> list[np.ndarray]:
+        """Per level, the view of a flat node array (nodes on the last axis)."""
+        return np.split(values, self.node_start[1:-1], axis=-1)
 
     def state(self, k: int, j: int) -> float:
         return float(self.states[k][j])
@@ -208,13 +257,13 @@ class FiltrationTree:
         return tuple(out)
 
     @cached_property
-    def reached(self) -> tuple[np.ndarray, ...]:
-        """Per level, which nodes some path from the root passes through."""
-        out = [_frozen(np.ones(1, dtype=bool))]
+    def reached(self) -> np.ndarray:
+        """Per node, in level order, whether some path from the root passes through it."""
+        out = [np.ones(1, dtype=bool)]
         for k in range(self.depth):
             live = np.where(out[-1], 0.0, -np.inf)[self.edge_parent[k]]
-            out.append(_frozen(self.push_max(k, live) == 0.0))
-        return tuple(out)
+            out.append(self.push_max(k, live) == 0.0)
+        return _frozen(np.concatenate(out))
 
     def push_max(self, k: int, edge_values: np.ndarray) -> np.ndarray:
         """Per level-(k+1) node, the max of ``edge_values`` over the edges into it.
@@ -273,14 +322,9 @@ class FiltrationTree:
         """
         if self._gather_cache is None:
             nodes, choices, _ = self.path_arrays()
-            widths = [self.level_size(k) for k in range(self.levels)]
-            node_start = np.concatenate(([0], np.cumsum(widths[:-1])))
-            edge_start = np.concatenate(([0], np.cumsum([c.size for c in self.edge_child[:-1]])))
-            first_edge = np.stack([o[nodes[:, k]] for k, o in enumerate(self.offsets)], axis=1)
-            self._gather_cache = (
-                _frozen(nodes + node_start),
-                _frozen(first_edge + choices + edge_start),
-            )
+            node_index = nodes + self.node_start[:-1]
+            first_edge = np.concatenate([o[:-1] + s for o, s in zip(self.offsets, self.edge_start)])
+            self._gather_cache = (_frozen(node_index), _frozen(first_edge[node_index[:, :-1]] + choices))
         return self._gather_cache
 
 
@@ -304,48 +348,52 @@ def build_binomial(steps: int, x0: float, up: float, down: float, p_up: float) -
 
 
 class AdaptedField:
-    """One real value per tree node."""
+    """One real value per tree node: ``values``, frozen, flat in level order.
+
+    Built from one array per level (each checked, the failing level named)
+    or, with :meth:`from_flat`, from the flat array itself.
+    """
 
     def __init__(self, tree: FiltrationTree, levels: Sequence[np.ndarray]):
         if len(levels) != tree.levels:
             raise InvalidInstanceError("field must define a value at every level")
-        vals = []
-        for k, lv in enumerate(levels):
-            arr = np.array(lv, dtype=float)
-            if arr.shape != (tree.level_size(k),):
-                raise InvalidInstanceError(
-                    f"level {k}: expected {tree.level_size(k)} values, got {arr.shape}"
-                )
-            if not np.isfinite(arr).all():
-                raise InvalidInstanceError(f"level {k}: non-finite field value")
-            vals.append(_frozen(arr))
         self.tree = tree
-        self._levels = tuple(vals)
+        self.values = _joined(levels, tree.node_start, "values", "field value")
+
+    @classmethod
+    def from_flat(cls, tree: FiltrationTree, values: np.ndarray) -> "AdaptedField":
+        """A field from a copy of its flat values, level by level in node order."""
+        field = cls.__new__(cls)
+        field.tree = tree
+        field.values = _checked(np.array(values, dtype=float).reshape(tree.node_count()), tree.node_start, "field value")
+        return field
 
     @classmethod
     def constant(cls, tree: FiltrationTree, value: float) -> "AdaptedField":
-        return cls(tree, [np.full(tree.level_size(k), float(value)) for k in range(tree.levels)])
+        return cls.from_flat(tree, np.full(tree.node_count(), float(value)))
 
     @classmethod
     def zeros(cls, tree: FiltrationTree) -> "AdaptedField":
         return cls.constant(tree, 0.0)
 
     def level(self, k: int) -> np.ndarray:
-        return self._levels[k]
+        """Level k's values, a read-only view of ``values``."""
+        return self.values[self.tree.node_start[k] : self.tree.node_start[k + 1]]
 
     def __getitem__(self, node: tuple[int, int]) -> float:
         k, j = node
-        return float(self._levels[k][j])
+        return float(self.level(k)[j])
 
     def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "AdaptedField":
-        return AdaptedField(self.tree, [fn(lv) for lv in self._levels])
+        """The field of ``fn`` applied to the flat values; ``fn`` acts entry by entry."""
+        return AdaptedField.from_flat(self.tree, fn(self.values))
 
     def negate(self) -> "AdaptedField":
         return self.map(np.negative)
 
     def path_matrix(self) -> np.ndarray:
         """Field values gathered along every enumerated path: shape (P, N+1)."""
-        return np.concatenate(self._levels)[self.tree.path_gather()[0]]
+        return self.values[self.tree.path_gather()[0]]
 
 
 @dataclass(frozen=True)
@@ -407,7 +455,7 @@ def expect_level(tree: FiltrationTree, k: int, values_next: np.ndarray) -> np.nd
 
 
 class EdgeField:
-    """One real value per tree edge, one flat array per level in the tree's edge order.
+    """One real value per tree edge: ``values``, frozen, flat in the tree's edge order.
 
     Martingale increments live here: on a recombining tree a node can have
     several parents, so the increment over a transition is a function of the
@@ -417,45 +465,44 @@ class EdgeField:
     def __init__(self, tree: FiltrationTree, levels: Sequence[np.ndarray]):
         if len(levels) != tree.depth:
             raise InvalidInstanceError("edge field must cover every transition level")
-        out = []
-        for k, lv in enumerate(levels):
-            arr = np.array(lv, dtype=float)
-            if arr.shape != tree.edge_child[k].shape:
-                raise InvalidInstanceError(
-                    f"level {k}: expected {tree.edge_child[k].size} edge values, got {arr.shape}"
-                )
-            if not np.isfinite(arr).all():
-                raise InvalidInstanceError(f"level {k}: non-finite edge value")
-            out.append(_frozen(arr))
         self.tree = tree
-        self._levels = tuple(out)
+        self.values = _joined(levels, tree.edge_start, "edge values", "edge value")
+
+    @classmethod
+    def from_flat(cls, tree: FiltrationTree, values: np.ndarray) -> "EdgeField":
+        """An edge field from a copy of its flat values, in the tree's edge order."""
+        field = cls.__new__(cls)
+        field.tree = tree
+        edges = int(tree.edge_start[-1])
+        field.values = _checked(np.array(values, dtype=float).reshape(edges), tree.edge_start, "edge value")
+        return field
 
     @classmethod
     def zeros(cls, tree: FiltrationTree) -> "EdgeField":
-        return cls(tree, [np.zeros(c.size) for c in tree.edge_child])
+        return cls.from_flat(tree, np.zeros(int(tree.edge_start[-1])))
 
     def level(self, k: int) -> np.ndarray:
-        """The values on the edges out of level k, flat in the tree's edge order."""
-        return self._levels[k]
+        """The values on the edges out of level k, a read-only view of ``values``."""
+        return self.values[self.tree.edge_start[k] : self.tree.edge_start[k + 1]]
 
     def edges(self, k: int, j: int) -> np.ndarray:
         offsets = self.tree.offsets[k]
-        return self._levels[k][offsets[j] : offsets[j + 1]]
+        return self.level(k)[offsets[j] : offsets[j + 1]]
 
     def negate(self) -> "EdgeField":
-        return EdgeField(self.tree, [-lv for lv in self._levels])
+        return EdgeField.from_flat(self.tree, -self.values)
 
     def conditional_mean_deviation(self) -> float:
         """Max over nodes of |sum_children p * value|; zero for centered fields."""
         tree = self.tree
         return max(
-            float(np.max(np.abs(_slot_sums(tree.offsets[k], tree.edge_prob[k] * lv))))
-            for k, lv in enumerate(self._levels)
+            float(np.max(np.abs(_slot_sums(tree.offsets[k], tree.edge_prob[k] * self.level(k)))))
+            for k in range(tree.depth)
         )
 
     def path_matrix(self) -> np.ndarray:
         """Edge values along every path: shape (P, N), entry k is the k -> k+1 increment."""
-        return np.concatenate(self._levels)[self.tree.path_gather()[1]]
+        return self.values[self.tree.path_gather()[1]]
 
 
 def running_sum_maxima(tree: FiltrationTree, increments: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -518,8 +565,5 @@ def sup_distance(a, b) -> float:
     for x, y in zip(fa, fb):
         if x.tree is not y.tree and not x.tree.same_shape(y.tree):
             raise PreconditionError("sup_distance requires fields on the same tree")
-        for k in range(x.tree.levels):
-            d = float(np.max(np.abs(x.level(k) - y.level(k))))
-            if d > best:
-                best = d
+        best = max(best, float(np.max(np.abs(x.values - y.values))))
     return best

@@ -192,29 +192,25 @@ def _check_field_order(
         raise PreconditionError(f"{name}: barriers must be both present or both absent")
     if a is None or b is None:
         return
-    for k in range(a.tree.levels):
-        for which, x, y in (
-            ("value", a.value.level(k), b.value.level(k)),
-            ("right_value", a.right_value.level(k), b.right_value.level(k)),
-        ):
-            bad = x - y
-            j = int(np.argmax(bad))
-            if float(bad[j]) > 0.0:
-                raise PreconditionError(
-                    f"{name} {which} not ordered at node ({k},{j}): {float(x[j])} > {float(y[j])}"
-                )
+    pairs = [("value", a.value, b.value), ("right_value", a.right_value, b.right_value)]
+    # (level, pair) of each pair's first disorder; the values come first within a level
+    firsts = [(int(a.tree.locate(np.argmax(x.values > y.values))[0]), w)
+              for w, (_, x, y) in enumerate(pairs) if np.any(x.values > y.values)]
+    if not firsts:
+        return
+    k, w = min(firsts)
+    which, x, y = pairs[w]
+    bad = x.level(k) - y.level(k)
+    j = int(np.argmax(bad))
+    raise PreconditionError(
+        f"{name} {which} not ordered at node ({k},{j}): {float(x.level(k)[j])} > {float(y.level(k)[j])}"
+    )
 
 
 def _check_driver_order(a: ProblemInstance, b: ProblemInstance, probes: int = 21) -> None:
-    lo, hi = np.inf, -np.inf
-    for inst in (a, b):
-        lo = min(lo, float(np.min(inst.terminal)))
-        hi = max(hi, float(np.max(inst.terminal)))
-        for side in (inst.lower, inst.upper):
-            if side is not None:
-                for k in range(inst.tree.levels):
-                    lo = min(lo, float(np.min(side.value.level(k))))
-                    hi = max(hi, float(np.max(side.value.level(k))))
+    sides = [s.value.values for inst in (a, b) for s in (inst.lower, inst.upper) if s is not None]
+    values = np.concatenate([a.terminal, b.terminal, *sides])
+    lo, hi = float(np.min(values)), float(np.max(values))
     ys = np.linspace(lo - 1.0, hi + 1.0, probes)
     for t in a.grid.instants[:-1]:
         for y in ys:
@@ -247,10 +243,8 @@ def comparison_check(
     _check_driver_order(a, b)
     ya = solve_doubly_reflected(a).y.value
     yb = solve_doubly_reflected(b).y.value
-    worst = 0.0
-    for k in range(a.tree.levels):
-        worst = max(worst, float(np.max(ya.level(k) - yb.level(k))))
-    return ComparisonReport(max_violation=max(worst, 0.0), tolerance=tolerance, method="projection")
+    worst = max(0.0, float(np.max(ya.values - yb.values)))
+    return ComparisonReport(max_violation=worst, tolerance=tolerance, method="projection")
 
 
 @dataclass

@@ -53,20 +53,21 @@ class RegulatedField:
         ``jumps`` entries are ``(level, node, new_right_value)``; level and
         node must be integral and name a node before the terminal level.
         """
-        levels = [np.array(self.right_value.level(k)) for k in range(self.tree.levels)]
+        tree = self.tree
+        right = self.right_value.values.copy()
         for k, j, new_value in jumps:
             where = f"right jump at (level {k!r}, node {j!r})"
             if any(np.asarray(i).dtype.kind not in "iuf" or i != np.trunc(i) for i in (k, j)):
                 raise InvalidInstanceError(f"{where}: level and node must be integers")
-            if k == self.tree.depth:
+            if k == tree.depth:
                 raise InvalidInstanceError("right jumps at the terminal instant are not allowed")
-            if not 0 <= k < self.tree.depth:
-                raise InvalidInstanceError(f"{where}: level out of range 0..{self.tree.depth - 1}")
-            width = self.tree.level_size(int(k))
+            if not 0 <= k < tree.depth:
+                raise InvalidInstanceError(f"{where}: level out of range 0..{tree.depth - 1}")
+            width = tree.level_size(int(k))
             if not 0 <= j < width:
                 raise InvalidInstanceError(f"{where}: node out of range 0..{width - 1}")
-            levels[int(k)][int(j)] = new_value
-        return RegulatedField(self.value, AdaptedField(self.tree, levels))
+            right[tree.node_start[int(k)] + int(j)] = new_value
+        return RegulatedField(self.value, AdaptedField.from_flat(tree, right))
 
     def right_jump(self, node: tuple[int, int]) -> float:
         k, j = node
@@ -75,14 +76,16 @@ class RegulatedField:
     def jump_levels(self, k: int) -> np.ndarray:
         return self.right_value.level(k) - self.value.level(k)
 
+    @property
+    def jumps(self) -> np.ndarray:
+        """Right value minus value at every node, flat in level order (zero at level N)."""
+        return self.right_value.values - self.value.values
+
     def jump_events(self) -> list[tuple[int, int, float]]:
         """All nodes with a nonzero declared right jump, time-ordered."""
-        events = []
-        for k in range(self.tree.depth):
-            jumps = self.jump_levels(k)
-            for j in np.nonzero(jumps)[0]:
-                events.append((k, int(j), float(jumps[j])))
-        return events
+        jumps = self.jumps
+        at = np.flatnonzero(jumps)
+        return [(k, j, v) for k, j, v in zip(*(a.tolist() for a in self.tree.locate(at)), jumps[at].tolist())]
 
     def negate(self) -> "RegulatedField":
         return RegulatedField(self.value.negate(), self.right_value.negate())
@@ -95,9 +98,8 @@ def right_jump(field: RegulatedField, node: tuple[int, int]) -> float:
 
 def jump_masks(barrier: RegulatedField | None, tree: FiltrationTree) -> list[np.ndarray]:
     """Per level, the nodes where the barrier declares a right jump (none if absent)."""
-    if barrier is None:
-        return [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.levels)]
-    return [barrier.jump_levels(k) != 0.0 for k in range(tree.levels)]
+    declared = np.zeros(tree.node_count(), dtype=bool) if barrier is None else barrier.jumps != 0.0
+    return tree.split_levels(declared)
 
 
 @dataclass(frozen=True)
@@ -123,10 +125,10 @@ class JumpExhaustionSchedule:
         return {(e.level, e.node) for e in self.events}
 
     def mask(self, tree: FiltrationTree) -> list[np.ndarray]:
-        out = [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.levels)]
-        for e in self.events:
-            out[e.level][e.node] = True
-        return out
+        """Per level, the scheduled nodes."""
+        out = np.zeros(tree.node_count(), dtype=bool)
+        out[[tree.node_start[e.level] + e.node for e in self.events]] = True
+        return tree.split_levels(out)
 
 
 def jump_exhaustion_schedule(barrier: RegulatedField, n: int, side: str = "lower") -> JumpExhaustionSchedule:
@@ -140,12 +142,10 @@ def jump_exhaustion_schedule(barrier: RegulatedField, n: int, side: str = "lower
         raise PreconditionError("penalty level must be >= 1")
     if side not in ("lower", "upper"):
         raise PreconditionError("side must be 'lower' or 'upper'")
-    threshold = -1.0 / n
-    events = []
-    for k in range(barrier.tree.depth):
-        jumps = barrier.jump_levels(k)
-        below = (-jumps if side == "upper" else jumps) < threshold
-        events.extend(ScheduleEvent(k, int(j), float(jumps[j])) for j in np.flatnonzero(below))
+    jumps = barrier.jumps
+    at = np.flatnonzero((-jumps if side == "upper" else jumps) < -1.0 / n)
+    levels, nodes = barrier.tree.locate(at)
+    events = map(ScheduleEvent, levels.tolist(), nodes.tolist(), jumps[at].tolist())
     return JumpExhaustionSchedule(n, side, tuple(events))
 
 
@@ -188,6 +188,33 @@ class SeparationReport:
     violations: list[SeparationViolation]
 
 
+def _order_gaps(lower: RegulatedField, upper: RegulatedField) -> list[tuple[str, np.ndarray]]:
+    """U - L on the values and on the right values, flat in level order."""
+    return [
+        ("value", upper.value.values - lower.value.values),
+        ("right_value", upper.right_value.values - lower.right_value.values),
+    ]
+
+
+def _flagged(tree: FiltrationTree, named: list[tuple[str, np.ndarray, np.ndarray]]) -> list[tuple[str, int, int, float]]:
+    """(name, level, node, value) at each flagged node of the named flat arrays.
+
+    ``named`` holds (name, values, flags); the result runs level by level,
+    within a level through the arrays in the order named, then by node.
+    """
+    at = [np.flatnonzero(flags) for _, _, flags in named]
+    index = np.concatenate(at)
+    which = np.repeat(np.arange(len(named)), [a.size for a in at])
+    level, node = tree.locate(index)
+    order = np.lexsort((node, which, level))
+    values = np.concatenate([vals[a] for (_, vals, _), a in zip(named, at)])
+    return [
+        (named[w][0], k, j, v)
+        for w, k, j, v in zip(which[order].tolist(), level[order].tolist(), node[order].tolist(),
+                              values[order].tolist())
+    ]
+
+
 def check_separation(pair: BarrierPair) -> SeparationReport:
     """Strict separation of the barriers and of their left limits.
 
@@ -197,19 +224,11 @@ def check_separation(pair: BarrierPair) -> SeparationReport:
     """
     if pair.lower is None or pair.upper is None:
         raise PreconditionError("separation check needs both barriers")
-    lower, upper = pair.lower, pair.upper
-    margin = np.inf
-    violations: list[SeparationViolation] = []
-    for k in range(lower.tree.levels):
-        for which, lo, hi in (
-            ("value", lower.value.level(k), upper.value.level(k)),
-            ("right_value", lower.right_value.level(k), upper.right_value.level(k)),
-        ):
-            gaps = hi - lo
-            margin = min(margin, float(np.min(gaps)))
-            for j in np.nonzero(gaps <= 0.0)[0]:
-                violations.append(SeparationViolation(which, k, int(j), float(gaps[j])))
-    return SeparationReport(not violations, float(margin), violations)
+    gaps = _order_gaps(pair.lower, pair.upper)
+    margin = min(float(np.min(g)) for _, g in gaps)
+    flagged = _flagged(pair.lower.tree, [(which, g, g <= 0.0) for which, g in gaps])
+    violations = [SeparationViolation(*v) for v in flagged]
+    return SeparationReport(not violations, margin, violations)
 
 
 @dataclass
@@ -311,20 +330,8 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
                 )
             )
     if lower is not None and upper is not None:
-        for k in range(tree.levels):
-            for which, lo, hi in (
-                ("value", lower.value.level(k), upper.value.level(k)),
-                ("right_value", lower.right_value.level(k), upper.right_value.level(k)),
-            ):
-                bad = lo - hi
-                for j in np.nonzero(bad > 0.0)[0]:
-                    v.append(
-                        InstanceViolation(
-                            f"barrier_order_{which}",
-                            f"node ({k},{int(j)})",
-                            float(bad[j]),
-                        )
-                    )
+        flagged = _flagged(tree, [(which, -g, g < 0.0) for which, g in _order_gaps(lower, upper)])
+        v.extend(InstanceViolation(f"barrier_order_{w}", f"node ({k},{j})", bad) for w, k, j, bad in flagged)
     stiffness = instance.driver.mu * instance.grid.max_dt
     if not stiffness < STABILITY_BOUND:
         v.append(InstanceViolation("stability", "mu * max(dt)", float(stiffness)))

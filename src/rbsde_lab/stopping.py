@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import SolutionBundle, budget_defects, minimality_terms, process_distances
+from .bundles import SolutionBundle, budget_defects, minimality_levels, process_distances
 from .errors import AlternationStuckError, PatchingError, PreconditionError
 from .lattice import AdaptedField, EdgeField, FiltrationTree, sup_distance
 from .regulated import BarrierPair, ProblemInstance, RegulatedField
@@ -117,8 +117,8 @@ def _hit_mask(y: RegulatedField, barrier: RegulatedField, tol: float, upper: boo
     """Per level, where Y reaches the barrier: Y >= U - tol (``upper``) or Y <= L + tol."""
     if y.tree is not barrier.tree:
         raise PreconditionError("fields must share one tree")
-    levels = [(y.value.level(k), barrier.value.level(k)) for k in range(y.tree.levels)]
-    return [yv >= b - tol if upper else yv <= b + tol for yv, b in levels]
+    yv, b = y.value.values, barrier.value.values
+    return y.tree.split_levels(yv >= b - tol if upper else yv <= b + tol)
 
 
 def hitting_time_upper(
@@ -246,22 +246,15 @@ def verify_local_properties(
     if barriers.lower is None or barriers.upper is None:
         raise PreconditionError("local property checks need both barriers")
     tree = y.tree
-    y_val, u_val, l_val = y.value, barriers.upper.value, barriers.lower.value
+    y_val, u_val, l_val = y.value.values, barriers.upper.value.values, barriers.lower.value.values
     up_dev = _interior_stop_max(
-        hitting_time_upper(y, barriers.upper, tau, tol),
-        [np.abs(y_val.level(k) - u_val.level(k)) for k in range(tree.levels)],
+        hitting_time_upper(y, barriers.upper, tau, tol), tree.split_levels(np.abs(y_val - u_val))
     )
     lo_dev = _interior_stop_max(
-        hitting_time_lower(y, barriers.lower, tau, tol),
-        [np.abs(y_val.level(k) - l_val.level(k)) for k in range(tree.levels)],
+        hitting_time_lower(y, barriers.lower, tau, tol), tree.split_levels(np.abs(y_val - l_val))
     )
-    reached = tree.reached
-    lower_violation = max(0.0, max(
-        float(np.max((l_val.level(k) - y_val.level(k))[reached[k]])) for k in range(tree.levels)
-    ))
-    upper_violation = max(0.0, max(
-        float(np.max((y_val.level(k) - u_val.level(k))[reached[k]])) for k in range(tree.levels)
-    ))
+    lower_violation = max(0.0, float(np.max((l_val - y_val)[tree.reached])))
+    upper_violation = max(0.0, float(np.max((y_val - u_val)[tree.reached])))
 
     failures = []
     bound = tol + 1e-10
@@ -286,15 +279,10 @@ def verify_local_properties(
 
 
 def _worst_node(y: RegulatedField, barrier: RegulatedField, below: bool) -> tuple[int, int]:
-    worst, where = -np.inf, (0, 0)
-    for k in range(y.tree.levels):
-        gap = (barrier.value.level(k) - y.value.level(k)) if below else (
-            y.value.level(k) - barrier.value.level(k)
-        )
-        j = int(np.argmax(gap))
-        if float(gap[j]) > worst:
-            worst, where = float(gap[j]), (k, j)
-    return where
+    """The first node, in level order, where Y is furthest below (``below``) or above the barrier."""
+    gap = barrier.value.values - y.value.values if below else y.value.values - barrier.value.values
+    k, j = y.tree.locate(np.argmax(gap))
+    return int(k), int(j)
 
 
 @dataclass
@@ -327,9 +315,7 @@ class PathContext:
         self.l_right = None if instance.lower is None else instance.lower.right_value.path_matrix()
         self.u_val = None if instance.upper is None else instance.upper.value.path_matrix()
         self.u_right = None if instance.upper is None else instance.upper.right_value.path_matrix()
-        self.budget_residuals = np.concatenate(budget_defects(bundle, instance))[
-            instance.tree.path_gather()[1]
-        ]
+        self.budget_residuals = budget_defects(bundle, instance)[instance.tree.path_gather()[1]]
 
 
 @dataclass
@@ -557,10 +543,10 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
     y = bundle.y
     hit_up = _hit_mask(y, upper, tol, upper=True)
     hit_lo = _hit_mask(y, lower, tol, upper=False)
-    lo_terms = minimality_terms(bundle, lower, lower=True)
-    up_terms = minimality_terms(bundle, upper, lower=False)
-    terms = [np.stack(pair) for pair in zip(lo_terms, up_terms)]
-    defects = budget_defects(bundle, instance)
+    terms = minimality_levels(bundle, instance.barriers)
+    abs_defects = np.abs(budget_defects(bundle, instance))
+    y_val = y.value.values
+    outside = tree.split_levels(np.maximum(lower.value.values - y_val, y_val - upper.value.values))
 
     n_phases = depth + 2
     budget = np.zeros(n_phases)
@@ -572,9 +558,7 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
         live = arrive[0] > -np.inf
         phase, node = np.nonzero(live)
         leave = depart[phase, node]
-        y_k = y.value.level(k)
-        outside = np.maximum(lower.value.level(k) - y_k, y_k - upper.value.level(k))
-        _spread_max(sandwich, phase, leave, outside[node])  # instant k is in intervals phase..leave
+        _spread_max(sandwich, phase, leave, outside[k][node])  # instant k is in intervals phase..leave
         # an interval closing here ends its sum; the ones it skips are empty
         closing = leave > phase
         shut, skip_to, at = phase[closing], leave[closing] - 1, node[closing]
@@ -590,7 +574,7 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
             if stall is None or first[0] < stall[0]:
                 stall = (int(first[0]), k, int(first[1]))
         node_budget = np.zeros(tree.level_size(k))
-        np.maximum.at(node_budget, tree.edge_parent[k], np.abs(defects[k]))
+        np.maximum.at(node_budget, tree.edge_parent[k], abs_defects[tree.edge_start[k] : tree.edge_start[k + 1]])
         np.maximum.at(budget, leave, node_budget[node])
     if stall is not None:
         _, k, j = stall
@@ -615,10 +599,8 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
     )
 
 
-def _scatter_consistent(
-    tree: FiltrationTree, matrix: np.ndarray, what: str, tol: float
-) -> list[np.ndarray]:
-    """Re-project pathwise values to node fields, checking path agreement."""
+def _scatter_consistent(tree: FiltrationTree, matrix: np.ndarray, what: str, tol: float) -> AdaptedField:
+    """Re-project pathwise values to a node field, checking path agreement."""
     index = tree.path_gather()[0]
     flat = np.zeros(tree.node_count())
     flat[index] = matrix
@@ -628,7 +610,7 @@ def _scatter_consistent(
         raise PatchingError(
             f"patched {what} disagrees across paths at level {k} by {float(spread[k])}"
         )
-    return np.split(flat, np.cumsum([tree.level_size(k) for k in range(tree.depth)]))
+    return AdaptedField.from_flat(tree, flat)
 
 
 def patch_global(instance: ProblemInstance, pieces: list[LocalSolution]) -> SolutionBundle:
@@ -694,28 +676,25 @@ def patch_global(instance: ProblemInstance, pieces: list[LocalSolution]) -> Solu
     if not np.all(owned_val):
         raise PatchingError("pieces leave uncovered instants")
 
-    y_levels = _scatter_consistent(tree, y_pathwise, "Y", PATCH_TOL)
-    y_right_levels = _scatter_consistent(tree, y_right_pathwise, "right limit of Y", PATCH_TOL)
+    y_field = _scatter_consistent(tree, y_pathwise, "Y", PATCH_TOL)
+    y_right = _scatter_consistent(tree, y_right_pathwise, "right limit of Y", PATCH_TOL)
     pad = np.zeros((n_paths, 1))
-    dk_levels = _scatter_consistent(tree, np.hstack([dk, pad]), "dK*", PATCH_TOL)
-    jk_levels = _scatter_consistent(tree, np.hstack([jk, pad]), "right jumps of K", PATCH_TOL)
-    da_levels = _scatter_consistent(tree, np.hstack([da, pad]), "dA*", PATCH_TOL)
-    ja_levels = _scatter_consistent(tree, np.hstack([ja, pad]), "right jumps of A", PATCH_TOL)
+    dk_field = _scatter_consistent(tree, np.hstack([dk, pad]), "dK*", PATCH_TOL)
+    jk_field = _scatter_consistent(tree, np.hstack([jk, pad]), "right jumps of K", PATCH_TOL)
+    da_field = _scatter_consistent(tree, np.hstack([da, pad]), "dA*", PATCH_TOL)
+    ja_field = _scatter_consistent(tree, np.hstack([ja, pad]), "right jumps of A", PATCH_TOL)
 
-    flat = np.zeros(sum(child.size for child in tree.edge_child))
+    flat = np.zeros(int(tree.edge_start[-1]))
     flat[tree.path_gather()[1]] = dm
-    dm_rows = np.split(flat, np.cumsum([child.size for child in tree.edge_child[:-1]]))
-
-    y_field = AdaptedField(tree, y_levels)
     patched = SolutionBundle(
         tree=tree,
         grid=instance.grid,
-        y=RegulatedField(y_field, AdaptedField(tree, y_right_levels)),
-        dm=EdgeField(tree, dm_rows),
-        dk_star=AdaptedField(tree, dk_levels),
-        jump_k=AdaptedField(tree, jk_levels),
-        da_star=AdaptedField(tree, da_levels),
-        jump_a=AdaptedField(tree, ja_levels),
+        y=RegulatedField(y_field, y_right),
+        dm=EdgeField.from_flat(tree, flat),
+        dk_star=dk_field,
+        jump_k=jk_field,
+        da_star=da_field,
+        jump_a=ja_field,
         method="patched",
     )
     direct = solve_doubly_reflected(instance)
