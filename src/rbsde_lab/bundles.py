@@ -197,18 +197,19 @@ def lu4_residual(bundle: SolutionBundle, instance: ProblemInstance) -> float:
 
 
 def sandwich_defect(bundle: SolutionBundle, barrier: RegulatedField | None, lower: bool) -> float:
-    """Max nodewise defect of L <= Y (``lower``) or Y <= U on the stored values.
+    """Max nodewise defect of L <= Y and L+ <= Y+ (``lower``), or of Y <= U and Y+ <= U+.
 
     Zero when the barrier is absent or never crossed.
     """
     if barrier is None:
         return 0.0
-    y, b = bundle.y.value.values, barrier.value.values
-    return max(0.0, float(np.max(b - y if lower else y - b)))
+    y = bundle.y
+    gaps = (barrier.value.values - y.value.values, barrier.right_value.values - y.right_value.values)
+    return max(0.0, *(float(np.max(g if lower else -g)) for g in gaps))
 
 
 def sandwich_violation(bundle: SolutionBundle, barriers: BarrierPair) -> float:
-    """Max nodewise defect of L <= Y <= U on the stored values."""
+    """Max nodewise defect of L <= Y <= U and L+ <= Y+ <= U+."""
     return max(
         sandwich_defect(bundle, barriers.lower, lower=True),
         sandwich_defect(bundle, barriers.upper, lower=False),

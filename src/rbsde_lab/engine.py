@@ -198,8 +198,10 @@ def penalized_step(
 ) -> tuple[float, float, float]:
     """:func:`penalized_level` of a lower-side mode on one entry: (y, dk_star, da_star).
 
-    The clamp at ``upper`` acts in the reflect mode; pass ``None`` where a
-    declared right jump takes over (the value correction books the excess).
+    ``lower`` and ``upper`` are the barriers' right limits L+ and U+ at the
+    node, and ``y`` is the right-limit value; the clamp at ``upper`` acts in
+    the reflect mode.  :func:`right_jump_correction` then moves ``y`` to the
+    value at the instant.
     """
     _require_lower_side(mode)
     _check_stability(driver, dt)
@@ -221,9 +223,10 @@ def right_jump_correction(
 ) -> tuple[float, float, float]:
     """:func:`jump_corrections` of a lower-side mode on one entry: (y, jump_k, jump_a).
 
-    A node scheduled at the current penalty level is absorbed fully to the
-    lower barrier; in the reflect mode a node with a declared upper jump is
-    pulled down to the upper barrier.
+    ``y_plus`` is the right-limit value and ``lower``/``upper`` the barrier
+    values L and U at the instant.  A node scheduled at the current penalty
+    level is absorbed fully to the lower barrier; in the reflect mode a node
+    with a declared upper jump is pulled down to the upper barrier.
     """
     _require_lower_side(mode)
     at_lower = np.array([lower_scheduled and lower is not None])
@@ -282,17 +285,17 @@ def _penalized_lower_side(instance: ProblemInstance, n: int, mode: PenalizationM
     tree, grid, driver = instance.tree, instance.grid, instance.driver
     lower, upper = instance.lower, instance.upper
     sched = jump_exhaustion_schedule(lower, n, side="lower").mask(tree)
-    # in the reflect mode a declared upper jump takes over from the clamp
     declared = jump_masks(upper if mode.reflects else None, tree)
-    clamp = [~d for d in declared] if mode.reflects else declared
+    # without an upper barrier the lower one stands in, read under unset masks only
+    side = lower if upper is None else upper
 
     def step(k: int, e: np.ndarray) -> tuple[np.ndarray, ...]:
         t, dt = float(grid.instants[k]), grid.dt(k)
-        lo = lower.value.level(k)
-        up = lo if upper is None else upper.value.level(k)  # read only where a mask is set
-        y, dk, da = penalized_level(e, t, dt, n, lo, up, clamp[k], driver)
-        # scheduled nodes are absorbed fully to the lower barrier
-        y, jk, ja = jump_corrections(y, lo, up, sched[k], declared[k])
+        clamp = np.full(e.size, mode.reflects)
+        # the right-limit value: penalized toward L+, clamped at U+ when reflecting
+        y, dk, da = penalized_level(e, t, dt, n, lower.right_value.level(k), side.right_value.level(k), clamp, driver)
+        # the value at the instant: scheduled nodes absorbed fully to L, declared upper jumps pulled to U
+        y, jk, ja = jump_corrections(y, lower.value.level(k), side.value.level(k), sched[k], declared[k])
         return y, dk, jk, da, ja
 
     return backward_sweep(instance, step, mode.value, n)

@@ -2,10 +2,12 @@
 
 The projection step of the shared backward sweep
 (:func:`rbsde_lab.engine.backward_sweep`) clamps the implicit flow values of
-a whole level into the barriers, recording clamp increments in the cadlag
-parts and, at nodes with declared barrier jumps, booking the correction as a
-right jump of the respective increasing process.  These bundles are the
-ground truth the penalization sweeps are cross-checked against.
+a whole level into the barriers' right limits [L+, U+], which gives the
+right-limit value Y+ and the cadlag increments dK*, dA*; then, at nodes with
+declared barrier jumps, it corrects Y+ into [L, U] at the instant and books
+the correction as a right jump of the respective increasing process.  These
+bundles are the ground truth the penalization sweeps are cross-checked
+against.
 """
 from __future__ import annotations
 
@@ -28,22 +30,23 @@ def _projection_sweep(instance: ProblemInstance) -> SolutionBundle:
 
     def step(k: int, e: np.ndarray) -> tuple[np.ndarray, ...]:
         t, dt = float(grid.instants[k]), grid.dt(k)
-        lo = np.full(e.size, -np.inf) if lower is None else lower.value.level(k)
-        up = np.full(e.size, np.inf) if upper is None else upper.value.level(k)
-        # declared-jump corrections act on the value at the instant
-        y, jk, ja = jump_corrections(implicit_level(e, t, dt, driver), lo, up, l_jump[k], u_jump[k])
-        # plain-node clamps are cadlag increments over the interval
-        dk, da = np.zeros(e.size), np.zeros(e.size)
-        below = ~l_jump[k] & (y < lo)
+        absent = np.full(e.size, np.inf)
+        lo, lo_r = (-absent, -absent) if lower is None else (lower.value.level(k), lower.right_value.level(k))
+        up, up_r = (absent, absent) if upper is None else (upper.value.level(k), upper.right_value.level(k))
+        # clamps into the right limits are cadlag increments over the interval
+        y, dk, da = implicit_level(e, t, dt, driver), np.zeros(e.size), np.zeros(e.size)
+        below = y < lo_r
         i = below.nonzero()[0]
         if i.size:
-            dk[i] = positive_part(lo[i] - (e[i] + driver.level(t, lo[i]) * dt))
-            y[i] = lo[i]
-        above = ~u_jump[k] & (y > up)
+            dk[i] = positive_part(lo_r[i] - (e[i] + driver.level(t, lo_r[i]) * dt))
+            y[i] = lo_r[i]
+        above = y > up_r
         i = above.nonzero()[0]
         if i.size:
-            da[i] = positive_part((e[i] + driver.level(t, up[i]) * dt) - up[i])
-            y[i] = up[i]
+            da[i] = positive_part((e[i] + driver.level(t, up_r[i]) * dt) - up_r[i])
+            y[i] = up_r[i]
+        # declared-jump corrections act on the value at the instant
+        y, jk, ja = jump_corrections(y, lo, up, l_jump[k], u_jump[k])
         both = ((jk > 0.0) | below) & ((ja > 0.0) | above)
         degenerate.extend((k, int(j)) for j in both.nonzero()[0])
         return y, dk, jk, da, ja
@@ -76,10 +79,11 @@ def solve_reflected_upper(instance: ProblemInstance) -> SolutionBundle:
 def solve_doubly_reflected(instance: ProblemInstance) -> SolutionBundle:
     """Two-barrier solution by double projection.
 
-    Both barriers required.  A node where both sides push would be reported
-    in ``degenerate_nodes``; but validation enforces L <= U, so a pushed
-    value sits on one barrier and inside the other, touching barriers
-    included, and the field stays empty for validated instances.
+    Both barriers required.  A node where both sides push is reported in
+    ``degenerate_nodes``.  Validation enforces L <= U and L+ <= U+, so a
+    value pushed onto one barrier sits inside the other, touching barriers
+    included; only a right limit that jumps across the other barrier's value
+    at the instant (L+ > U, say) makes both sides push at one node.
     """
     if instance.lower is None or instance.upper is None:
         raise PreconditionError("solve_doubly_reflected requires both barriers")

@@ -481,3 +481,25 @@ def test_verify_never_enumerates_paths(monkeypatch):
         assert run("verify", INSTANCES / name) == 0
     assert run("verify", INSTANCES / "touching_barriers.json") == 1
     assert calls == []
+
+
+# A 13-step explicit tree with a linear driver and right jumps on both
+# barriers, where the penalization schemes once split K and A wrongly at the
+# jump nodes (the Y values of all methods agreed; Y+, jumpK, jumpA did not).
+JUMPS_BOTH_BARRIERS = ROOT / "tests" / "data" / "explicit_jumps_both_barriers.json"
+
+
+@pytest.mark.parametrize("method", ["projection", "inc-pen", "dec-pen"])
+def test_penalization_splits_k_and_a_at_jump_nodes(method):
+    assert run("solve", JUMPS_BOTH_BARRIERS, "--method", method) == 0
+
+
+def test_uniqueness_gates_k_and_a_at_jump_nodes():
+    from rbsde_lab.oracle import uniqueness_probe
+
+    probe = uniqueness_probe(load_instance(JUMPS_BOTH_BARRIERS))
+    assert probe.separation_holds
+    assert probe.passed
+    assert max(probe.k_distances.values()) <= probe.tolerance
+    assert max(probe.a_distances.values()) <= probe.tolerance
+    assert run("verify", JUMPS_BOTH_BARRIERS) == 0

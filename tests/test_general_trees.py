@@ -586,3 +586,53 @@ def test_recursions_skip_nodes_no_path_reaches():
     assert rep.passed
     sk = skorokhod_residual(bad, inst.barriers)
     assert sk.lower_residual == float(np.max(sk.lower_paths)) < 1.0
+
+
+def jumps_both_barriers(seed: int, depth: int = 6) -> ProblemInstance:
+    """A random explicit tree whose barriers both jump up and down at random nodes."""
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, depth, max_children=4)
+    lo = [tree.states[k] * 0.3 - 0.5 + rng.uniform(-0.05, 0.05, tree.level_size(k)) for k in range(depth + 1)]
+    hi = [level + 0.4 + rng.uniform(0.0, 0.3, level.size) for level in lo]
+    lower = RegulatedField.from_values(tree, lo)
+    upper = RegulatedField.from_values(tree, hi)
+
+    def sites():
+        levels = rng.integers(0, depth, 6)
+        return [(int(k), int(rng.integers(0, tree.level_size(int(k))))) for k in levels]
+
+    lower = lower.with_right_jumps([(k, j, lo[k][j] + rng.uniform(-0.3, 0.1)) for k, j in sites()])
+    upper = upper.with_right_jumps([(k, j, hi[k][j] + rng.uniform(-0.1, 0.3)) for k, j in sites()])
+    terminal = lo[depth] + rng.uniform(0.05, 0.95, lo[depth].size) * (hi[depth] - lo[depth])
+    driver = linear_driver(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-2.0, 2.0)))
+    inst = ProblemInstance(tree, TimeGrid.uniform(1.0, depth), terminal, driver, BarrierPair(lower, upper))
+    assert validate_instance(inst).ok
+    return inst
+
+
+def right_limit_gaps(bundle, inst) -> tuple[float, float]:
+    """max(L+ - Y+) and max(Y+ - U+) over the nodes."""
+    y_plus = bundle.y.right_value.values
+    return (
+        float(np.max(inst.lower.right_value.values - y_plus)),
+        float(np.max(y_plus - inst.upper.right_value.values)),
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_right_limits_stay_between_the_barrier_right_limits(seed):
+    """L+ <= Y+ <= U+ for every solver; a penalized side within the sweep accuracy."""
+    inst = jumps_both_barriers(1000 + seed)
+    eps = 1e-5
+    sol = solve_doubly_reflected(inst)
+    assert max(right_limit_gaps(sol, inst)) <= 0.0
+    assert sandwich_violation(sol, inst.barriers) == 0.0
+    for n in (1, 64, 4096):
+        # the reflected side is clamped exactly at every penalty level
+        assert right_limit_gaps(solve_penalized(inst, n, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT), inst)[1] <= 0.0
+        assert right_limit_gaps(solve_penalized(inst, n, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT), inst)[0] <= 0.0
+    for mode in (PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT):
+        sweep = penalization_sweep(inst, mode, eps=eps)
+        assert sweep.converged
+        assert max(right_limit_gaps(sweep.final, inst)) <= 2.0 * eps
+        assert sandwich_violation(sweep.final, inst.barriers) <= 2.0 * eps
