@@ -214,6 +214,7 @@ def cmd_verify(args) -> int:
     checks: dict[str, dict] = {}
     data_failures = []
     identity_failures = []
+    unconverged = []
 
     vreport = validate_instance(instance)
     checks["validation"] = {
@@ -253,8 +254,11 @@ def cmd_verify(args) -> int:
                 "a_distances": probe.a_distances,
                 "ka_distances": probe.ka_distances,
                 "separation_holds": probe.separation_holds,
+                "converged": probe.converged,
             }
-            if not probe.passed:
+            if not all(probe.converged.values()):
+                unconverged.append("uniqueness")
+            elif not probe.passed:
                 identity_failures.append("uniqueness")
 
             try:
@@ -294,7 +298,7 @@ def cmd_verify(args) -> int:
         return EXIT_THEOREM
     if data_failures:
         return EXIT_INVALID
-    return EXIT_PASS
+    return EXIT_NO_CONVERGENCE if unconverged else EXIT_PASS
 
 
 def cmd_compare(args) -> int:

@@ -8,7 +8,7 @@ kernel, so agreement is exact rather than approximate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -255,13 +255,19 @@ class UniquenessReport:
     ka_distances: dict[str, float]
     separation_holds: bool
     tolerance: float
+    converged: dict[str, bool] = field(default_factory=dict)  # per penalization sweep
 
     @property
     def passed(self) -> bool:
+        """Both sweeps converged and every gated distance is within the tolerance.
+
+        The distances of a sweep that stopped short of eps measure its
+        truncation, not the solutions, so they decide nothing.
+        """
         gate = [*self.y_distances.values(), *self.ka_distances.values()]
         if self.separation_holds:
             gate += [*self.k_distances.values(), *self.a_distances.values()]
-        return max(gate) <= self.tolerance
+        return all(self.converged.values()) and max(gate) <= self.tolerance
 
 
 def uniqueness_probe(instance: ProblemInstance, eps: float = 1e-5) -> UniquenessReport:
@@ -270,11 +276,12 @@ def uniqueness_probe(instance: ProblemInstance, eps: float = 1e-5) -> Uniqueness
     Y and K - A must agree across methods; K and A separately are gated only
     when the barriers are strictly separated (otherwise only their difference
     is pinned down, and the individual distances are reported, not failed).
+    Whether each sweep converged is reported too.
     """
     proj = solve_doubly_reflected(instance)
-    inc = penalization_sweep(instance, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, eps=eps).final
-    dec = penalization_sweep(instance, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT, eps=eps).final
-    bundles = {"projection": proj, "increasing": inc, "decreasing": dec}
+    inc = penalization_sweep(instance, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, eps=eps)
+    dec = penalization_sweep(instance, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT, eps=eps)
+    bundles = {"projection": proj, "increasing": inc.final, "decreasing": dec.final}
     names = list(bundles)
     y_d, k_d, a_d, ka_d = {}, {}, {}, {}
     for i in range(len(names)):
@@ -291,6 +298,7 @@ def uniqueness_probe(instance: ProblemInstance, eps: float = 1e-5) -> Uniqueness
         ka_distances=ka_d,
         separation_holds=sep,
         tolerance=2.0 * eps,
+        converged={"increasing": inc.converged, "decreasing": dec.converged},
     )
 
 

@@ -503,3 +503,17 @@ def test_uniqueness_gates_k_and_a_at_jump_nodes():
     assert max(probe.k_distances.values()) <= probe.tolerance
     assert max(probe.a_distances.values()) <= probe.tolerance
     assert run("verify", JUMPS_BOTH_BARRIERS) == 0
+
+
+def test_verify_reports_an_unconverged_uniqueness_probe_as_non_convergence(tmp_path, capsys):
+    # at 400 steps both penalization sweeps stop at the default ladder's top
+    # level before they are eps-close; their distances measure the truncation
+    def edit(doc):
+        doc["grid"]["steps"] = 400
+
+    report = tmp_path / "report.json"
+    assert run("verify", _edited_instance(tmp_path, "two_sided_affine.json", edit), "--json", report) == 2
+    uniqueness = json.loads(report.read_text())["checks"]["uniqueness"]
+    assert uniqueness["converged"] == {"increasing": False, "decreasing": False}
+    assert uniqueness["passed"] is False
+    assert "uniqueness: FAIL" in capsys.readouterr().out

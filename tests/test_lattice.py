@@ -242,3 +242,82 @@ def test_edge_field_rejects_non_finite_values():
         values = [np.zeros(2), np.array([0.0, 0.0, bad, 0.0])]
         with pytest.raises(InvalidInstanceError, match="non-finite"):
             EdgeField(tree, values)
+
+
+def ragged_fields(seed: int):
+    """A ragged explicit tree (fan-out 1-4) and per-level node and edge values."""
+    rng = np.random.default_rng(seed)
+    tree = FiltrationTree(*shared_children_tree(rng, depth=5))
+    nodes = [rng.normal(size=tree.level_size(k)) for k in range(tree.levels)]
+    edges = [rng.normal(size=c.size) for c in tree.edge_child]
+    return tree, nodes, edges
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fields_are_one_flat_array_in_level_order(seed):
+    tree, nodes, edges = ragged_fields(seed)
+    for field, levels, count in (
+        (AdaptedField(tree, nodes), nodes, tree.levels),
+        (EdgeField(tree, edges), edges, tree.depth),
+    ):
+        assert not field.values.flags.writeable
+        assert hexes(field.values) == hexes(np.concatenate(levels))
+        for k in range(count):
+            view = field.level(k)
+            assert hexes(view) == hexes(levels[k])  # bit for bit
+            assert not view.flags.writeable
+            assert np.shares_memory(view, field.values)
+            with pytest.raises(ValueError):
+                view[0] = 1.0
+    assert hexes(AdaptedField.from_flat(tree, np.concatenate(nodes)).level(2)) == hexes(nodes[2])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flat_node_and_edge_numbering_round_trips(seed):
+    tree, _, _ = ragged_fields(seed)
+    index = np.arange(tree.node_count())
+    level, node = tree.locate(index)
+    assert np.array_equal(tree.node_start[level] + node, index)
+    for k in range(tree.levels):
+        at = slice(tree.node_start[k], tree.node_start[k + 1])
+        assert np.all(level[at] == k)
+        assert node[at].tolist() == list(range(tree.level_size(k)))
+    for k in range(tree.depth):
+        at = slice(tree.edge_start[k], tree.edge_start[k + 1])
+        assert np.array_equal(tree.edge_source[at], tree.node_start[k] + tree.edge_parent[k])
+        assert np.array_equal(tree.edge_target[at], tree.node_start[k + 1] + tree.edge_child[k])
+    assert [v.size for v in tree.split_levels(index)] == [tree.level_size(k) for k in range(tree.levels)]
+
+
+def test_field_errors_name_the_failing_level():
+    tree, nodes, edges = ragged_fields(0)
+    for k in range(tree.levels):
+        bad = list(nodes)
+        bad[k] = np.zeros(tree.level_size(k) + 1)
+        with pytest.raises(InvalidInstanceError, match=rf"^level {k}: expected {tree.level_size(k)} values"):
+            AdaptedField(tree, bad)
+        bad[k] = np.where(np.arange(tree.level_size(k)) == 0, np.nan, 0.0)
+        with pytest.raises(InvalidInstanceError, match=rf"^level {k}: non-finite field value$"):
+            AdaptedField(tree, bad)
+        flat = np.concatenate(nodes)
+        flat[tree.node_start[k + 1] - 1] = np.inf
+        with pytest.raises(InvalidInstanceError, match=rf"^level {k}: non-finite field value$"):
+            AdaptedField.from_flat(tree, flat)
+    for k in range(tree.depth):
+        bad = list(edges)
+        bad[k] = np.zeros(edges[k].size + 2)
+        with pytest.raises(InvalidInstanceError, match=rf"^level {k}: expected {edges[k].size} edge values"):
+            EdgeField(tree, bad)
+        bad[k] = np.full(edges[k].size, -np.inf)
+        with pytest.raises(InvalidInstanceError, match=rf"^level {k}: non-finite edge value$"):
+            EdgeField(tree, bad)
+    # an earlier non-finite level is named before a later misshapen one
+    bad = list(nodes)
+    bad[1] = np.full(tree.level_size(1), np.nan)
+    bad[3] = np.zeros(1 + tree.level_size(3))
+    with pytest.raises(InvalidInstanceError, match="^level 1: non-finite"):
+        AdaptedField(tree, bad)
