@@ -124,14 +124,7 @@ def _bundle_report(bundle: SolutionBundle, instance, tol: float, eps: float | No
         "jump_identity": right_jump_identity_defect(bundle),
     }
     slack = tol if eps is None else 2.0 * eps
-    tolerances = {
-        "lu4": tol,
-        "skorokhod_lower": tol,
-        "skorokhod_upper": tol,
-        "sandwich_lower": tol,
-        "sandwich_upper": tol,
-        "jump_identity": tol,
-    }
+    tolerances = dict.fromkeys(residuals, tol)
     if bundle.method == "increasing-penalization":
         tolerances["sandwich_lower"] = slack
         tolerances["skorokhod_lower"] = slack

@@ -9,6 +9,7 @@ kernel, so agreement is exact rather than approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -282,14 +283,11 @@ def uniqueness_probe(instance: ProblemInstance, eps: float = 1e-5) -> Uniqueness
     inc = penalization_sweep(instance, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, eps=eps)
     dec = penalization_sweep(instance, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT, eps=eps)
     bundles = {"projection": proj, "increasing": inc.final, "decreasing": dec.final}
-    names = list(bundles)
     y_d, k_d, a_d, ka_d = {}, {}, {}, {}
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            key = f"{names[i]}/{names[j]}"
-            bi, bj = bundles[names[i]], bundles[names[j]]
-            y_d[key] = sup_distance(bi.y.value, bj.y.value)
-            k_d[key], a_d[key], ka_d[key] = process_distances(bi, bj)
+    for first, second in combinations(bundles, 2):
+        key, bi, bj = f"{first}/{second}", bundles[first], bundles[second]
+        y_d[key] = sup_distance(bi.y.value, bj.y.value)
+        k_d[key], a_d[key], ka_d[key] = process_distances(bi, bj)
     sep = check_separation(instance.barriers).satisfied
     return UniquenessReport(
         y_distances=y_d,
@@ -474,19 +472,14 @@ def ordered_widening(
             y_independent=base.y_independent,
             fn=lambda t, y: base(t, y) + d,
         )
-    tree = instance.tree
-    lower = RegulatedField(
-        instance.lower.value.map(lambda v: v + b),
-        instance.lower.right_value.map(lambda v: v + b),
-    )
-    upper = RegulatedField(
-        instance.upper.value.map(lambda v: v + c),
-        instance.upper.right_value.map(lambda v: v + c),
-    )
+
+    def raised(side: RegulatedField, by: float) -> RegulatedField:
+        return RegulatedField(side.value.map(lambda v: v + by), side.right_value.map(lambda v: v + by))
+
     return ProblemInstance(
-        tree=tree,
+        tree=instance.tree,
         grid=instance.grid,
         terminal=instance.terminal + a,
         driver=shifted,
-        barriers=BarrierPair(lower, upper),
+        barriers=BarrierPair(raised(instance.lower, b), raised(instance.upper, c)),
     )

@@ -202,17 +202,11 @@ def _flagged(tree: FiltrationTree, named: list[tuple[str, np.ndarray, np.ndarray
     ``named`` holds (name, values, flags); the result runs level by level,
     within a level through the arrays in the order named, then by node.
     """
-    at = [np.flatnonzero(flags) for _, _, flags in named]
-    index = np.concatenate(at)
-    which = np.repeat(np.arange(len(named)), [a.size for a in at])
-    level, node = tree.locate(index)
-    order = np.lexsort((node, which, level))
-    values = np.concatenate([vals[a] for (_, vals, _), a in zip(named, at)])
-    return [
-        (named[w][0], k, j, v)
-        for w, k, j, v in zip(which[order].tolist(), level[order].tolist(), node[order].tolist(),
-                              values[order].tolist())
-    ]
+    hits: list[tuple[int, int, int]] = []  # (level, which array, flat index)
+    for w, (_, _, flags) in enumerate(named):
+        at = np.flatnonzero(flags)
+        hits += zip(tree.locate(at)[0].tolist(), [w] * at.size, at.tolist())
+    return [(named[w][0], k, i - int(tree.node_start[k]), float(named[w][1][i])) for k, w, i in sorted(hits)]
 
 
 def check_separation(pair: BarrierPair) -> SeparationReport:
@@ -309,26 +303,10 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     terminal_level = tree.depth
     lower, upper = instance.lower, instance.upper
 
-    if lower is not None:
-        lt = lower.value.level(terminal_level)
-        for j in np.nonzero(lt > instance.terminal)[0]:
-            v.append(
-                InstanceViolation(
-                    "terminal_below_lower",
-                    f"leaf {int(j)}",
-                    float(lt[j] - instance.terminal[j]),
-                )
-            )
-    if upper is not None:
-        ut = upper.value.level(terminal_level)
-        for j in np.nonzero(instance.terminal > ut)[0]:
-            v.append(
-                InstanceViolation(
-                    "terminal_above_upper",
-                    f"leaf {int(j)}",
-                    float(instance.terminal[j] - ut[j]),
-                )
-            )
+    for kind, side, sign in (("terminal_below_lower", lower, 1.0), ("terminal_above_upper", upper, -1.0)):
+        if side is not None:
+            excess = (side.value.level(terminal_level) - instance.terminal) * sign
+            v.extend(InstanceViolation(kind, f"leaf {j}", float(excess[j])) for j in np.flatnonzero(excess > 0.0))
     if lower is not None and upper is not None:
         flagged = _flagged(tree, [(which, -g, g < 0.0) for which, g in _order_gaps(lower, upper)])
         v.extend(InstanceViolation(f"barrier_order_{w}", f"node ({k},{j})", bad) for w, k, j, bad in flagged)

@@ -56,9 +56,7 @@ class StoppingRule:
 
     @classmethod
     def at_zero(cls, tree: FiltrationTree) -> "StoppingRule":
-        mask = [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.levels)]
-        mask[0][:] = True
-        return cls(tree, mask, label="zero")
+        return cls(tree, tree.split_levels(np.arange(tree.node_count()) == 0), label="zero")
 
     @classmethod
     def at_terminal(cls, tree: FiltrationTree) -> "StoppingRule":
@@ -78,9 +76,7 @@ class StoppingRule:
         if self.stop_mask is None:
             out = np.full(n_paths, depth, dtype=np.int64)
         else:
-            hit = np.empty((n_paths, width), dtype=bool)
-            for k in range(width):
-                hit[:, k] = self.stop_mask[k][nodes[:, k]]
+            hit = np.concatenate(self.stop_mask)[self.tree.path_gather()[0]]
             nxt = np.full((n_paths, width), depth, dtype=np.int64)
             for k in range(depth - 1, -1, -1):
                 nxt[:, k] = np.where(hit[:, k], k, nxt[:, k + 1])
