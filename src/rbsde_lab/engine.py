@@ -8,7 +8,7 @@ and increments; the penalized step lives here, the projection step in
 :mod:`rbsde_lab.solvers`.
 
 The driver integral is treated implicitly (solve y = e + f(t, y) dt) and so
-is the penalty term n (y - L)^- dt: the piecewise-linear equation is solved
+is the penalty term n (y - L+)^- dt: the piecewise-linear equation is solved
 exactly by case analysis, with fixed-point refinement only for non-affine
 drivers.  Explicit penalties would blow up along the level schedule.
 
@@ -286,16 +286,17 @@ def _penalized_lower_side(instance: ProblemInstance, n: int, mode: PenalizationM
     lower, upper = instance.lower, instance.upper
     sched = jump_exhaustion_schedule(lower, n, side="lower").mask(tree)
     declared = jump_masks(upper if mode.reflects else None, tree)
-    # without an upper barrier the lower one stands in, read under unset masks only
-    side = lower if upper is None else upper
+    # the upper barrier, or the lower one standing in where no mask reads it
+    cap = lower if upper is None else upper
 
     def step(k: int, e: np.ndarray) -> tuple[np.ndarray, ...]:
         t, dt = float(grid.instants[k]), grid.dt(k)
-        clamp = np.full(e.size, mode.reflects)
+        lo, lo_r = lower.value.level(k), lower.right_value.level(k)
+        up, up_r = cap.value.level(k), cap.right_value.level(k)
         # the right-limit value: penalized toward L+, clamped at U+ when reflecting
-        y, dk, da = penalized_level(e, t, dt, n, lower.right_value.level(k), side.right_value.level(k), clamp, driver)
+        y, dk, da = penalized_level(e, t, dt, n, lo_r, up_r, np.full(e.size, mode.reflects), driver)
         # the value at the instant: scheduled nodes absorbed fully to L, declared upper jumps pulled to U
-        y, jk, ja = jump_corrections(y, lower.value.level(k), side.value.level(k), sched[k], declared[k])
+        y, jk, ja = jump_corrections(y, lo, up, sched[k], declared[k])
         return y, dk, jk, da, ja
 
     return backward_sweep(instance, step, mode.value, n)

@@ -116,7 +116,7 @@ def _joined(levels: Sequence, starts: np.ndarray, unit: str, what: str) -> np.nd
             if arr.shape != (width,):
                 raise InvalidInstanceError(f"level {k}: expected {width} {unit}, got {arr.shape}")
             parts.append(arr)
-    except Exception:
+    except (InvalidInstanceError, TypeError, ValueError):
         _checked(np.concatenate(parts or [np.empty(0)]), starts, what)  # an earlier level's fault first
         raise
     return _checked(np.concatenate(parts), starts, what)
@@ -170,8 +170,9 @@ class FiltrationTree:
         )
         self.node_start = _frozen(np.cumsum([0] + [s.size for s in self.states]))
         self.edge_start = _frozen(np.cumsum([0] + [c.size for c in self.edge_child]))
-        self.edge_source = _frozen(np.concatenate([p + s for p, s in zip(self.edge_parent, self.node_start)]))
-        self.edge_target = _frozen(np.concatenate([c + s for c, s in zip(self.edge_child, self.node_start[1:])]))
+        starts = self.node_start.tolist()
+        self.edge_source = _frozen(np.concatenate([p + s for p, s in zip(self.edge_parent, starts)]))
+        self.edge_target = _frozen(np.concatenate([c + s for c, s in zip(self.edge_child, starts[1:])]))
         self._paths_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._gather_cache: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -365,7 +366,8 @@ class AdaptedField:
         """A field from a copy of its flat values, level by level in node order."""
         field = cls.__new__(cls)
         field.tree = tree
-        field.values = _checked(np.array(values, dtype=float).reshape(tree.node_count()), tree.node_start, "field value")
+        flat = np.array(values, dtype=float).reshape(tree.node_count())
+        field.values = _checked(flat, tree.node_start, "field value")
         return field
 
     @classmethod
@@ -473,8 +475,8 @@ class EdgeField:
         """An edge field from a copy of its flat values, in the tree's edge order."""
         field = cls.__new__(cls)
         field.tree = tree
-        edges = int(tree.edge_start[-1])
-        field.values = _checked(np.array(values, dtype=float).reshape(edges), tree.edge_start, "edge value")
+        flat = np.array(values, dtype=float).reshape(int(tree.edge_start[-1]))
+        field.values = _checked(flat, tree.edge_start, "edge value")
         return field
 
     @classmethod

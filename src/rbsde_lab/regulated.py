@@ -7,7 +7,7 @@ instant, the only discrete reading consistent with regulated trajectories.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -196,7 +196,7 @@ def _order_gaps(lower: RegulatedField, upper: RegulatedField) -> list[tuple[str,
     ]
 
 
-def _flagged(tree: FiltrationTree, named: list[tuple[str, np.ndarray, np.ndarray]]) -> list[tuple[str, int, int, float]]:
+def _flagged(tree: FiltrationTree, named: list[tuple[str, np.ndarray, np.ndarray]]) -> list[tuple]:
     """(name, level, node, value) at each flagged node of the named flat arrays.
 
     ``named`` holds (name, values, flags); the result runs level by level,
@@ -306,7 +306,8 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     for kind, side, sign in (("terminal_below_lower", lower, 1.0), ("terminal_above_upper", upper, -1.0)):
         if side is not None:
             excess = (side.value.level(terminal_level) - instance.terminal) * sign
-            v.extend(InstanceViolation(kind, f"leaf {j}", float(excess[j])) for j in np.flatnonzero(excess > 0.0))
+            bad = np.flatnonzero(excess > 0.0)
+            v.extend(InstanceViolation(kind, f"leaf {j}", float(excess[j])) for j in bad)
     if lower is not None and upper is not None:
         flagged = _flagged(tree, [(which, -g, g < 0.0) for which, g in _order_gaps(lower, upper)])
         v.extend(InstanceViolation(f"barrier_order_{w}", f"node ({k},{j})", bad) for w, k, j, bad in flagged)

@@ -570,7 +570,8 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
             if stall is None or first[0] < stall[0]:
                 stall = (int(first[0]), k, int(first[1]))
         node_budget = np.zeros(tree.level_size(k))
-        np.maximum.at(node_budget, tree.edge_parent[k], abs_defects[tree.edge_start[k] : tree.edge_start[k + 1]])
+        edges = slice(tree.edge_start[k], tree.edge_start[k + 1])
+        np.maximum.at(node_budget, tree.edge_parent[k], abs_defects[edges])
         np.maximum.at(budget, leave, node_budget[node])
     if stall is not None:
         _, k, j = stall

@@ -629,8 +629,10 @@ def test_right_limits_stay_between_the_barrier_right_limits(seed):
     assert sandwich_violation(sol, inst.barriers) == 0.0
     for n in (1, 64, 4096):
         # the reflected side is clamped exactly at every penalty level
-        assert right_limit_gaps(solve_penalized(inst, n, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT), inst)[1] <= 0.0
-        assert right_limit_gaps(solve_penalized(inst, n, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT), inst)[0] <= 0.0
+        inc = solve_penalized(inst, n, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT)
+        dec = solve_penalized(inst, n, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT)
+        assert right_limit_gaps(inc, inst)[1] <= 0.0
+        assert right_limit_gaps(dec, inst)[0] <= 0.0
     for mode in (PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT):
         sweep = penalization_sweep(inst, mode, eps=eps)
         assert sweep.converged
