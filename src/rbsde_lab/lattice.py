@@ -93,33 +93,38 @@ def flatten_node_lists(lists: Sequence, what: str) -> tuple[np.ndarray, np.ndarr
     return counts, flat
 
 
-def _checked(values: np.ndarray, starts: np.ndarray, what: str) -> np.ndarray:
-    """``values`` frozen, unless one is non-finite: then raise naming its level."""
-    bad = ~np.isfinite(values)
+def _flat(values: np.ndarray, starts: np.ndarray, what: str) -> np.ndarray:
+    """A frozen copy of ``values``, one finite value per slot in level order.
+
+    Level k occupies ``starts[k]:starts[k+1]``; a non-finite value is
+    reported with its level.
+    """
+    flat = np.array(values, dtype=float)
+    if flat.shape != (int(starts[-1]),):
+        raise InvalidInstanceError(f"expected {int(starts[-1])} values in level order, got {flat.shape}")
+    bad = ~np.isfinite(flat)
     if bad.any():
         k = int(np.searchsorted(starts, np.argmax(bad), side="right")) - 1
         raise InvalidInstanceError(f"level {k}: non-finite {what}")
-    return _frozen(values)
+    return _frozen(flat)
 
 
 def _joined(levels: Sequence, starts: np.ndarray, unit: str, what: str) -> np.ndarray:
-    """Per-level values joined in level order, checked level by level.
+    """Per-level values joined in level order and frozen, checked level by level.
 
-    Level k must hold ``starts[k+1] - starts[k]`` values; the first level
-    with a wrong shape or a non-finite value is named, the shape first.
+    Level k must hold ``starts[k+1] - starts[k]`` finite values; the first
+    failing level is named.
     """
     parts = []
-    try:
-        for k, lv in enumerate(levels):
-            arr = np.asarray(lv, dtype=float)
-            width = int(starts[k + 1] - starts[k])
-            if arr.shape != (width,):
-                raise InvalidInstanceError(f"level {k}: expected {width} {unit}, got {arr.shape}")
-            parts.append(arr)
-    except (InvalidInstanceError, TypeError, ValueError):
-        _checked(np.concatenate(parts or [np.empty(0)]), starts, what)  # an earlier level's fault first
-        raise
-    return _checked(np.concatenate(parts), starts, what)
+    for k, lv in enumerate(levels):
+        arr = np.asarray(lv, dtype=float)
+        width = int(starts[k + 1] - starts[k])
+        if arr.shape != (width,):
+            raise InvalidInstanceError(f"level {k}: expected {width} {unit}, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidInstanceError(f"level {k}: non-finite {what}")
+        parts.append(arr)
+    return _frozen(np.concatenate(parts))
 
 
 def _slot_sums(offsets: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -366,8 +371,7 @@ class AdaptedField:
         """A field from a copy of its flat values, level by level in node order."""
         field = cls.__new__(cls)
         field.tree = tree
-        flat = np.array(values, dtype=float).reshape(tree.node_count())
-        field.values = _checked(flat, tree.node_start, "field value")
+        field.values = _flat(values, tree.node_start, "field value")
         return field
 
     @classmethod
@@ -475,8 +479,7 @@ class EdgeField:
         """An edge field from a copy of its flat values, in the tree's edge order."""
         field = cls.__new__(cls)
         field.tree = tree
-        flat = np.array(values, dtype=float).reshape(int(tree.edge_start[-1]))
-        field.values = _checked(flat, tree.edge_start, "edge value")
+        field.values = _flat(values, tree.edge_start, "edge value")
         return field
 
     @classmethod

@@ -277,7 +277,6 @@ def uniqueness_probe(instance: ProblemInstance, eps: float = 1e-5) -> Uniqueness
     Y and K - A must agree across methods; K and A separately are gated only
     when the barriers are strictly separated (otherwise only their difference
     is pinned down, and the individual distances are reported, not failed).
-    Whether each sweep converged is reported too.
     """
     proj = solve_doubly_reflected(instance)
     inc = penalization_sweep(instance, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, eps=eps)

@@ -73,9 +73,6 @@ class RegulatedField:
         k, j = node
         return float(self.right_value.level(k)[j]) - float(self.value.level(k)[j])
 
-    def jump_levels(self, k: int) -> np.ndarray:
-        return self.right_value.level(k) - self.value.level(k)
-
     @property
     def jumps(self) -> np.ndarray:
         """Right value minus value at every node, flat in level order (zero at level N)."""
@@ -220,8 +217,8 @@ def check_separation(pair: BarrierPair) -> SeparationReport:
         raise PreconditionError("separation check needs both barriers")
     gaps = _order_gaps(pair.lower, pair.upper)
     margin = min(float(np.min(g)) for _, g in gaps)
-    flagged = _flagged(pair.lower.tree, [(which, g, g <= 0.0) for which, g in gaps])
-    violations = [SeparationViolation(*v) for v in flagged]
+    named = [(which, g, g <= 0.0) for which, g in gaps]
+    violations = [SeparationViolation(*v) for v in _flagged(pair.lower.tree, named)]
     return SeparationReport(not violations, margin, violations)
 
 
@@ -300,12 +297,11 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     """Terminal sandwich, weak barrier ordering, and step-stability checks."""
     v: list[InstanceViolation] = []
     tree = instance.tree
-    terminal_level = tree.depth
     lower, upper = instance.lower, instance.upper
 
     for kind, side, sign in (("terminal_below_lower", lower, 1.0), ("terminal_above_upper", upper, -1.0)):
         if side is not None:
-            excess = (side.value.level(terminal_level) - instance.terminal) * sign
+            excess = (side.value.level(tree.depth) - instance.terminal) * sign
             bad = np.flatnonzero(excess > 0.0)
             v.extend(InstanceViolation(kind, f"leaf {j}", float(excess[j])) for j in bad)
     if lower is not None and upper is not None:

@@ -321,3 +321,13 @@ def test_field_errors_name_the_failing_level():
     bad[3] = np.zeros(1 + tree.level_size(3))
     with pytest.raises(InvalidInstanceError, match="^level 1: non-finite"):
         AdaptedField(tree, bad)
+
+
+def test_flat_fields_refuse_the_wrong_size():
+    tree, nodes, edges = ragged_fields(1)
+    with pytest.raises(InvalidInstanceError, match=rf"expected {tree.node_count()} values in level order"):
+        AdaptedField.from_flat(tree, np.zeros(tree.node_count() - 1))
+    with pytest.raises(InvalidInstanceError, match="values in level order"):
+        EdgeField.from_flat(tree, np.zeros((2, int(tree.edge_start[-1]))))
+    with pytest.raises(InvalidInstanceError, match="values in level order"):
+        AdaptedField(tree, nodes).map(lambda v: v[:-1])
