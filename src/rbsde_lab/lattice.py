@@ -232,7 +232,8 @@ class FiltrationTree:
 
     def split_levels(self, values: np.ndarray) -> list[np.ndarray]:
         """Per level, the view of a flat node array (nodes on the last axis)."""
-        return np.split(values, self.node_start[1:-1], axis=-1)
+        bounds = self.node_start.tolist()
+        return [values[..., a:b] for a, b in zip(bounds, bounds[1:])]
 
     def state(self, k: int, j: int) -> float:
         return float(self.states[k][j])
