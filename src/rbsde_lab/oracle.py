@@ -29,6 +29,7 @@ from .regulated import (
     ProblemInstance,
     RegulatedField,
     check_separation,
+    jump_masks,
     validate_instance,
 )
 from .solvers import solve_doubly_reflected
@@ -38,7 +39,8 @@ MAX_EXHAUSTIVE_RULES = 4096
 
 
 def _game_recursion(instance: ProblemInstance) -> list[np.ndarray]:
-    """Backward game value: V = min(U, max(L, E[V'] + f dt)), V_T = terminal."""
+    """Backward game value, V_T = terminal: the continuation E[V'] + f dt is
+    clamped into [L+, U+] (stops just after the instant), then into [L, U]."""
     tree, grid, driver = instance.tree, instance.grid, instance.driver
     lower, upper = instance.lower, instance.upper
     depth = tree.depth
@@ -48,10 +50,9 @@ def _game_recursion(instance: ProblemInstance) -> list[np.ndarray]:
         drift = driver(float(grid.instants[k]), 0.0) * grid.dt(k)
         c = expect_level(tree, k, levels[k + 1]) + drift
         # np.where, not np.maximum/np.minimum: a tie keeps the barrier value, sign of zero included
-        if lower is not None:
-            c = np.where(c > lower.value.level(k), c, lower.value.level(k))
-        if upper is not None:
-            c = np.where(c < upper.value.level(k), c, upper.value.level(k))
+        for lo, up in ((lower.right_value, upper.right_value), (lower.value, upper.value)):
+            c = np.where(c > lo.level(k), c, lo.level(k))
+            c = np.where(c < up.level(k), c, up.level(k))
         levels[k] = c
     return levels
 
@@ -65,33 +66,40 @@ def _require_game_instance(instance: ProblemInstance) -> None:
         raise PreconditionError("the stopping game needs both barriers")
 
 
-def _enumerate_stop_rules(tree: FiltrationTree, max_rules: int) -> list[list[np.ndarray]]:
-    """Canonical adapted stopping rules as per-level stop masks.
+def _enumerate_stop_rules(
+    tree: FiltrationTree, max_rules: int, plus: list[np.ndarray] | None = None
+) -> list[list[np.ndarray]]:
+    """Canonical adapted stopping rules as per-level stop codes.
 
-    Masks are chosen level by level over the nodes still reachable without a
-    prior stop, so no two enumerated rules induce the same stopping time.
-    Level N needs no mask (everything stops at the horizon).
+    Code 0 continues, 1 stops at the instant and 2 just after it, at the
+    barrier's right limit; code 2 is offered only at the nodes of ``plus``
+    (per-level masks, none by default).  Codes are chosen level by level over
+    the nodes still reachable without a prior stop, so no two enumerated
+    rules induce the same stopping time.  Level N needs no codes (everything
+    stops at the horizon).
     """
     depth = tree.depth
     rules: list[list[np.ndarray]] = []
 
-    def rec(k: int, reachable: np.ndarray, flags: list[np.ndarray]) -> None:
+    def rec(k: int, reachable: np.ndarray, codes: list[np.ndarray]) -> None:
         if len(rules) > max_rules:
             raise EnumerationCapError(
                 f"stopping-rule enumeration exceeds cap {max_rules}; use the fast variant"
             )
         if k == depth:
-            rules.append([f.copy() for f in flags])
+            rules.append([c.copy() for c in codes])
             return
-        for bits in range(2 ** len(reachable)):
-            stop = (bits >> np.arange(reachable.size)) & 1 == 1
-            mask = np.zeros(tree.level_size(k), dtype=bool)
-            mask[reachable] = stop
+        radix = np.full(reachable.size, 2) if plus is None else np.where(plus[k][reachable], 3, 2)
+        place = np.cumprod(np.concatenate([[1], radix[:-1]]))
+        for number in range(int(np.prod(radix))):
+            digits = number // place % radix
+            code = np.zeros(tree.level_size(k), dtype=np.int8)
+            code[reachable] = digits
             alive = np.zeros(tree.level_size(k), dtype=bool)
-            alive[reachable[~stop]] = True
-            flags.append(mask)
-            rec(k + 1, np.unique(tree.edge_child[k][alive[tree.edge_parent[k]]]), flags)
-            flags.pop()
+            alive[reachable[digits == 0]] = True
+            codes.append(code)
+            rec(k + 1, np.unique(tree.edge_child[k][alive[tree.edge_parent[k]]]), codes)
+            codes.pop()
 
     rec(0, np.zeros(1, dtype=np.int64), [])
     return rules
@@ -104,25 +112,24 @@ def _pair_game_matrix(
 ) -> np.ndarray:
     """Root payoff J(rho, nu) for every rule pair, shape (n_rho, n_nu).
 
-    The low barrier player moves first at ties.  Payoffs are evaluated by
-    the same backward conditional-expectation kernel as the fast recursion,
-    vectorized across the second player's rules.
+    Stops at the instant pay L or U and come before stops just after it,
+    which pay L+ or U+; the low barrier player moves first at ties.  Payoffs
+    are evaluated by the same backward conditional-expectation kernel as the
+    fast recursion, vectorized across the second player's rules.
     """
     tree, grid, driver = instance.tree, instance.grid, instance.driver
     lower, upper = instance.lower, instance.upper
     depth = tree.depth
-    n_nu = len(nu_rules)
-    nu_stack = [
-        np.stack([rule[k] for rule in nu_rules], axis=0) for k in range(depth)
-    ]
-    out = np.empty((len(rho_rules), n_nu))
+    nu_stack = [np.stack([rule[k] for rule in nu_rules], axis=0) for k in range(depth)]
+    out = np.empty((len(rho_rules), len(nu_rules)))
     terminal = np.array(instance.terminal, dtype=float)
     for r, rho in enumerate(rho_rules):
-        values = np.tile(terminal, (n_nu, 1))
+        values = np.tile(terminal, (len(nu_rules), 1))
         for k in range(depth - 1, -1, -1):
             drift = driver(float(grid.instants[k]), 0.0) * grid.dt(k)
-            cont = expect_level(tree, k, values) + drift
-            values = np.where(rho[k], lower.value.level(k), np.where(nu_stack[k], upper.value.level(k), cont))
+            values = expect_level(tree, k, values) + drift
+            for code, lo, up in ((2, lower.right_value, upper.right_value), (1, lower.value, upper.value)):
+                values = np.where(rho[k] == code, lo.level(k), np.where(nu_stack[k] == code, up.level(k), values))
         out[r, :] = values[:, 0]
     return out
 
@@ -136,8 +143,10 @@ def exhaustive_game_values(
         raise EnumerationCapError(
             f"exhaustive game limited to {MAX_EXHAUSTIVE_DEPTH} levels; use the fast variant"
         )
-    rules = _enumerate_stop_rules(instance.tree, max_rules)
-    matrix = _pair_game_matrix(instance, rules, rules)
+    tree = instance.tree
+    rho_rules = _enumerate_stop_rules(tree, max_rules, jump_masks(instance.lower, tree))
+    nu_rules = _enumerate_stop_rules(tree, max_rules, jump_masks(instance.upper, tree))
+    matrix = _pair_game_matrix(instance, rho_rules, nu_rules)
     sup_inf = float(np.max(np.min(matrix, axis=1)))
     inf_sup = float(np.min(np.max(matrix, axis=0)))
     return sup_inf, inf_sup

@@ -237,6 +237,25 @@ def test_game_command(tmp_path):
     assert run("game", path2) == 5
 
 
+def test_game_command_with_an_inward_barrier_jump(tmp_path):
+    # L = 0 jumps up to L+ = 1 at the root, so the value there is 1, not E[xi] = 0.5
+    doc = {
+        "grid": {"T": 1.0, "steps": 1},
+        "tree": {"kind": "binomial", "x0": 0.0, "up": 1.0, "down": -1.0, "p_up": 0.5},
+        "terminal": {"family": "affine_state", "a": 0.5, "b": 0.5},
+        "driver": {"family": "zero"},
+        "barriers": {
+            "L": {"family": "constant", "c": 0.0},
+            "U": {"family": "constant", "c": 2.0},
+            "right_jumps": [{"barrier": "L", "level": 0, "node": 0, "new_value": 1.0}],
+        },
+    }
+    path = tmp_path / "inward.json"
+    path.write_text(json.dumps(doc))
+    assert run("game", path, "--exhaustive") == 0
+    assert run("verify", path) == 0
+
+
 def test_explicit_tree_instance(tmp_path):
     doc = {
         "grid": {"T": 1.0, "steps": 2},

@@ -13,7 +13,7 @@ from rbsde_lab.bundles import (
     sandwich_violation,
     skorokhod_residual,
 )
-from rbsde_lab.drivers import custom_driver, linear_driver
+from rbsde_lab.drivers import constant_driver, custom_driver, linear_driver
 from rbsde_lab.engine import (
     PenalizationMode,
     implicit_level,
@@ -638,3 +638,11 @@ def test_right_limits_stay_between_the_barrier_right_limits(seed):
         assert sweep.converged
         assert max(right_limit_gaps(sweep.final, inst)) <= 2.0 * eps
         assert sandwich_violation(sweep.final, inst.barriers) <= 2.0 * eps
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_game_value_follows_the_right_limits(seed):
+    """With inward jumps Y itself moves; the game recursion clamps into [L+, U+] too."""
+    inst = jumps_both_barriers(1000 + seed)
+    inst = ProblemInstance(inst.tree, inst.grid, inst.terminal, constant_driver(0.3), inst.barriers)
+    assert sup_distance(game_value_field(inst), solve_doubly_reflected(inst).y.value) <= 1e-12

@@ -108,6 +108,43 @@ def test_exhaustive_equals_fast_and_solver_on_random_instances(seed):
     assert abs(fast - y0) <= 1e-10
 
 
+def test_game_stops_at_an_inward_right_limit():
+    # L = 0 jumps up to L+ = 1 at the root: the low player stops just after
+    # the instant and collects 1, above the continuation value 0.5
+    tree = build_binomial(1, 0.0, 1.0, -1.0, 0.5)
+    lower = RegulatedField.constant(tree, 0.0).with_right_jumps([(0, 0, 1.0)])
+    inst = ProblemInstance(
+        tree, TimeGrid.uniform(1.0, 1), np.array([0.0, 1.0]), zero_driver(),
+        BarrierPair(lower, RegulatedField.constant(tree, 2.0)),
+    )
+    sol = solve_doubly_reflected(inst)
+    assert sol.y.value[(0, 0)] == sol.y.right_value[(0, 0)] == 1.0
+    assert dynkin_value_bruteforce(inst) == 1.0
+    assert exhaustive_game_values(inst) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exhaustive_game_with_right_jumps_both_ways(seed):
+    """Both barriers jump inward and outward; the exhaustive game, the fast
+    recursion and the solver agree."""
+    rng = np.random.default_rng(seed)
+    tree = build_binomial(3, 0.0, 1.0, -1.0, 0.45)
+    lo = [0.3 * tree.states[k] - 0.5 + rng.uniform(-0.05, 0.05, k + 1) for k in range(4)]
+    hi = [level + 0.4 + rng.uniform(0.0, 0.3, level.size) for level in lo]
+    sites = [(0, 0), (1, int(rng.integers(0, 2))), (2, int(rng.integers(0, 3)))]
+    lower = RegulatedField.from_values(tree, lo).with_right_jumps(
+        [(k, j, lo[k][j] + rng.uniform(-0.3, 0.3)) for k, j in sites])
+    upper = RegulatedField.from_values(tree, hi).with_right_jumps(
+        [(k, j, hi[k][j] + rng.uniform(-0.3, 0.3)) for k, j in sites[::-1]])
+    terminal = lo[3] + rng.uniform(0.05, 0.95, 4) * (hi[3] - lo[3])
+    inst = ProblemInstance(tree, TimeGrid.uniform(1.0, 3), terminal, constant_driver(0.2), BarrierPair(lower, upper))
+    if not validate_instance(inst).ok:
+        pytest.skip("the jumps crossed the barriers")
+    sup_inf, inf_sup = exhaustive_game_values(inst)
+    assert sup_inf == inf_sup == dynkin_value_bruteforce(inst)
+    assert sup_distance(game_value_field(inst), solve_doubly_reflected(inst).y.value) <= 1e-12
+
+
 def test_game_oracle_refusals():
     inst = random_instance(InstanceRecipe(seed=1, steps=(4, 5), driver_family="linear"))
     if inst.driver.y_independent:
