@@ -207,7 +207,7 @@ def cmd_verify(args) -> int:
     checks: dict[str, dict] = {}
     data_failures = []
     identity_failures = []
-    unconverged = []
+    unconverged = False
 
     vreport = validate_instance(instance)
     checks["validation"] = {
@@ -249,9 +249,8 @@ def cmd_verify(args) -> int:
                 "separation_holds": probe.separation_holds,
                 "converged": probe.converged,
             }
-            if not all(probe.converged.values()):
-                unconverged.append("uniqueness")
-            elif not probe.passed:
+            unconverged = not probe.converged_all
+            if probe.converged_all and not probe.passed:
                 identity_failures.append("uniqueness")
 
             try:

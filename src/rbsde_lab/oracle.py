@@ -8,7 +8,7 @@ kernel, so agreement is exact rather than approximate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -265,7 +265,12 @@ class UniquenessReport:
     ka_distances: dict[str, float]
     separation_holds: bool
     tolerance: float
-    converged: dict[str, bool] = field(default_factory=dict)  # per penalization sweep
+    converged: dict[str, bool]  # per penalization sweep
+
+    @property
+    def converged_all(self) -> bool:
+        """Both penalization sweeps reached eps before the top of their ladder."""
+        return all(self.converged.values())
 
     @property
     def passed(self) -> bool:
@@ -277,7 +282,7 @@ class UniquenessReport:
         gate = [*self.y_distances.values(), *self.ka_distances.values()]
         if self.separation_holds:
             gate += [*self.k_distances.values(), *self.a_distances.values()]
-        return all(self.converged.values()) and max(gate) <= self.tolerance
+        return self.converged_all and max(gate) <= self.tolerance
 
 
 def uniqueness_probe(instance: ProblemInstance, eps: float = 1e-5) -> UniquenessReport:
