@@ -264,7 +264,12 @@ class FiltrationTree:
         return tuple(out)
 
     @cached_property
-    def reached(self) -> np.ndarray:
+    def reached(self) -> tuple[np.ndarray, ...]:
+        """Per level, which nodes some path from the root passes through: views of ``reached_flat``."""
+        return tuple(self.split_levels(self.reached_flat))
+
+    @cached_property
+    def reached_flat(self) -> np.ndarray:
         """Per node, in level order, whether some path from the root passes through it."""
         out = [np.ones(1, dtype=bool)]
         for k in range(self.depth):

@@ -185,25 +185,26 @@ class SeparationReport:
     violations: list[SeparationViolation]
 
 
-def _order_gaps(lower: RegulatedField, upper: RegulatedField) -> list[tuple[str, np.ndarray]]:
+def _order_gaps(lower: RegulatedField, upper: RegulatedField) -> dict[str, np.ndarray]:
     """U - L on the values and on the right values, flat in level order."""
-    return [
-        ("value", upper.value.values - lower.value.values),
-        ("right_value", upper.right_value.values - lower.right_value.values),
-    ]
+    return {
+        "value": upper.value.values - lower.value.values,
+        "right_value": upper.right_value.values - lower.right_value.values,
+    }
 
 
-def _flagged(tree: FiltrationTree, named: list[tuple[str, np.ndarray, np.ndarray]]) -> list[tuple]:
-    """(name, level, node, value) at each flagged node of the named flat arrays.
-
-    ``named`` holds (name, values, flags); the result runs level by level,
-    within a level through the arrays in the order named, then by node.
-    """
-    hits: list[tuple[int, int, int]] = []  # (level, which array, flat index)
-    for w, (_, _, flags) in enumerate(named):
-        at = np.flatnonzero(flags)
-        hits += zip(tree.locate(at)[0].tolist(), [w] * at.size, at.tolist())
-    return [(named[w][0], k, i - int(tree.node_start[k]), float(named[w][1][i])) for k, w, i in sorted(hits)]
+def _flagged(tree: FiltrationTree, gaps: dict[str, np.ndarray], flag) -> list[tuple]:
+    """(name, level, node, gap) wherever ``flag(gap)`` holds: level by level,
+    within a level the value before the right value, then by node."""
+    out: list[tuple] = []
+    if not any(np.any(flag(g)) for g in gaps.values()):  # the usual case: no level loop
+        return out
+    per_level = {which: tree.split_levels(g) for which, g in gaps.items()}
+    for k in range(tree.levels):
+        for which, levels in per_level.items():
+            gap = levels[k]
+            out += [(which, k, int(j), float(gap[j])) for j in np.flatnonzero(flag(gap))]
+    return out
 
 
 def check_separation(pair: BarrierPair) -> SeparationReport:
@@ -216,9 +217,8 @@ def check_separation(pair: BarrierPair) -> SeparationReport:
     if pair.lower is None or pair.upper is None:
         raise PreconditionError("separation check needs both barriers")
     gaps = _order_gaps(pair.lower, pair.upper)
-    margin = min(float(np.min(g)) for _, g in gaps)
-    named = [(which, g, g <= 0.0) for which, g in gaps]
-    violations = [SeparationViolation(*v) for v in _flagged(pair.lower.tree, named)]
+    margin = min(float(np.min(g)) for g in gaps.values())
+    violations = [SeparationViolation(*v) for v in _flagged(pair.lower.tree, gaps, lambda g: g <= 0.0)]
     return SeparationReport(not violations, margin, violations)
 
 
@@ -305,7 +305,8 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
             bad = np.flatnonzero(excess > 0.0)
             v.extend(InstanceViolation(kind, f"leaf {j}", float(excess[j])) for j in bad)
     if lower is not None and upper is not None:
-        flagged = _flagged(tree, [(which, -g, g < 0.0) for which, g in _order_gaps(lower, upper)])
+        l_minus_u = {which: -g for which, g in _order_gaps(lower, upper).items()}
+        flagged = _flagged(tree, l_minus_u, lambda e: e > 0.0)
         v.extend(InstanceViolation(f"barrier_order_{w}", f"node ({k},{j})", bad) for w, k, j, bad in flagged)
     stiffness = instance.driver.mu * instance.grid.max_dt
     if not stiffness < STABILITY_BOUND:
