@@ -265,17 +265,12 @@ class FiltrationTree:
 
     @cached_property
     def reached(self) -> tuple[np.ndarray, ...]:
-        """Per level, which nodes some path from the root passes through: views of ``reached_flat``."""
-        return tuple(self.split_levels(self.reached_flat))
-
-    @cached_property
-    def reached_flat(self) -> np.ndarray:
-        """Per node, in level order, whether some path from the root passes through it."""
-        out = [np.ones(1, dtype=bool)]
+        """Per level, which nodes some path from the root passes through."""
+        out = [_frozen(np.ones(1, dtype=bool))]
         for k in range(self.depth):
             live = np.where(out[-1], 0.0, -np.inf)[self.edge_parent[k]]
-            out.append(self.push_max(k, live) == 0.0)
-        return _frozen(np.concatenate(out))
+            out.append(_frozen(self.push_max(k, live) == 0.0))
+        return tuple(out)
 
     def push_max(self, k: int, edge_values: np.ndarray) -> np.ndarray:
         """Per level-(k+1) node, the max of ``edge_values`` over the edges into it.

@@ -202,19 +202,17 @@ def _check_field_order(
         raise PreconditionError(f"{name}: barriers must be both present or both absent")
     if a is None or b is None:
         return
-    pairs = [("value", a.value, b.value), ("right_value", a.right_value, b.right_value)]
-    # (level, pair) of each pair's first disorder; the values come first within a level
-    firsts = [(int(a.tree.locate(np.argmax(x.values > y.values))[0]), w)
-              for w, (_, x, y) in enumerate(pairs) if np.any(x.values > y.values)]
-    if not firsts:
+    pairs = (("value", a.value, b.value), ("right_value", a.right_value, b.right_value))
+    if not any(np.any(x.values > y.values) for _, x, y in pairs):  # the usual case: no level loop
         return
-    k, w = min(firsts)
-    which, x, y = pairs[w]
-    bad = x.level(k) - y.level(k)
-    j = int(np.argmax(bad))
-    raise PreconditionError(
-        f"{name} {which} not ordered at node ({k},{j}): {float(x.level(k)[j])} > {float(y.level(k)[j])}"
-    )
+    for k in range(a.tree.levels):
+        for which, x, y in pairs:
+            bad = x.level(k) - y.level(k)
+            j = int(np.argmax(bad))
+            if float(bad[j]) > 0.0:
+                raise PreconditionError(
+                    f"{name} {which} not ordered at node ({k},{j}): {float(x.level(k)[j])} > {float(y.level(k)[j])}"
+                )
 
 
 def _check_driver_order(a: ProblemInstance, b: ProblemInstance, probes: int = 21) -> None:

@@ -82,7 +82,8 @@ class RegulatedField:
         """All nodes with a nonzero declared right jump, time-ordered."""
         jumps = self.jumps
         at = np.flatnonzero(jumps)
-        return [(k, j, v) for k, j, v in zip(*(a.tolist() for a in self.tree.locate(at)), jumps[at].tolist())]
+        levels, nodes = self.tree.locate(at)
+        return list(zip(levels.tolist(), nodes.tolist(), jumps[at].tolist()))
 
     def negate(self) -> "RegulatedField":
         return RegulatedField(self.value.negate(), self.right_value.negate())
@@ -142,8 +143,8 @@ def jump_exhaustion_schedule(barrier: RegulatedField, n: int, side: str = "lower
     jumps = barrier.jumps
     at = np.flatnonzero((-jumps if side == "upper" else jumps) < -1.0 / n)
     levels, nodes = barrier.tree.locate(at)
-    events = map(ScheduleEvent, levels.tolist(), nodes.tolist(), jumps[at].tolist())
-    return JumpExhaustionSchedule(n, side, tuple(events))
+    events = zip(levels.tolist(), nodes.tolist(), jumps[at].tolist())
+    return JumpExhaustionSchedule(n, side, tuple(ScheduleEvent(k, j, v) for k, j, v in events))
 
 
 class BarrierPair:

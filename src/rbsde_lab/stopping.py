@@ -249,8 +249,9 @@ def verify_local_properties(
     lo_dev = _interior_stop_max(
         hitting_time_lower(y, barriers.lower, tau, tol), tree.split_levels(np.abs(y_val - l_val))
     )
-    lower_violation = max(0.0, float(np.max((l_val - y_val)[tree.reached_flat])))
-    upper_violation = max(0.0, float(np.max((y_val - u_val)[tree.reached_flat])))
+    reached = np.concatenate(tree.reached)
+    lower_violation = max(0.0, float(np.max((l_val - y_val)[reached])))
+    upper_violation = max(0.0, float(np.max((y_val - u_val)[reached])))
 
     failures = []
     bound = tol + 1e-10
