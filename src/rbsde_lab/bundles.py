@@ -137,7 +137,7 @@ def skorokhod_residual(bundle: SolutionBundle, barriers: BarrierPair) -> Skorokh
     add the node terms in path order from 0.0, so each residual equals the
     sequential sum along its worst path bit for bit.
     """
-    if barriers.lower is not None and barriers.lower.tree is not bundle.tree:
+    if any(side is not None and side.tree is not bundle.tree for side in (barriers.lower, barriers.upper)):
         raise PreconditionError("bundle and barriers must share one tree")
     leaves = running_sum_maxima(bundle.tree, minimality_levels(bundle, barriers))[-1]
     lower_residual, upper_residual = np.max(leaves, axis=1).tolist()

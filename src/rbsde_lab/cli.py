@@ -10,7 +10,6 @@ Set RBSDE_LAB_TOL to override the default residual pass threshold used by
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -23,7 +22,7 @@ from .bundles import (
     sandwich_defect,
     skorokhod_residual,
 )
-from .engine import PenalizationMode, default_levels, penalization_sweep
+from .engine import DEFAULT_EPS, DEFAULT_MAX_PENALTY, PenalizationMode, default_levels, penalization_sweep
 from .errors import (
     EnumerationCapError,
     InvalidInstanceError,
@@ -272,7 +271,7 @@ def cmd_verify(args) -> int:
                     identity_failures.append("patching")
             except RBSDELabError as ex:
                 checks["patching"] = {"passed": False, "error": str(ex)}
-                if two_sided and checks.get("separation", {}).get("passed", True):
+                if sep.satisfied:
                     identity_failures.append("patching")
                 else:
                     data_failures.append("patching")
@@ -327,16 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance and dump the solution")
     p.add_argument("instance")
     p.add_argument("--method", choices=["projection", "inc-pen", "dec-pen"], default="projection")
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--nmax", type=int, default=2 ** 20)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--nmax", type=int, default=DEFAULT_MAX_PENALTY)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("converge", help="run a penalization sweep and emit the trace")
     p.add_argument("instance")
     p.add_argument("--mode", choices=["inc-pen", "dec-pen"], default="inc-pen")
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--nmax", type=int, default=2 ** 20)
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p.add_argument("--nmax", type=int, default=DEFAULT_MAX_PENALTY)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_converge)
 

@@ -65,10 +65,10 @@ def linear_driver(intercept: float, slope: float) -> Driver:
     )
 
 
-def custom_driver(fn: Callable[[float, float], float], mu: float, y_independent: bool = False) -> Driver:
+def custom_driver(fn: Callable[[float, float], float], mu: float) -> Driver:
     if mu < 0.0:
         raise InvalidInstanceError("Lipschitz constant must be nonnegative")
-    return Driver("custom", mu=float(mu), y_independent=y_independent, fn=fn)
+    return Driver("custom", mu=float(mu), y_independent=False, fn=fn)
 
 
 class _NegatedRule:

@@ -56,6 +56,7 @@ FIXED_POINT_TOL = 1e-13
 FIXED_POINT_MAX_ITER = 200
 MONOTONICITY_TOL = 1e-10
 DEFAULT_MAX_PENALTY = 2 ** 20
+DEFAULT_EPS = 1e-5  # sweep accuracy: stop once consecutive levels are this close
 
 
 class PenalizationMode(enum.Enum):
@@ -329,17 +330,11 @@ class TraceRow:
 
 @dataclass
 class SweepResult:
-    mode: PenalizationMode
-    eps: float
     converged: bool
     levels: list[int]
     final: SolutionBundle
     trace: list[TraceRow]
     monotone_violation: float
-
-    @property
-    def y(self) -> RegulatedField:
-        return self.final.y
 
 
 def default_levels(n_max: int = DEFAULT_MAX_PENALTY) -> list[int]:
@@ -354,7 +349,7 @@ def penalization_sweep(
     instance: ProblemInstance,
     mode: PenalizationMode,
     levels: list[int] | None = None,
-    eps: float = 1e-5,
+    eps: float = DEFAULT_EPS,
     compute_residuals: bool = False,
 ) -> SweepResult:
     """Run one penalization scheme along an increasing level schedule.
@@ -412,8 +407,6 @@ def penalization_sweep(
     label = "decreasing-penalization" if upper_side else "increasing-penalization"
     final = sol.negate_swap(label) if upper_side else replace(sol, method=label)
     return SweepResult(
-        mode=mode,
-        eps=eps,
         converged=converged,
         levels=ran,
         final=final,

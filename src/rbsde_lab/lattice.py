@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -551,25 +551,8 @@ def martingale_increments(y: AdaptedField) -> EdgeField:
     return EdgeField(tree, [edge_increments(tree, k, v, expect_level(tree, k, v)) for k, v in enumerate(nexts)])
 
 
-def _iter_fields(obj) -> Iterable[AdaptedField]:
-    if isinstance(obj, AdaptedField):
-        yield obj
-    elif hasattr(obj, "value") and hasattr(obj, "right_value"):
-        yield obj.value
-        yield obj.right_value
-    else:
-        for item in obj:
-            yield from _iter_fields(item)
-
-
-def sup_distance(a, b) -> float:
-    """Max over nodes of |a - b|; accepts fields, regulated fields, or sequences."""
-    fa, fb = list(_iter_fields(a)), list(_iter_fields(b))
-    if len(fa) != len(fb):
-        raise PreconditionError("sup_distance arguments must pair up")
-    best = 0.0
-    for x, y in zip(fa, fb):
-        if x.tree is not y.tree and not x.tree.same_shape(y.tree):
-            raise PreconditionError("sup_distance requires fields on the same tree")
-        best = max(best, float(np.max(np.abs(x.values - y.values))))
-    return best
+def sup_distance(a: AdaptedField, b: AdaptedField) -> float:
+    """Max over nodes of |a - b|."""
+    if a.tree is not b.tree and not a.tree.same_shape(b.tree):
+        raise PreconditionError("sup_distance requires fields on the same tree")
+    return float(np.max(np.abs(a.values - b.values)))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundles import process_distances
 from .drivers import Driver, constant_driver, linear_driver, zero_driver
-from .engine import PenalizationMode, penalization_sweep
+from .engine import DEFAULT_EPS, PenalizationMode, penalization_sweep
 from .errors import (
     EnumerationCapError,
     InvalidInstanceError,
@@ -134,9 +134,7 @@ def _pair_game_matrix(
     return out
 
 
-def exhaustive_game_values(
-    instance: ProblemInstance, max_rules: int = MAX_EXHAUSTIVE_RULES
-) -> tuple[float, float]:
+def exhaustive_game_values(instance: ProblemInstance) -> tuple[float, float]:
     """(sup-inf, inf-sup) over every pair of adapted stopping rules."""
     _require_game_instance(instance)
     if instance.tree.depth > MAX_EXHAUSTIVE_DEPTH:
@@ -144,8 +142,8 @@ def exhaustive_game_values(
             f"exhaustive game limited to {MAX_EXHAUSTIVE_DEPTH} levels; use the fast variant"
         )
     tree = instance.tree
-    rho_rules = _enumerate_stop_rules(tree, max_rules, jump_masks(instance.lower, tree))
-    nu_rules = _enumerate_stop_rules(tree, max_rules, jump_masks(instance.upper, tree))
+    rho_rules = _enumerate_stop_rules(tree, MAX_EXHAUSTIVE_RULES, jump_masks(instance.lower, tree))
+    nu_rules = _enumerate_stop_rules(tree, MAX_EXHAUSTIVE_RULES, jump_masks(instance.upper, tree))
     matrix = _pair_game_matrix(instance, rho_rules, nu_rules)
     sup_inf = float(np.max(np.min(matrix, axis=1)))
     inf_sup = float(np.min(np.max(matrix, axis=0)))
@@ -156,7 +154,6 @@ def dynkin_value_bruteforce(
     instance: ProblemInstance,
     node: tuple[int, int] = (0, 0),
     exhaustive: bool = False,
-    max_rules: int = MAX_EXHAUSTIVE_RULES,
 ) -> float:
     """Value of the zero-sum stopping game between the barrier players.
 
@@ -170,7 +167,7 @@ def dynkin_value_bruteforce(
         return float(_game_recursion(instance)[k][j])
     if node != (0, 0):
         raise PreconditionError("the exhaustive game value is computed at the root")
-    sup_inf, inf_sup = exhaustive_game_values(instance, max_rules)
+    sup_inf, inf_sup = exhaustive_game_values(instance)
     if sup_inf != inf_sup:
         raise TheoremViolationError(
             f"game value gap: sup-inf {sup_inf!r} != inf-sup {inf_sup!r}"
@@ -188,7 +185,6 @@ def game_value_field(instance: ProblemInstance) -> AdaptedField:
 class ComparisonReport:
     max_violation: float
     tolerance: float
-    method: str
 
     @property
     def passed(self) -> bool:
@@ -215,11 +211,11 @@ def _check_field_order(
                 )
 
 
-def _check_driver_order(a: ProblemInstance, b: ProblemInstance, probes: int = 21) -> None:
+def _check_driver_order(a: ProblemInstance, b: ProblemInstance) -> None:
     sides = [s.value.values for inst in (a, b) for s in (inst.lower, inst.upper) if s is not None]
     values = np.concatenate([a.terminal, b.terminal, *sides])
     lo, hi = float(np.min(values)), float(np.max(values))
-    ys = np.linspace(lo - 1.0, hi + 1.0, probes)
+    ys = np.linspace(lo - 1.0, hi + 1.0, 21)
     for t in a.grid.instants[:-1]:
         for y in ys:
             fa, fb = a.driver(float(t), float(y)), b.driver(float(t), float(y))
@@ -229,9 +225,7 @@ def _check_driver_order(a: ProblemInstance, b: ProblemInstance, probes: int = 21
                 )
 
 
-def comparison_check(
-    a: ProblemInstance, b: ProblemInstance, tolerance: float = 1e-12
-) -> ComparisonReport:
+def comparison_check(a: ProblemInstance, b: ProblemInstance) -> ComparisonReport:
     """Ordered data must give ordered solutions.
 
     Verifies the four data orderings first and refuses if any fails; then
@@ -252,7 +246,7 @@ def comparison_check(
     ya = solve_doubly_reflected(a).y.value
     yb = solve_doubly_reflected(b).y.value
     worst = max(0.0, float(np.max(ya.values - yb.values)))
-    return ComparisonReport(max_violation=worst, tolerance=tolerance, method="projection")
+    return ComparisonReport(max_violation=worst, tolerance=1e-12)
 
 
 @dataclass
@@ -283,7 +277,7 @@ class UniquenessReport:
         return self.converged_all and max(gate) <= self.tolerance
 
 
-def uniqueness_probe(instance: ProblemInstance, eps: float = 1e-5) -> UniquenessReport:
+def uniqueness_probe(instance: ProblemInstance, eps: float = DEFAULT_EPS) -> UniquenessReport:
     """Solve by projection and by both penalization sweeps, compare everything.
 
     Y and K - A must agree across methods; K and A separately are gated only

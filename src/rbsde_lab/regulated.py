@@ -156,13 +156,6 @@ class BarrierPair:
         self.lower = lower
         self.upper = upper
 
-    @property
-    def tree(self) -> FiltrationTree:
-        side = self.lower if self.lower is not None else self.upper
-        if side is None:
-            raise InvalidInstanceError("barrier pair with both sides absent has no tree")
-        return side.tree
-
     def negate_swap(self) -> "BarrierPair":
         """The pair for the negated problem: (L, U) -> (-U, -L)."""
         return BarrierPair(

@@ -44,23 +44,21 @@ class StoppingRule:
         tree: FiltrationTree,
         stop_mask: list[np.ndarray] | None,
         prior: "StoppingRule | None" = None,
-        label: str = "",
     ):
         if stop_mask is not None and len(stop_mask) != tree.levels:
             raise PreconditionError("stop mask must cover every level")
         self.tree = tree
         self.stop_mask = stop_mask
         self.prior = prior
-        self.label = label
         self._levels_cache: np.ndarray | None = None
 
     @classmethod
     def at_zero(cls, tree: FiltrationTree) -> "StoppingRule":
-        return cls(tree, tree.split_levels(np.arange(tree.node_count()) == 0), label="zero")
+        return cls(tree, tree.split_levels(np.arange(tree.node_count()) == 0))
 
     @classmethod
     def at_terminal(cls, tree: FiltrationTree) -> "StoppingRule":
-        return cls(tree, None, label="terminal")
+        return cls(tree, None)
 
     def levels(self) -> np.ndarray:
         """Per-path stopping level, in {0, ..., N}; cached."""
@@ -124,14 +122,14 @@ def hitting_time_upper(
 
     Equality is read as Y >= U - tol; paths that never hit stop at N.
     """
-    return StoppingRule(y.tree, _hit_mask(y, upper, tol, upper=True), prior=tau, label="hit-upper")
+    return StoppingRule(y.tree, _hit_mask(y, upper, tol, upper=True), prior=tau)
 
 
 def hitting_time_lower(
     y: RegulatedField, lower: RegulatedField, tau: StoppingRule, tol: float = HIT_TOL
 ) -> StoppingRule:
     """First level at or after tau where Y reaches the lower barrier."""
-    return StoppingRule(y.tree, _hit_mask(y, lower, tol, upper=False), prior=tau, label="hit-lower")
+    return StoppingRule(y.tree, _hit_mask(y, lower, tol, upper=False), prior=tau)
 
 
 def _chain_masks(rule: StoppingRule) -> list:
@@ -221,7 +219,6 @@ class LocalPropertiesReport:
     lower_sandwich_violation: float
     lower_hit_deviation: float
     upper_sandwich_violation: float
-    tol: float
     failures: list[str]
 
     @property
@@ -270,7 +267,6 @@ def verify_local_properties(
         lower_sandwich_violation=lower_violation,
         lower_hit_deviation=lo_dev,
         upper_sandwich_violation=upper_violation,
-        tol=tol,
         failures=failures,
     )
 
@@ -299,8 +295,6 @@ class PathContext:
     """
 
     def __init__(self, instance: ProblemInstance, bundle: SolutionBundle):
-        self.instance = instance
-        self.bundle = bundle
         self.y = bundle.y.value.path_matrix()
         self.y_right = bundle.y.right_value.path_matrix()
         self.dk = bundle.dk_star.path_matrix()[:, :-1]
@@ -323,10 +317,6 @@ class LocalSolution:
     stored matrices are masked outside the interval.
     """
 
-    instance: ProblemInstance
-    source: SolutionBundle
-    tau: StoppingRule
-    sigma: StoppingRule
     tau_levels: np.ndarray
     sigma_levels: np.ndarray
     y_paths: np.ndarray
@@ -366,7 +356,6 @@ def local_solution(
         if bundle is None:
             bundle = solve_doubly_reflected(instance)
         context = PathContext(instance, bundle)
-    bundle = context.bundle
     tree = instance.tree
     depth = tree.depth
     kk = np.arange(depth + 1)
@@ -418,10 +407,6 @@ def local_solution(
         upper_skorokhod=float(np.max(up_sum)),
     )
     return LocalSolution(
-        instance=instance,
-        source=bundle,
-        tau=tau,
-        sigma=sigma,
         tau_levels=tl,
         sigma_levels=sl,
         y_paths=y_paths,
@@ -439,9 +424,8 @@ def local_solution(
 
 @dataclass
 class StationarityReport:
-    """Per-path first index with tau_n = T, and the worst such index."""
+    """The worst per-path first index with tau_n = T."""
 
-    indices: np.ndarray
     max_index: int
 
 
@@ -461,7 +445,6 @@ def alternating_sequence(
     tree = y.tree
     depth = tree.depth
     nodes, _, _ = tree.path_arrays()
-    n_paths = nodes.shape[0]
     rules = [StoppingRule.at_zero(tree)]
     levels = rules[0].levels()
     indices = np.where(levels >= depth, 0, -1)
@@ -469,7 +452,7 @@ def alternating_sequence(
     while np.any(indices < 0):
         n += 1
         if n > depth + 1:
-            raise AlternationStuckError(int(np.argmin(indices)), depth, float("nan"))
+            raise AlternationStuckError(f"path {int(np.argmin(indices))}", depth, float("nan"))
         if n % 2 == 1:
             rule = hitting_time_upper(y, barriers.upper, rules[-1], tol)
         else:
@@ -483,11 +466,11 @@ def alternating_sequence(
             gap = float(
                 barriers.upper.value.level(k)[node] - barriers.lower.value.level(k)[node]
             )
-            raise AlternationStuckError(p, k, gap)
+            raise AlternationStuckError(f"path {p}", k, gap)
         rules.append(rule)
         levels = new_levels
         indices = np.where((levels >= depth) & (indices < 0), n, indices)
-    return rules, StationarityReport(indices=indices, max_index=int(np.max(indices)))
+    return rules, StationarityReport(max_index=int(np.max(indices)))
 
 
 @dataclass

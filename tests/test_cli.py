@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rbsde_lab import cli
 from rbsde_lab.bundles import lu4_residual, skorokhod_residual
 from rbsde_lab.cli import main
 from rbsde_lab.io_formats import load_instance, load_solution
@@ -536,3 +538,21 @@ def test_verify_reports_an_unconverged_uniqueness_probe_as_non_convergence(tmp_p
     assert uniqueness["converged"] == {"increasing": False, "decreasing": False}
     assert uniqueness["passed"] is False
     assert "uniqueness: FAIL" in capsys.readouterr().out
+
+
+def test_benchmark_hook_names_are_cli_attributes():
+    """Every key of ``SPANNED`` in bench/battery.py names an attribute of ``rbsde_lab.cli``.
+
+    The benchmark wraps those attributes, so dropping one (say, an import
+    only the benchmark reads) would crash it.  The file is parsed, not
+    imported, so the check needs nothing from ``bench/``.
+    """
+    tree = ast.parse((ROOT / "bench" / "battery.py").read_text(encoding="utf-8"))
+    spanned = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPANNED"]
+    ]
+    assert len(spanned) == 1
+    names = [ast.literal_eval(key) for key in spanned[0].keys]
+    assert names
+    assert [name for name in names if not hasattr(cli, name)] == []

@@ -531,6 +531,31 @@ def test_stall_diagnostic_matches_path_oracle_on_touching_barriers(name):
     assert node_err.value.where.startswith("node ")
 
 
+def touching_instance(name: str) -> tuple[ProblemInstance, int]:
+    """The case with its barriers set to their midpoint at some nodes of one level, and that level."""
+    inst = CASES[name]()
+    tree = inst.tree
+    rng = np.random.default_rng(tree.depth)
+    k = int(rng.integers(1, tree.depth))
+    touch = rng.random(tree.level_size(k)) < 0.5
+    touch[int(rng.integers(tree.level_size(k)))] = True
+    low = [np.array(inst.lower.value.level(i)) for i in range(tree.levels)]
+    up = [np.array(inst.upper.value.level(i)) for i in range(tree.levels)]
+    low[k][touch] = up[k][touch] = 0.5 * (low[k][touch] + up[k][touch])
+    barriers = BarrierPair(RegulatedField.from_values(tree, low), RegulatedField.from_values(tree, up))
+    return ProblemInstance(tree, inst.grid, inst.terminal, inst.driver, barriers), k
+
+
+@pytest.mark.parametrize("name", TWO_SIDED)
+def test_path_oracle_stall_names_the_path(name):
+    touching, k = touching_instance(name)
+    sol = solve_doubly_reflected(touching)
+    with pytest.raises(AlternationStuckError) as err:
+        alternating_sequence(sol.y, touching.barriers)
+    assert err.value.level == k
+    assert err.value.where.startswith("path ")
+
+
 def test_injected_violation_beyond_the_enumeration_cap():
     inst = random_instance(InstanceRecipe(seed=7, steps=(40, 40)))
     with pytest.raises(EnumerationCapError):

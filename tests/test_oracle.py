@@ -177,6 +177,20 @@ def test_comparison_ordered_pair_and_refusal():
         comparison_check(wider, inst)
 
 
+def test_comparison_refuses_lower_barriers_out_of_order():
+    tree = build_binomial(3, 0.0, 1.0, -1.0, 0.5)
+    grid = TimeGrid.uniform(1.0, 3)
+    low = [np.full(k + 1, -1.0) for k in range(4)]
+    low[2][1] = -0.5
+
+    def instance(lower_levels):
+        barriers = BarrierPair(RegulatedField.from_values(tree, lower_levels), RegulatedField.constant(tree, 1.0))
+        return ProblemInstance(tree, grid, np.zeros(4), zero_driver(), barriers)
+
+    with pytest.raises(PreconditionError, match=r"^lower barrier value not ordered at node \(2,1\): -0\.5 > -1\.0$"):
+        comparison_check(instance(low), instance([np.full(k + 1, -1.0) for k in range(4)]))
+
+
 def test_comparison_seeded_corpus_no_violations():
     rng = np.random.default_rng(2024)
     for seed in range(25):

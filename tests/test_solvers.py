@@ -301,3 +301,16 @@ def test_comparison_property_for_all_three_methods():
     ):
         for n in (1, 8, 128, 4096):
             assert_ordered(solve_penalized(inst, n, mode), solve_penalized(wider, n, mode))
+
+
+@pytest.mark.parametrize("steps", [3, 4])
+def test_skorokhod_residual_refuses_an_upper_barrier_on_another_tree(steps):
+    tree = build_binomial(3, 0.0, 1.0, -1.0, 0.5)
+    inst = ProblemInstance(
+        tree, TimeGrid.uniform(1.0, 3), np.zeros(4), zero_driver(),
+        BarrierPair(None, RegulatedField.constant(tree, 1.0)),
+    )
+    sol = solve_reflected_upper(inst)
+    other = build_binomial(steps, 0.0, 1.0, -1.0, 0.5)  # same shape as ``tree`` at 3 steps, deeper at 4
+    with pytest.raises(PreconditionError, match="^bundle and barriers must share one tree$"):
+        skorokhod_residual(sol, BarrierPair(None, RegulatedField.constant(other, 1.0)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -270,3 +272,40 @@ def test_patch_over_sawtooth_alternations():
     from rbsde_lab.lattice import sup_distance
 
     assert sup_distance(patched.y.value, sol.y.value) <= 1e-9
+
+
+def at_level(tree, k: int) -> StoppingRule:
+    """The rule stopping at level k on every path."""
+    return StoppingRule(tree, [np.full(tree.level_size(i), i == k) for i in range(tree.levels)])
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ([(1, None)], "^first piece must open at time zero on every path$"),
+        ([(0, 1), (2, None)], "^pieces 0 and 1 do not tile on path 0$"),
+        ([(0, 1)], "^last piece must close at the terminal level on every path$"),
+    ],
+)
+def test_patch_refuses_pieces_that_do_not_tile(instance, bounds, message):
+    sol = solve_doubly_reflected(instance)
+    tree = instance.tree
+    depth = tree.depth
+    pieces = [
+        local_solution(instance, at_level(tree, a), at_level(tree, depth if b is None else b), bundle=sol)
+        for a, b in bounds
+    ]
+    with pytest.raises(PatchingError, match=message):
+        patch_global(instance, pieces)
+
+
+def test_patch_refuses_paths_that_disagree_at_a_node(instance):
+    sol = solve_doubly_reflected(instance)
+    tree = instance.tree
+    piece = local_solution(
+        instance, StoppingRule.at_zero(tree), StoppingRule.at_terminal(tree), bundle=sol
+    )
+    y_paths = piece.y_paths.copy()
+    y_paths[0, 1] += 0.5  # path 0 only; other paths pass through the same level-1 node
+    with pytest.raises(PatchingError, match="^patched Y disagrees across paths at level 1 by "):
+        patch_global(instance, [replace(piece, y_paths=y_paths)])
