@@ -36,11 +36,13 @@ class Driver:
             return self.fn(t, y)
         return self.intercept + self.slope * y
 
-    def level(self, t: float, y: np.ndarray) -> np.ndarray:
-        """f(t, y) entry by entry; custom rules get one scalar call per entry."""
+    def level(self, t: float | np.ndarray, y: np.ndarray) -> np.ndarray:
+        """f(t, y) entry by entry, at one instant ``t`` or one instant per entry;
+        custom rules get one scalar call per entry."""
         if self.fn is None:
             return self.intercept + self.slope * y
-        return np.array([self.fn(t, v) for v in y.tolist()], dtype=float)
+        instants = np.broadcast_to(t, y.shape).tolist()
+        return np.array([self.fn(s, v) for s, v in zip(instants, y.tolist())], dtype=float)
 
     @property
     def affine(self) -> bool:

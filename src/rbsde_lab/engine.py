@@ -1,11 +1,16 @@
 """The shared backward sweep, and the plain and penalized steps on the tree.
 
-:func:`backward_sweep` is the one backward induction of the package: it
-owns the level loop, the conditional expectations, the martingale
-increments and the assembly of the solution bundle.  A solver supplies
-only the step that turns the expectations of one level into its values
-and increments; the penalized step lives here, the projection step in
-:mod:`rbsde_lab.solvers`.
+:func:`backward_sweep` is the one backward induction of the package.  Its
+level loop carries values only: the conditional expectations, the
+right-limit values Y+ a solver's step returns, and the values Y at the
+instant on the levels that hold a jump correction.  The increments are
+booked once afterwards, as array expressions over all nodes in level order:
+dK* and dA* by the step's own entrywise increment function, jumpK and jumpA
+by :func:`jump_corrections`, and dM as Y(child) - E(parent) on every edge.
+The penalized step lives here, the projection step in
+:mod:`rbsde_lab.solvers`; each is split into a value part for the loop and
+an increment part, and the level functions (:func:`penalized_level`) and the
+scalar steps call the same two parts.
 
 The driver integral is treated implicitly (solve y = e + f(t, y) dt) and so
 is the penalty term n (y - L+)^- dt: the piecewise-linear equation is solved
@@ -14,7 +19,8 @@ drivers.  Explicit penalties would blow up along the level schedule.
 
 The steps act on whole levels, with masked updates where nodes differ, and
 one fixed-point loop serves both implicit solves; the scalar steps
-(:func:`implicit_step` and the like) run the level code on one entry.
+(:func:`implicit_step` and the like) run the level code on one entry, so the
+flat bookkeeping equals a node-by-node recursion bit for bit.
 
 The penalized step is lower-side only.  Upper-side modes are solved by
 negation duality: (Y, M, K, A) solves the upper problem iff (-Y, -M, A, K)
@@ -39,7 +45,7 @@ from .errors import (
     SchemeMonotonicityError,
     StabilityError,
 )
-from .lattice import AdaptedField, EdgeField, edge_increments, expect_level
+from .lattice import AdaptedField, edge_increments, expect_level
 from .regulated import (
     ProblemInstance,
     RegulatedField,
@@ -49,8 +55,10 @@ from .regulated import (
     require_valid,
 )
 
-# (k, e) -> the level's rows (y, dK*, jumpK, dA*, jumpA), one array each
-LevelStep = Callable[[int, np.ndarray], tuple[np.ndarray, ...]]
+# (k, e, t, dt) -> level k's right-limit values; the step keeps what its increments need
+LevelStep = Callable[[int, np.ndarray, float, float], np.ndarray]
+# (E, t, dt, Y+), flat over all nodes -> (dK*, dA*), flat over all nodes
+Increments = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 FIXED_POINT_TOL = 1e-13
 FIXED_POINT_MAX_ITER = 200
@@ -122,6 +130,41 @@ def implicit_level(e: np.ndarray, t: float, dt: float, driver: Driver) -> np.nda
     return _fixed_point(e, t, dt, driver, lambda c, scale, at: c / scale, failure)[0]
 
 
+def _penalized_values(
+    e: np.ndarray, t: float, dt: float, n: int,
+    lower: np.ndarray, upper: np.ndarray, clamp: np.ndarray | bool, driver: Driver,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values of :func:`penalized_level`, and where each side acted: (y, pushed, clamped).
+
+    ``pushed`` marks the entries whose implicit solve met the penalty,
+    ``clamped`` those of ``clamp`` then moved down to ``upper``.
+    """
+    ndt = n * dt
+
+    def settle(c, scale, at):
+        lo = lower[at]
+        return np.where(c >= lo * scale, c / scale, (c + ndt * lo) / (scale + ndt))
+
+    failure = f"penalized step failed to converge: e={{e!r}}, t={{t!r}}, dt={{dt!r}}, n={n}"
+    y, c, scale = _fixed_point(e, t, dt, driver, settle, failure)
+    pushed = c < lower * scale
+    clamped = clamp & (y > upper)
+    np.copyto(y, upper, where=clamped)
+    return y, pushed, clamped
+
+
+def _penalized_increments(
+    e: np.ndarray, t: np.ndarray, dt: np.ndarray, n: int,
+    lower: np.ndarray, y: np.ndarray, pushed: np.ndarray, clamped: np.ndarray, driver: Driver,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dk_star, da_star) of the values of :func:`_penalized_values`, entry by
+    entry; ``t`` and ``dt`` hold each entry's instant and step."""
+    dk, da = np.where(pushed | clamped, n * dt * positive_part(lower - y), 0.0), np.zeros(y.size)
+    i = clamped.nonzero()[0]
+    da[i] = positive_part(e[i] + driver.level(t[i], y[i]) * dt[i] + dk[i] - y[i])
+    return dk, da
+
+
 def penalized_level(
     e: np.ndarray, t: float, dt: float, n: int,
     lower: np.ndarray, upper: np.ndarray, clamp: np.ndarray, driver: Driver,
@@ -132,21 +175,9 @@ def penalized_level(
     A clamped entry re-solves the budget at the barrier exactly, so the
     one-step identity holds to round-off.
     """
-    ndt = n * dt
-
-    def settle(c, scale, at):
-        lo = lower[at]
-        return np.where(c >= lo * scale, c / scale, (c + ndt * lo) / (scale + ndt))
-
-    failure = f"penalized step failed to converge: e={{e!r}}, t={{t!r}}, dt={{dt!r}}, n={n}"
-    y, c, scale = _fixed_point(e, t, dt, driver, settle, failure)
-    dk, da = np.where(c >= lower * scale, 0.0, ndt * positive_part(lower - y)), np.zeros(y.size)
-    i = (clamp & (y > upper)).nonzero()[0]
-    cap = upper[i]
-    dk[i] = ndt * positive_part(lower[i] - cap)
-    da[i] = positive_part(e[i] + driver.level(t, cap) * dt + dk[i] - cap)
-    y[i] = cap
-    return y, dk, da
+    y, pushed, clamped = _penalized_values(e, t, dt, n, lower, upper, clamp, driver)
+    times, steps = np.full(e.size, t), np.full(e.size, dt)
+    return (y, *_penalized_increments(e, times, steps, n, lower, y, pushed, clamped, driver))
 
 
 def jump_corrections(
@@ -156,18 +187,12 @@ def jump_corrections(
 
     Entries of ``at_lower`` below ``lower`` move up to it, booked as a right
     jump of K; then entries of ``at_upper`` above ``upper`` move down to it,
-    a right jump of A.  A jump is positive exactly where its side acted.
+    a right jump of A.  A jump is positive exactly where its side acted, and
+    an exact 0.0 (x - x) elsewhere.
     """
-    y, jump_k, jump_a = y.copy(), np.zeros(y.size), np.zeros(y.size)
-    if not (np.count_nonzero(at_lower) or np.count_nonzero(at_upper)):
-        return y, jump_k, jump_a
-    i = (at_lower & (y < lower)).nonzero()[0]
-    jump_k[i] = lower[i] - y[i]
-    y[i] = lower[i]
-    i = (at_upper & (y > upper)).nonzero()[0]
-    jump_a[i] = y[i] - upper[i]
-    y[i] = upper[i]
-    return y, jump_k, jump_a
+    lifted = np.where(at_lower & (y < lower), lower, y)
+    value = np.where(at_upper & (lifted > upper), upper, lifted)
+    return value, lifted - y, lifted - value
 
 
 def _one(value: float | None) -> np.ndarray:
@@ -237,32 +262,54 @@ def right_jump_correction(
 
 
 def backward_sweep(
-    instance: ProblemInstance, step: LevelStep, method: str, n: int | None = None
+    instance: ProblemInstance,
+    step: LevelStep,
+    increments: Increments,
+    corrections: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    method: str,
+    n: int | None = None,
 ) -> SolutionBundle:
     """Backward induction from the terminal payoff, one level at a time.
 
-    At level k the conditional expectations ``e`` of the level-(k+1) values
-    and the martingale increments on the edges out of level k are taken
-    here; ``step(k, e)`` returns the level's rows (y, dK*, jumpK, dA*,
-    jumpA).  The right-limit value is assembled as (value - jumpK) + jumpA.
+    The level loop carries values only.  At level k it takes the conditional
+    expectations ``e`` of the level-(k+1) values Y; ``step(k, e, t, dt)``
+    returns the level's right-limit values Y+ and keeps what its increments
+    need.  On the levels that hold a node to correct, :func:`jump_corrections`
+    moves Y+ to the value at the instant; ``corrections`` holds its flat
+    ``(lower, upper, at_lower, at_upper)`` arguments over all nodes.
+
+    The increments are then booked once, over all nodes in level order:
+    ``increments(E, t, dt, Y+)`` gives dK* and dA* from the flat
+    expectations, instants and steps; the corrections give jumpK and jumpA;
+    dM is Y(child) - E(parent) on every edge; and the right-limit value is
+    assembled as (Y - jumpK) + jumpA.
     """
-    tree = instance.tree
-    nodes, edges = tree.node_start, tree.edge_start
-    rows = np.zeros((5, tree.node_count()))  # y, dK*, jumpK, dA*, jumpA in level order
-    rows[0, nodes[-2]:] = instance.terminal
-    dm = np.empty(int(edges[-1]))
+    tree, instants = instance.tree, instance.grid.instants
+    lower, upper, at_lower, at_upper = corrections
+    bounds, sizes, dts = tree.node_start.tolist(), np.diff(tree.node_start), np.diff(instants)
+    t_k, dt_k = instants.tolist(), dts.tolist()
+    y, y_plus, expected = np.zeros((3, tree.node_count()))
+    y[bounds[-2] :] = y_plus[bounds[-2] :] = instance.terminal
+    corrected = set(tree.locate(np.flatnonzero(at_lower | at_upper))[0].tolist())
     for k in range(tree.depth - 1, -1, -1):
-        y_next = rows[0, nodes[k + 1] : nodes[k + 2]]
-        e = expect_level(tree, k, y_next)
-        dm[edges[k] : edges[k + 1]] = edge_increments(tree, k, y_next, e)
-        rows[:, nodes[k] : nodes[k + 1]] = step(k, e)
-    value, dk_star, jump_k, da_star, jump_a = (AdaptedField.from_flat(tree, row) for row in rows)
-    right = AdaptedField.from_flat(tree, (rows[0] - rows[2]) + rows[4])
+        a, b, c = bounds[k : k + 3]
+        e = expected[a:b] = expect_level(tree, k, y[b:c])
+        level = y_plus[a:b] = step(k, e, t_k[k], dt_k[k])
+        if k in corrected:
+            level = jump_corrections(level, lower[a:b], upper[a:b], at_lower[a:b], at_upper[a:b])[0]
+        y[a:b] = level
+    # every node's instant and step; the leaves take no step
+    times, steps = np.repeat(instants, sizes), np.repeat(np.append(dts, 0.0), sizes)
+    dk_star, da_star = increments(expected, times, steps, y_plus)
+    _, jump_k, jump_a = jump_corrections(y_plus, lower, upper, at_lower, at_upper)
+    value, right, dk_star, jump_k, da_star, jump_a = (
+        AdaptedField.from_flat(tree, v) for v in (y, (y - jump_k) + jump_a, dk_star, jump_k, da_star, jump_a)
+    )
     return SolutionBundle(
         tree=tree,
         grid=instance.grid,
         y=RegulatedField(value, right),
-        dm=EdgeField.from_flat(tree, dm),
+        dm=edge_increments(tree, y, expected),
         dk_star=dk_star,
         jump_k=jump_k,
         da_star=da_star,
@@ -283,24 +330,31 @@ def _require_barriers(instance: ProblemInstance, mode: PenalizationMode) -> None
 
 def _penalized_lower_side(instance: ProblemInstance, n: int, mode: PenalizationMode) -> SolutionBundle:
     """The penalized sweep of a lower-side mode on a validated instance."""
-    tree, grid, driver = instance.tree, instance.grid, instance.driver
-    lower, upper = instance.lower, instance.upper
-    sched = jump_exhaustion_schedule(lower, n, side="lower").mask(tree)
-    declared = jump_masks(upper if mode.reflects else None, tree)
+    tree, driver, lower, upper = instance.tree, instance.driver, instance.lower, instance.upper
     # the upper barrier, or the lower one standing in where no mask reads it
     cap = lower if upper is None else upper
+    lower_right, upper_right = (tree.split_levels(side.right_value.values) for side in (lower, cap))
+    pushed, clamped = np.zeros((2, tree.node_count()), dtype=bool)
+    pushed_at, clamped_at = tree.split_levels(pushed), tree.split_levels(clamped)
 
-    def step(k: int, e: np.ndarray) -> tuple[np.ndarray, ...]:
-        t, dt = float(grid.instants[k]), grid.dt(k)
-        lo, lo_r = lower.value.level(k), lower.right_value.level(k)
-        up, up_r = cap.value.level(k), cap.right_value.level(k)
+    def step(k: int, e: np.ndarray, t: float, dt: float) -> np.ndarray:
         # the right-limit value: penalized toward L+, clamped at U+ when reflecting
-        y, dk, da = penalized_level(e, t, dt, n, lo_r, up_r, np.full(e.size, mode.reflects), driver)
-        # the value at the instant: scheduled nodes absorbed fully to L, declared upper jumps pulled to U
-        y, jk, ja = jump_corrections(y, lo, up, sched[k], declared[k])
-        return y, dk, jk, da, ja
+        y, pushed_at[k][:], clamped_at[k][:] = _penalized_values(
+            e, t, dt, n, lower_right[k], upper_right[k], mode.reflects, driver
+        )
+        return y
 
-    return backward_sweep(instance, step, mode.value, n)
+    def increments(e, t, dt, y_plus):
+        return _penalized_increments(e, t, dt, n, lower.right_value.values, y_plus, pushed, clamped, driver)
+
+    # the value at the instant: scheduled nodes absorbed fully to L, declared upper jumps pulled to U
+    corrections = (
+        lower.value.values,
+        cap.value.values,
+        jump_exhaustion_schedule(lower, n, side="lower").mask(tree),
+        jump_masks(upper if mode.reflects else None, tree),
+    )
+    return backward_sweep(instance, step, increments, corrections, mode.value, n)
 
 
 def solve_penalized(instance: ProblemInstance, n: int, mode: PenalizationMode) -> SolutionBundle:

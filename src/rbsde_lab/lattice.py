@@ -127,18 +127,39 @@ def _joined(levels: Sequence, starts: np.ndarray, unit: str, what: str) -> np.nd
     return _frozen(np.concatenate(parts))
 
 
-def _slot_sums(offsets: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Per node, the sum of its edge terms (last axis) in child-slot order.
+SlotPlan = tuple[tuple[slice | np.ndarray, slice | np.ndarray], ...]
 
-    Node ``j`` owns the terms ``offsets[j]:offsets[j+1]``.  Every sum runs
-    from 0.0 one slot at a time, the order of a scalar running sum, so the
-    results equal a per-node loop bit for bit.
+
+def _slot_plan(offsets: np.ndarray) -> SlotPlan:
+    """One level's edges slot by slot: per child slot, ``(nodes, edges)``.
+
+    ``edges`` are the slot's edges and ``nodes`` the nodes that own them, in
+    node order; node ``j`` owns the edges ``offsets[j]:offsets[j+1]`` and has
+    at least one.  Where every node has the same fan-out both are plain
+    slices.
     """
     starts, counts = offsets[:-1], np.diff(offsets)
-    total = np.zeros(terms.shape[:-1] + starts.shape)
+    fan_out = int(counts[0])
+    if np.all(counts == fan_out):
+        return tuple((slice(None), slice(slot, None, fan_out)) for slot in range(fan_out))
+    plan = []
     for slot in range(int(counts.max())):
         nodes = np.flatnonzero(counts > slot)
-        total[..., nodes] += terms[..., starts[nodes] + slot]
+        plan.append((slice(None) if nodes.size == counts.size else _frozen(nodes), _frozen(starts[nodes] + slot)))
+    return tuple(plan)
+
+
+def _slot_sums(plan: SlotPlan, terms: np.ndarray) -> np.ndarray:
+    """Per node, the sum of its edge terms (last axis) in child-slot order.
+
+    ``plan`` is the level's :func:`_slot_plan`.  Every sum runs from 0.0 one
+    slot at a time, the order of a scalar running sum, so the results equal
+    a per-node loop bit for bit.
+    """
+    (_, edges), *rest = plan
+    total = 0.0 + terms[..., edges]  # slot 0 reaches every node
+    for nodes, edges in rest:
+        total[..., nodes] += terms[..., edges]
     return total
 
 
@@ -149,6 +170,9 @@ class FiltrationTree:
     order: node ``j`` owns edges ``offsets[k][j]:offsets[k][j+1]``, and edge
     ``e`` leads from node ``edge_parent[k][e]`` to node ``edge_child[k][e]``
     of level ``k+1`` with probability ``edge_prob[k][e]``.
+
+    ``slot_plans[k]`` lists level k's edges child slot by child slot (see
+    :func:`_slot_plan`), the order every sum over a node's edges runs in.
 
     Listed level by level, node (k, j) is node ``node_start[k] + j`` of the
     whole tree and edge (k, e) is edge ``edge_start[k] + e``; ``edge_source``
@@ -170,9 +194,7 @@ class FiltrationTree:
         if any(s.ndim != 1 or s.size == 0 for s in self.states):
             raise InvalidInstanceError("each level must hold at least one node")
         layout = zip(*(self._level_edges(k, children[k], probs[k]) for k in range(self.depth)))
-        self.offsets, self.edge_parent, self.edge_child, self.edge_prob = (
-            tuple(_frozen(arr) for arr in arrays) for arrays in layout
-        )
+        self.offsets, self.edge_parent, self.edge_child, self.edge_prob, self.slot_plans = map(tuple, layout)
         self.node_start = _frozen(np.cumsum([0] + [s.size for s in self.states]))
         self.edge_start = _frozen(np.cumsum([0] + [c.size for c in self.edge_child]))
         starts = self.node_start.tolist()
@@ -181,8 +203,9 @@ class FiltrationTree:
         self._paths_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._gather_cache: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _level_edges(self, k: int, children: Sequence, probs: Sequence) -> tuple[np.ndarray, ...]:
-        """Level k's (offsets, parents, children, probabilities), checked level-wide."""
+    def _level_edges(self, k: int, children: Sequence, probs: Sequence) -> tuple:
+        """Level k's frozen (offsets, parents, children, probabilities) and its
+        slot plan, checked level-wide."""
         width = self.level_size(k)
         if len(children) != width or len(probs) != width:
             raise InvalidInstanceError(f"level {k}: child lists must match node count")
@@ -202,12 +225,14 @@ class FiltrationTree:
         ):
             if np.any(bad):
                 raise InvalidInstanceError(f"node ({k},{parent[np.argmax(bad)]}): {what}")
-        sums = _slot_sums(offsets, prob)
+        plan = _slot_plan(offsets)
+        sums = _slot_sums(plan, prob)
         bad = np.abs(sums - 1.0) > PROB_TOL
         if np.any(bad):
             j = int(np.argmax(bad))
             raise InvalidInstanceError(f"node ({k},{j}): probabilities sum to {sums[j]}")
-        return offsets, parent, child.astype(np.int64), prob.astype(float)
+        arrays = (offsets, parent, child.astype(np.int64), prob.astype(float))
+        return (*map(_frozen, arrays), plan)
 
     @property
     def levels(self) -> int:
@@ -458,7 +483,7 @@ def expect_level(tree: FiltrationTree, k: int, values_next: np.ndarray) -> np.nd
     ``values_next`` indexes the level-(k+1) nodes on its last axis; leading
     axes (one row per scenario, say) are kept.
     """
-    return _slot_sums(tree.offsets[k], tree.edge_prob[k] * values_next[..., tree.edge_child[k]])
+    return _slot_sums(tree.slot_plans[k], tree.edge_prob[k] * values_next[..., tree.edge_child[k]])
 
 
 class EdgeField:
@@ -502,7 +527,7 @@ class EdgeField:
         """Max over nodes of |sum_children p * value|; zero for centered fields."""
         tree = self.tree
         return max(
-            float(np.max(np.abs(_slot_sums(tree.offsets[k], tree.edge_prob[k] * self.level(k)))))
+            float(np.max(np.abs(_slot_sums(tree.slot_plans[k], tree.edge_prob[k] * self.level(k)))))
             for k in range(tree.depth)
         )
 
@@ -528,15 +553,14 @@ def running_sum_maxima(tree: FiltrationTree, increments: Sequence[np.ndarray]) -
     return best
 
 
-def edge_increments(
-    tree: FiltrationTree, k: int, values_next: np.ndarray, expected: np.ndarray
-) -> np.ndarray:
-    """Per edge out of level k: the child value minus the parent's expectation.
+def edge_increments(tree: FiltrationTree, values: np.ndarray, expected: np.ndarray) -> EdgeField:
+    """Per edge: the child's value minus the parent's expectation.
 
-    ``expected`` holds the conditional expectations of ``values_next`` at the
-    level-k nodes, as :func:`expect_level` returns them.
+    ``values`` holds one value per node and ``expected`` the conditional
+    expectations of the next level's values at each node before the last
+    (:func:`expect_level`), both flat in level order.
     """
-    return values_next[tree.edge_child[k]] - expected[tree.edge_parent[k]]
+    return EdgeField.from_flat(tree, values[tree.edge_target] - expected[tree.edge_source])
 
 
 def martingale_increments(y: AdaptedField) -> EdgeField:
@@ -547,8 +571,8 @@ def martingale_increments(y: AdaptedField) -> EdgeField:
     conditionally centered at every node.
     """
     tree = y.tree
-    nexts = [y.level(k + 1) for k in range(tree.depth)]
-    return EdgeField(tree, [edge_increments(tree, k, v, expect_level(tree, k, v)) for k, v in enumerate(nexts)])
+    expected = np.concatenate([expect_level(tree, k, y.level(k + 1)) for k in range(tree.depth)])
+    return edge_increments(tree, y.values, expected)
 
 
 def sup_distance(a: AdaptedField, b: AdaptedField) -> float:

@@ -142,8 +142,10 @@ def exhaustive_game_values(instance: ProblemInstance) -> tuple[float, float]:
             f"exhaustive game limited to {MAX_EXHAUSTIVE_DEPTH} levels; use the fast variant"
         )
     tree = instance.tree
-    rho_rules = _enumerate_stop_rules(tree, MAX_EXHAUSTIVE_RULES, jump_masks(instance.lower, tree))
-    nu_rules = _enumerate_stop_rules(tree, MAX_EXHAUSTIVE_RULES, jump_masks(instance.upper, tree))
+    rho_rules, nu_rules = (
+        _enumerate_stop_rules(tree, MAX_EXHAUSTIVE_RULES, tree.split_levels(jump_masks(side, tree)))
+        for side in (instance.lower, instance.upper)
+    )
     matrix = _pair_game_matrix(instance, rho_rules, nu_rules)
     sup_inf = float(np.max(np.min(matrix, axis=1)))
     inf_sup = float(np.min(np.max(matrix, axis=0)))

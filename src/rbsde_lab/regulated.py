@@ -94,10 +94,9 @@ def right_jump(field: RegulatedField, node: tuple[int, int]) -> float:
     return field.right_jump(node)
 
 
-def jump_masks(barrier: RegulatedField | None, tree: FiltrationTree) -> list[np.ndarray]:
-    """Per level, the nodes where the barrier declares a right jump (none if absent)."""
-    declared = np.zeros(tree.node_count(), dtype=bool) if barrier is None else barrier.jumps != 0.0
-    return tree.split_levels(declared)
+def jump_masks(barrier: RegulatedField | None, tree: FiltrationTree) -> np.ndarray:
+    """The nodes where the barrier declares a right jump (none if absent), flat in level order."""
+    return np.zeros(tree.node_count(), dtype=bool) if barrier is None else barrier.jumps != 0.0
 
 
 @dataclass(frozen=True)
@@ -122,11 +121,11 @@ class JumpExhaustionSchedule:
     def node_set(self) -> set[tuple[int, int]]:
         return {(e.level, e.node) for e in self.events}
 
-    def mask(self, tree: FiltrationTree) -> list[np.ndarray]:
-        """Per level, the scheduled nodes."""
+    def mask(self, tree: FiltrationTree) -> np.ndarray:
+        """The scheduled nodes, flat in level order."""
         out = np.zeros(tree.node_count(), dtype=bool)
         out[[tree.node_start[e.level] + e.node for e in self.events]] = True
-        return tree.split_levels(out)
+        return out
 
 
 def jump_exhaustion_schedule(barrier: RegulatedField, n: int, side: str = "lower") -> JumpExhaustionSchedule:

@@ -16,43 +16,69 @@ from dataclasses import replace
 import numpy as np
 
 from .bundles import SolutionBundle
-from .engine import backward_sweep, implicit_level, jump_corrections, positive_part
+from .drivers import Driver
+from .engine import backward_sweep, implicit_level, positive_part
 from .errors import PreconditionError
 from .regulated import ProblemInstance, jump_masks, negation_dual, require_valid
 
 
+def _projection_values(
+    e: np.ndarray, t: float, dt: float, lower: np.ndarray, upper: np.ndarray, driver: Driver
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The implicit values clamped into [lower, upper]: (y, below, above),
+    where ``below`` marks the entries moved up to ``lower`` and ``above``
+    those then moved down to ``upper``."""
+    y = implicit_level(e, t, dt, driver)
+    below = y < lower
+    np.copyto(y, lower, where=below)
+    above = y > upper
+    np.copyto(y, upper, where=above)
+    return y, below, above
+
+
+def _projection_increments(
+    e: np.ndarray, t: np.ndarray, dt: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+    below: np.ndarray, above: np.ndarray, driver: Driver,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dk_star, da_star) of the clamps of :func:`_projection_values`, entry by entry.
+
+    ``t`` and ``dt`` hold each entry's instant and step.  A clamped entry
+    books what the budget at its barrier needs, cut at zero.
+    """
+    dk, da = np.zeros(e.size), np.zeros(e.size)
+    i = below.nonzero()[0]
+    dk[i] = positive_part(lower[i] - (e[i] + driver.level(t[i], lower[i]) * dt[i]))
+    i = above.nonzero()[0]
+    da[i] = positive_part((e[i] + driver.level(t[i], upper[i]) * dt[i]) - upper[i])
+    return dk, da
+
+
 def _projection_sweep(instance: ProblemInstance) -> SolutionBundle:
     """Backward recursion with double clamp; either barrier may be absent."""
-    tree, grid, driver = instance.tree, instance.grid, instance.driver
-    lower, upper = instance.lower, instance.upper
-    l_jump, u_jump = jump_masks(lower, tree), jump_masks(upper, tree)
-    degenerate: list[tuple[int, int]] = []
+    tree, driver, lower, upper = instance.tree, instance.driver, instance.lower, instance.upper
+    absent = np.full(tree.node_count(), np.inf)
+    lo, lo_r = (-absent, -absent) if lower is None else (lower.value.values, lower.right_value.values)
+    up, up_r = (absent, absent) if upper is None else (upper.value.values, upper.right_value.values)
+    lo_r_at, up_r_at = tree.split_levels(lo_r), tree.split_levels(up_r)
+    below, above = np.zeros((2, tree.node_count()), dtype=bool)
+    below_at, above_at = tree.split_levels(below), tree.split_levels(above)
 
-    def step(k: int, e: np.ndarray) -> tuple[np.ndarray, ...]:
-        t, dt = float(grid.instants[k]), grid.dt(k)
-        absent = np.full(e.size, np.inf)
-        lo, lo_r = (-absent, -absent) if lower is None else (lower.value.level(k), lower.right_value.level(k))
-        up, up_r = (absent, absent) if upper is None else (upper.value.level(k), upper.right_value.level(k))
+    def step(k: int, e: np.ndarray, t: float, dt: float) -> np.ndarray:
         # clamps into the right limits are cadlag increments over the interval
-        y, dk, da = implicit_level(e, t, dt, driver), np.zeros(e.size), np.zeros(e.size)
-        below = y < lo_r
-        i = below.nonzero()[0]
-        if i.size:
-            dk[i] = positive_part(lo_r[i] - (e[i] + driver.level(t, lo_r[i]) * dt))
-            y[i] = lo_r[i]
-        above = y > up_r
-        i = above.nonzero()[0]
-        if i.size:
-            da[i] = positive_part((e[i] + driver.level(t, up_r[i]) * dt) - up_r[i])
-            y[i] = up_r[i]
-        # declared-jump corrections act on the value at the instant
-        y, jk, ja = jump_corrections(y, lo, up, l_jump[k], u_jump[k])
-        both = ((jk > 0.0) | below) & ((ja > 0.0) | above)
-        degenerate.extend((k, int(j)) for j in both.nonzero()[0])
-        return y, dk, jk, da, ja
+        y, below_at[k][:], above_at[k][:] = _projection_values(e, t, dt, lo_r_at[k], up_r_at[k], driver)
+        return y
 
-    bundle = backward_sweep(instance, step, "projection")
-    return replace(bundle, degenerate_nodes=tuple(degenerate))
+    def increments(e, t, dt, y_plus):
+        return _projection_increments(e, t, dt, lo_r, up_r, below, above, driver)
+
+    # declared-jump corrections act on the value at the instant
+    corrections = (lo, up, jump_masks(lower, tree), jump_masks(upper, tree))
+    bundle = backward_sweep(instance, step, increments, corrections, "projection")
+    # both sides pushed, at the instant or over the interval; listed last level first
+    both = ((bundle.jump_k.values > 0.0) | below) & ((bundle.jump_a.values > 0.0) | above)
+    levels, nodes = tree.locate(np.flatnonzero(both))
+    order = np.lexsort((nodes, -levels))
+    return replace(bundle, degenerate_nodes=tuple(zip(levels[order].tolist(), nodes[order].tolist())))
 
 
 def solve_reflected_lower(instance: ProblemInstance) -> SolutionBundle:

@@ -376,3 +376,19 @@ def test_upper_side_sweep_negates_once_and_solves_once_per_level(monkeypatch):
     res = penalization_sweep(inst, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT, eps=1e-6)
     assert len(res.levels) > 2
     assert calls == {"solve_penalized": len(res.levels), "negation_dual": 1, "negate_swap": 1}
+
+
+@pytest.mark.parametrize("levels", [[], [4, 2], [2, 2]])
+def test_sweep_refuses_levels_that_do_not_increase(levels):
+    with pytest.raises(PreconditionError, match="penalty levels must be strictly increasing"):
+        penalization_sweep(_one_step_instance(), PenalizationMode.PURE_LOWER, levels=levels)
+
+
+def test_sweep_raises_when_a_level_loses_monotonicity(monkeypatch):
+    """A lower-penalty sweep whose levels solve ever smaller penalties: Y decreases."""
+    from rbsde_lab.errors import SchemeMonotonicityError
+
+    solve = engine.solve_penalized
+    monkeypatch.setattr(engine, "solve_penalized", lambda inst, n, mode: solve(inst, 2 ** 10 // n, mode))
+    with pytest.raises(SchemeMonotonicityError, match="pure-lower sweep lost monotonicity by .* at level 2"):
+        penalization_sweep(_one_step_instance(), PenalizationMode.PURE_LOWER, levels=[1, 2, 4])

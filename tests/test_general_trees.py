@@ -28,6 +28,7 @@ from rbsde_lab.engine import (
 from rbsde_lab.errors import AlternationStuckError, EnumerationCapError, NumericalError
 from rbsde_lab.lattice import (
     AdaptedField,
+    conditional_expectation,
     FiltrationTree,
     TimeGrid,
     build_binomial,
@@ -37,7 +38,14 @@ from rbsde_lab.lattice import (
     sup_distance,
 )
 from rbsde_lab.oracle import InstanceRecipe, dynkin_value_bruteforce, game_value_field, random_instance
-from rbsde_lab.regulated import BarrierPair, ProblemInstance, RegulatedField, validate_instance
+from rbsde_lab.regulated import (
+    BarrierPair,
+    ProblemInstance,
+    RegulatedField,
+    jump_exhaustion_schedule,
+    negation_dual,
+    validate_instance,
+)
 from rbsde_lab.solvers import solve_doubly_reflected, solve_reflected_lower, solve_reflected_upper
 from rbsde_lab.stopping import (
     HIT_TOL,
@@ -613,10 +621,17 @@ def test_recursions_skip_nodes_no_path_reaches():
     assert sk.lower_residual == float(np.max(sk.lower_paths)) < 1.0
 
 
-def jumps_both_barriers(seed: int, depth: int = 6) -> ProblemInstance:
-    """A random explicit tree whose barriers both jump up and down at random nodes."""
+def jumps_both_barriers(seed: int, depth: int = 6, tree: str = "random") -> ProblemInstance:
+    """A random explicit tree whose barriers both jump up and down at random nodes.
+
+    ``tree`` "random" has fan-out 1-4; "explicit" and "recombining" also have
+    zero-probability edges (see :func:`explicit_tree`).
+    """
     rng = np.random.default_rng(seed)
-    tree = random_tree(rng, depth, max_children=4)
+    if tree == "random":
+        tree = random_tree(rng, depth, max_children=4)
+    else:
+        tree = explicit_tree(rng, depth, recombining=tree == "recombining")
     lo = [tree.states[k] * 0.3 - 0.5 + rng.uniform(-0.05, 0.05, tree.level_size(k)) for k in range(depth + 1)]
     hi = [level + 0.4 + rng.uniform(0.0, 0.3, level.size) for level in lo]
     lower = RegulatedField.from_values(tree, lo)
@@ -671,3 +686,83 @@ def test_game_value_follows_the_right_limits(seed):
     inst = jumps_both_barriers(1000 + seed)
     inst = ProblemInstance(inst.tree, inst.grid, inst.terminal, constant_driver(0.3), inst.barriers)
     assert sup_distance(game_value_field(inst), solve_doubly_reflected(inst).y.value) <= 1e-12
+
+
+# --- the flat bookkeeping against the scalar steps ---------------------------
+
+
+def scalar_rebuild(inst: ProblemInstance, mode: PenalizationMode, n: int | None) -> dict[str, np.ndarray]:
+    """Y, Y+, dK*, jumpK, dA*, jumpA and dM, rebuilt node by node from the scalar steps.
+
+    ``n`` None rebuilds the projection, else the lower-side ``mode`` at
+    penalty level n; the right-limit value is assembled as (Y - jumpK) + jumpA.
+    """
+    tree, grid, driver, lower, upper = inst.tree, inst.grid, inst.driver, inst.lower, inst.upper
+    scheduled = set() if n is None else jump_exhaustion_schedule(lower, n).node_set()
+    out = {name: np.zeros(tree.node_count()) for name in ("y", "y_plus", "dk_star", "jump_k", "da_star", "jump_a")}
+    out["dm"] = np.zeros(int(tree.edge_start[-1]))
+    out["y"][tree.node_start[-2] :] = out["y_plus"][tree.node_start[-2] :] = inst.terminal
+    for k in range(tree.depth - 1, -1, -1):
+        t, dt = float(grid.instants[k]), grid.dt(k)
+        y_next = out["y"][tree.node_start[k + 1] : tree.node_start[k + 2]]
+        for j in range(tree.level_size(k)):
+            e = conditional_expectation(y_next, (k, j), tree)
+            lo, lo_r = (None, None) if lower is None else (lower.value[(k, j)], lower.right_value[(k, j)])
+            up, up_r = (None, None) if upper is None else (upper.value[(k, j)], upper.right_value[(k, j)])
+            if n is None:
+                y, dk, da = implicit_step(e, t, dt, driver), 0.0, 0.0
+                if lo_r is not None and y < lo_r:
+                    y, dk = lo_r, max(lo_r - (e + driver(t, lo_r) * dt), 0.0)
+                if up_r is not None and y > up_r:
+                    y, da = up_r, max((e + driver(t, up_r) * dt) - up_r, 0.0)
+                lower_at = lower is not None and lower.right_jump((k, j)) != 0.0
+                mode = PenalizationMode.LOWER_PENALTY_UPPER_REFLECT
+            else:
+                y, dk, da = penalized_step(e, t, dt, n, mode, lo_r, up_r, driver)
+                lower_at = (k, j) in scheduled
+            upper_at = upper is not None and upper.right_jump((k, j)) != 0.0
+            y, jk, ja = right_jump_correction(y, mode, lo, up, lower_scheduled=lower_at, upper_declared=upper_at)
+            node = tree.node_start[k] + j
+            for name, value in zip(out, (y, (y - jk) + ja, dk, jk, da, ja)):
+                out[name][node] = value
+            for edge in range(tree.offsets[k][j], tree.offsets[k][j + 1]):
+                out["dm"][tree.edge_start[k] + edge] = y_next[tree.edge_child[k][edge]] - e
+    return out
+
+
+def bundle_rows(bundle: SolutionBundle) -> dict[str, np.ndarray]:
+    fields = (bundle.y.value, bundle.y.right_value, bundle.dk_star, bundle.jump_k, bundle.da_star, bundle.jump_a)
+    names = ("y", "y_plus", "dk_star", "jump_k", "da_star", "jump_a", "dm")
+    return dict(zip(names, [f.values for f in fields] + [bundle.dm.values]))
+
+
+@pytest.mark.parametrize("tree, depth, seed", [("explicit", 5, 26), ("recombining", 6, 55)])
+@pytest.mark.parametrize("custom", [False, True], ids=["affine", "custom"])
+def test_flat_bookkeeping_matches_the_scalar_steps_bit_for_bit(tree, depth, seed, custom):
+    """Every bundle equals its node-by-node rebuild from the scalar steps, in
+    every mode at low, middle and high penalty and for the projection."""
+    inst = jumps_both_barriers(seed, depth=depth, tree=tree)
+    if custom:
+        inst = ProblemInstance(inst.tree, inst.grid, inst.terminal, custom_driver(CountingRule(), mu=0.4), inst.barriers)
+    dual = negation_dual(inst)
+    cases = [(solve_doubly_reflected(inst), scalar_rebuild(inst, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, None))]
+    for mode in PenalizationMode:
+        for n in (1, 64, 2 ** 20):
+            if mode.penalizes_lower:
+                reference = scalar_rebuild(inst, mode, n)
+            else:  # the upper side is the negated lower side of the dual
+                rows = scalar_rebuild(dual, mode.dual, n)
+                reference = {
+                    "y": -rows["y"], "y_plus": -rows["y_plus"], "dm": -rows["dm"],
+                    "dk_star": rows["da_star"], "jump_k": rows["jump_a"],
+                    "da_star": rows["dk_star"], "jump_a": rows["jump_k"],
+                }
+            cases.append((solve_penalized(inst, n, mode), reference))
+    acted = dict.fromkeys(("dk_star", "jump_k", "da_star", "jump_a"), False)
+    for bundle, reference in cases:
+        for name, values in bundle_rows(bundle).items():
+            assert [v.hex() for v in values.tolist()] == [v.hex() for v in reference[name].tolist()], (
+                bundle.method, bundle.n, name)
+            if name in acted:
+                acted[name] |= bool(np.any(values > 0.0))
+    assert all(acted.values())  # every increment is booked somewhere

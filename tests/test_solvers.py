@@ -314,3 +314,24 @@ def test_skorokhod_residual_refuses_an_upper_barrier_on_another_tree(steps):
     other = build_binomial(steps, 0.0, 1.0, -1.0, 0.5)  # same shape as ``tree`` at 3 steps, deeper at 4
     with pytest.raises(PreconditionError, match="^bundle and barriers must share one tree$"):
         skorokhod_residual(sol, BarrierPair(None, RegulatedField.constant(other, 1.0)))
+
+
+def test_degenerate_nodes_are_where_both_sides_push_listed_last_level_first():
+    """The lower right limit jumps above the upper value at the instant:
+    Y+ holds at L+ while the instant correction pulls Y down to U."""
+    tree = build_binomial(6, 0.0, 0.3, -0.3, 0.5)
+    lower = RegulatedField.from_values(tree, [tree.states[k] * 0.5 - 0.1 for k in range(7)])
+    upper = RegulatedField.from_values(tree, [tree.states[k] * 0.5 + 0.1 for k in range(7)])
+    sites = [(k, j) for k in range(6) for j in range(k + 1) if (k + j) % 2 == 0]
+    lower = lower.with_right_jumps([(k, j, lower.value[(k, j)] + 0.25) for k, j in sites])
+    upper = upper.with_right_jumps([(k, j, upper.value[(k, j)] + 0.3) for k, j in sites])
+    inst = ProblemInstance(
+        tree, TimeGrid.uniform(1.0, 6), tree.states[6] * 0.5, linear_driver(0.3, -0.5), BarrierPair(lower, upper)
+    )
+    sol = solve_doubly_reflected(inst)
+    nodes = sol.degenerate_nodes
+    assert len(nodes) > 1
+    assert list(nodes) == sorted(nodes, key=lambda node: (-node[0], node[1]))
+    for node in nodes:
+        assert sol.jump_a[node] > 0.0
+        assert sol.y.right_value[node] == lower.right_value[node]
