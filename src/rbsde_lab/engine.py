@@ -298,10 +298,11 @@ def backward_sweep(
         if k in corrected:
             level = jump_corrections(level, lower[a:b], upper[a:b], at_lower[a:b], at_upper[a:b])[0]
         y[a:b] = level
-    # every node's instant and step; the leaves take no step
-    times, steps = np.repeat(instants, sizes), np.repeat(np.append(dts, 0.0), sizes)
-    dk_star, da_star = increments(expected, times, steps, y_plus)
-    _, jump_k, jump_a = jump_corrections(y_plus, lower, upper, at_lower, at_upper)
+    # with every node's instant and step; the leaves take no step
+    dk_star, da_star = increments(
+        expected, np.repeat(instants, sizes), np.repeat(np.append(dts, 0.0), sizes), y_plus
+    )
+    jump_k, jump_a = jump_corrections(y_plus, lower, upper, at_lower, at_upper)[1:]
     value, right, dk_star, jump_k, da_star, jump_a = (
         AdaptedField.from_flat(tree, v) for v in (y, (y - jump_k) + jump_a, dk_star, jump_k, da_star, jump_a)
     )

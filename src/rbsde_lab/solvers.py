@@ -56,11 +56,11 @@ def _projection_increments(
 def _projection_sweep(instance: ProblemInstance) -> SolutionBundle:
     """Backward recursion with double clamp; either barrier may be absent."""
     tree, driver, lower, upper = instance.tree, instance.driver, instance.lower, instance.upper
-    absent = np.full(tree.node_count(), np.inf)
-    lo, lo_r = (-absent, -absent) if lower is None else (lower.value.values, lower.right_value.values)
-    up, up_r = (absent, absent) if upper is None else (upper.value.values, upper.right_value.values)
+    count = tree.node_count()
+    lo, lo_r = (np.full(count, -np.inf),) * 2 if lower is None else (lower.value.values, lower.right_value.values)
+    up, up_r = (np.full(count, np.inf),) * 2 if upper is None else (upper.value.values, upper.right_value.values)
     lo_r_at, up_r_at = tree.split_levels(lo_r), tree.split_levels(up_r)
-    below, above = np.zeros((2, tree.node_count()), dtype=bool)
+    below, above = np.zeros((2, count), dtype=bool)
     below_at, above_at = tree.split_levels(below), tree.split_levels(above)
 
     def step(k: int, e: np.ndarray, t: float, dt: float) -> np.ndarray:

@@ -743,9 +743,11 @@ def test_flat_bookkeeping_matches_the_scalar_steps_bit_for_bit(tree, depth, seed
     every mode at low, middle and high penalty and for the projection."""
     inst = jumps_both_barriers(seed, depth=depth, tree=tree)
     if custom:
-        inst = ProblemInstance(inst.tree, inst.grid, inst.terminal, custom_driver(CountingRule(), mu=0.4), inst.barriers)
+        driver = custom_driver(CountingRule(), mu=0.4)
+        inst = ProblemInstance(inst.tree, inst.grid, inst.terminal, driver, inst.barriers)
     dual = negation_dual(inst)
-    cases = [(solve_doubly_reflected(inst), scalar_rebuild(inst, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, None))]
+    projection = scalar_rebuild(inst, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, None)
+    cases = [(solve_doubly_reflected(inst), projection)]
     for mode in PenalizationMode:
         for n in (1, 64, 2 ** 20):
             if mode.penalizes_lower:

@@ -44,7 +44,8 @@ def inputs():
         yield path.stem, load_instance(path), {}
     rng = random.Random(1)
     for name, spec in DEEP_SPECS.items():
-        yield f"deep_tree.{name}", parse_instance(instance_doc(spec, rng)), {"levels": DEEP_LEVELS, "eps": DEEP_EPS}
+        sweep_kwargs = {"levels": DEEP_LEVELS, "eps": DEEP_EPS}
+        yield f"deep_tree.{name}", parse_instance(instance_doc(spec, rng)), sweep_kwargs
 
 
 def digest(*parts) -> str:
