@@ -169,11 +169,13 @@ def budget_defects(bundle: SolutionBundle, instance: ProblemInstance) -> np.ndar
     jumpA_k) on the edge, with the driver evaluated at the right-limit value
     that rules the open interval; zero on an exact solution.
     """
-    tree, grid, driver, y = bundle.tree, bundle.grid, instance.driver, bundle.y
+    tree, instants, y = bundle.tree, bundle.grid.instants, bundle.y
     parent, child = tree.edge_source, tree.edge_target
-    drift = np.concatenate([
-        driver.level(float(grid.instants[k]), y.right_value.level(k)) * grid.dt(k) for k in range(tree.depth)
-    ])
+    # one driver call over the nodes before the terminal level, each at its instant and step
+    sizes = np.diff(tree.node_start)[:-1]
+    y_plus = y.right_value.values[: tree.node_start[-2]]
+    t, dt = np.repeat(instants[:-1], sizes), np.repeat(np.diff(instants), sizes)
+    drift = instance.driver.level(t, y_plus) * dt
     return (
         y.value.values[parent]
         - y.value.values[child]

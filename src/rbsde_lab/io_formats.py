@@ -46,6 +46,13 @@ def _number(value: Any, where: str, integral: bool = False) -> float:
     return float(value)
 
 
+def _levels(lists: Any, where: str) -> list[np.ndarray]:
+    """Per-level lists of numbers as float arrays, checked numeric in one array operation."""
+    counts, flat = flatten_node_lists(lists, where)
+    flat, bounds = flat.astype(float, copy=False), [0, *np.cumsum(counts).tolist()]
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def _evaluate_function_spec(
     spec: dict, where: str, tree: FiltrationTree, grid: TimeGrid, leaves_only: bool
 ):
@@ -56,21 +63,24 @@ def _evaluate_function_spec(
         _take(spec, where, ["family", "values"])
         values = spec["values"]
         if leaves_only:
-            return np.asarray(values, dtype=float)
-        return [np.asarray(v, dtype=float) for v in values]
+            return _levels([values], f"{where}.values")[0]
+        return _levels(values, f"{where}.values")
+
+    def coef(name: str) -> float:
+        return _number(spec[name], f"{where}.{name}")
 
     def apply(k: int) -> np.ndarray:
         x = tree.states[k]
         t = float(grid.instants[k])
         if family == "constant":
             _take(spec, where, ["family", "c"])
-            return np.full(x.size, float(spec["c"]))
+            return np.full(x.size, coef("c"))
         if family == "affine_state":
             _take(spec, where, ["family", "a", "b"])
-            return float(spec["a"]) * x + float(spec["b"])
+            return coef("a") * x + coef("b")
         if family == "affine_time_state":
             _take(spec, where, ["family", "a", "b", "c"])
-            return float(spec["a"]) * x + float(spec["b"]) * t + float(spec["c"])
+            return coef("a") * x + coef("b") * t + coef("c")
         raise InvalidInstanceError(f"{where}: unknown function family {family!r}")
 
     if leaves_only:
@@ -86,10 +96,11 @@ def _parse_driver(spec: dict) -> Driver:
         return zero_driver()
     if family == "constant":
         _take(spec, "driver", ["family", "rate"])
-        return constant_driver(float(spec["rate"]))
+        return constant_driver(_number(spec["rate"], "driver.rate"))
     if family == "linear":
         _take(spec, "driver", ["family", "intercept", "slope"])
-        return linear_driver(float(spec["intercept"]), float(spec["slope"]))
+        intercept, slope = (_number(spec[key], f"driver.{key}") for key in ("intercept", "slope"))
+        return linear_driver(intercept, slope)
     raise InvalidInstanceError(f"driver: unknown family {family!r}")
 
 
@@ -98,12 +109,11 @@ def _parse_tree(spec: dict, steps: int) -> FiltrationTree:
     kind = spec["kind"]
     if kind == "binomial":
         _take(spec, "tree", ["kind", "x0", "up", "down", "p_up"])
-        return build_binomial(
-            steps, float(spec["x0"]), float(spec["up"]), float(spec["down"]), float(spec["p_up"])
-        )
+        x0, up, down, p_up = (_number(spec[key], f"tree.{key}") for key in ("x0", "up", "down", "p_up"))
+        return build_binomial(steps, x0, up, down, p_up)
     if kind == "explicit":
         _take(spec, "tree", ["kind", "states", "children", "probs"])
-        tree = FiltrationTree(spec["states"], spec["children"], spec["probs"])
+        tree = FiltrationTree(_levels(spec["states"], "tree.states"), spec["children"], spec["probs"])
         if tree.depth != steps:
             raise InvalidInstanceError(
                 f"tree: explicit tree has {tree.depth} steps, grid declares {steps}"

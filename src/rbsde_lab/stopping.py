@@ -247,8 +247,10 @@ def verify_local_properties(
         hitting_time_lower(y, barriers.lower, tau, tol), tree.split_levels(np.abs(y_val - l_val))
     )
     reached = np.concatenate(tree.reached)
-    lower_violation = max(0.0, float(np.max((l_val - y_val)[reached])))
-    upper_violation = max(0.0, float(np.max((y_val - u_val)[reached])))
+    below = np.where(reached, l_val - y_val, -np.inf)  # nodes no path reaches are not measured
+    above = np.where(reached, y_val - u_val, -np.inf)
+    lower_violation = max(0.0, float(np.max(below)))
+    upper_violation = max(0.0, float(np.max(above)))
 
     failures = []
     bound = tol + 1e-10
@@ -257,10 +259,10 @@ def verify_local_properties(
     if lo_dev > bound:
         failures.append(f"lower hitting value deviates by {lo_dev}")
     if lower_violation > 1e-10:
-        k, j = _worst_node(y, barriers.lower, below=True)
+        k, j = tree.locate(int(np.argmax(below)))
         failures.append(f"Y drops below the lower barrier at node ({k},{j}) by {lower_violation}")
     if upper_violation > 1e-10:
-        k, j = _worst_node(y, barriers.upper, below=False)
+        k, j = tree.locate(int(np.argmax(above)))
         failures.append(f"Y exceeds the upper barrier at node ({k},{j}) by {upper_violation}")
     return LocalPropertiesReport(
         upper_hit_deviation=up_dev,
@@ -271,13 +273,6 @@ def verify_local_properties(
     )
 
 
-def _worst_node(y: RegulatedField, barrier: RegulatedField, below: bool) -> tuple[int, int]:
-    """The first node, in level order, where Y is furthest below (``below``) or above the barrier."""
-    gap = barrier.value.values - y.value.values if below else y.value.values - barrier.value.values
-    k, j = y.tree.locate(np.argmax(gap))
-    return int(k), int(j)
-
-
 @dataclass
 class IntervalReport:
     budget_residual: float
@@ -286,27 +281,38 @@ class IntervalReport:
     upper_skorokhod: float
 
 
-class PathContext:
-    """Pathwise matrices of a solved bundle and its instance, gathered once.
+def _sandwich_gaps(y: RegulatedField, barriers: BarrierPair) -> np.ndarray:
+    """Each node's max(L - Y, Y - U) over the barriers present, flat in level order (-inf with none)."""
+    gaps = np.full(y.tree.node_count(), -np.inf)
+    if barriers.lower is not None:
+        gaps = np.maximum(gaps, barriers.lower.value.values - y.value.values)
+    if barriers.upper is not None:
+        gaps = np.maximum(gaps, y.value.values - barriers.upper.value.values)
+    return gaps
 
-    Restricting a solve to many intervals re-reads the same fields; building
-    the (paths x levels) matrices a single time keeps that linear instead of
-    quadratic in the number of intervals.
+
+class PathContext:
+    """The per-node quantities of a solved bundle, gathered along every path once.
+
+    The bundle's fields, each edge's budget defect, each node's minimality
+    terms of K and A (:func:`minimality_levels`, stacked on the first axis)
+    and each node's sandwich gap.  Restricting a solve to many intervals
+    re-reads them; gathering the (paths x levels) matrices a single time
+    keeps that linear instead of quadratic in the number of intervals.
     """
 
     def __init__(self, instance: ProblemInstance, bundle: SolutionBundle):
-        self.y = bundle.y.value.path_matrix()
-        self.y_right = bundle.y.right_value.path_matrix()
-        self.dk = bundle.dk_star.path_matrix()[:, :-1]
-        self.jk = bundle.jump_k.path_matrix()[:, :-1]
-        self.da = bundle.da_star.path_matrix()[:, :-1]
-        self.ja = bundle.jump_a.path_matrix()[:, :-1]
-        self.dm = bundle.dm.path_matrix()
-        self.l_val = None if instance.lower is None else instance.lower.value.path_matrix()
-        self.l_right = None if instance.lower is None else instance.lower.right_value.path_matrix()
-        self.u_val = None if instance.upper is None else instance.upper.value.path_matrix()
-        self.u_right = None if instance.upper is None else instance.upper.right_value.path_matrix()
-        self.budget_residuals = budget_defects(bundle, instance)[instance.tree.path_gather()[1]]
+        nodes, edges = instance.tree.path_gather()
+        inner = nodes[:, :-1]
+        self.y = bundle.y.value.values[nodes]
+        self.y_right = bundle.y.right_value.values[nodes]
+        self.dk, self.jk, self.da, self.ja = (
+            f.values[inner] for f in (bundle.dk_star, bundle.jump_k, bundle.da_star, bundle.jump_a)
+        )
+        self.dm = bundle.dm.values[edges]
+        self.budget_residuals = budget_defects(bundle, instance)[edges]
+        self.minimality = np.concatenate(minimality_levels(bundle, instance.barriers), axis=1)[:, inner]
+        self.sandwich_gaps = _sandwich_gaps(bundle.y, instance.barriers)[nodes]
 
 
 @dataclass
@@ -314,7 +320,7 @@ class LocalSolution:
     """Restriction of a solved bundle to a pathwise stochastic interval.
 
     The increasing processes restart from zero at the interval opening; the
-    stored matrices are masked outside the interval.
+    stored matrices are zero outside the interval.
     """
 
     tau_levels: np.ndarray
@@ -356,68 +362,38 @@ def local_solution(
         if bundle is None:
             bundle = solve_doubly_reflected(instance)
         context = PathContext(instance, bundle)
-    tree = instance.tree
-    depth = tree.depth
-    kk = np.arange(depth + 1)
-    in_vals = (tl[:, None] <= kk[None, :]) & (kk[None, :] <= sl[:, None])
-    in_incs = (tl[:, None] <= kk[None, :-1]) & (kk[None, :-1] < sl[:, None])
+    kk = np.arange(instance.tree.depth + 1)
+    in_vals = (tl[:, None] <= kk) & (kk <= sl[:, None])
+    in_incs = (tl[:, None] <= kk[:-1]) & (kk[:-1] < sl[:, None])
+    dk, jk, da, ja, dm = (m * in_incs for m in (context.dk, context.jk, context.da, context.ja, context.dm))
 
-    y_paths = context.y * in_vals
-    y_right_paths = context.y_right * in_vals
-    dk = context.dk * in_incs
-    jk = context.jk * in_incs
-    da = context.da * in_incs
-    ja = context.ja * in_incs
-    dm = context.dm * in_incs
+    def rebased(star: np.ndarray, jump: np.ndarray) -> np.ndarray:
+        """The running sum of the interval's increments from zero at its opening."""
+        out = np.zeros(in_vals.shape)
+        np.cumsum(star + jump, axis=1, out=out[:, 1:])
+        return out * in_vals
 
-    k_cum = np.zeros((y_paths.shape[0], depth + 1))
-    np.cumsum(dk + jk, axis=1, out=k_cum[:, 1:])
-    a_cum = np.zeros_like(k_cum)
-    np.cumsum(da + ja, axis=1, out=a_cum[:, 1:])
-    k_cum *= in_vals
-    a_cum *= in_vals
-
-    # budget identity on interval steps, driver at the right-limit value
-    full_y = context.y
-    full_right = context.y_right
-    resid = context.budget_residuals
-    budget = float(np.max(np.abs(resid * in_incs))) if resid.size else 0.0
-
-    sandwich = 0.0
-    lo_sum = np.zeros(y_paths.shape[0])
-    up_sum = np.zeros(y_paths.shape[0])
-    if instance.lower is not None:
-        l_val, l_right = context.l_val, context.l_right
-        sandwich = max(sandwich, float(np.max((l_val - full_y) * in_vals)))
-        lo_sum = np.sum(
-            ((full_right[:, :-1] - l_right[:, :-1]) * dk + (full_y[:, :-1] - l_val[:, :-1]) * jk),
-            axis=1,
-        )
-    if instance.upper is not None:
-        u_val, u_right = context.u_val, context.u_right
-        sandwich = max(sandwich, float(np.max((full_y - u_val) * in_vals)))
-        up_sum = np.sum(
-            ((u_right[:, :-1] - full_right[:, :-1]) * da + (u_val[:, :-1] - full_y[:, :-1]) * ja),
-            axis=1,
-        )
+    # budget identity on the interval's steps, sandwich on its instants;
+    # one (P, N) sum per side, as one (2, P, N) sum may add in another order
+    sums = [np.sum(terms * in_incs, axis=1) for terms in context.minimality]
     report = IntervalReport(
-        budget_residual=budget,
-        sandwich_violation=max(sandwich, 0.0),
-        lower_skorokhod=float(np.max(lo_sum)),
-        upper_skorokhod=float(np.max(up_sum)),
+        budget_residual=float(np.max(np.abs(context.budget_residuals), where=in_incs, initial=0.0)),
+        sandwich_violation=max(0.0, float(np.max(context.sandwich_gaps, where=in_vals, initial=-np.inf))),
+        lower_skorokhod=float(np.max(sums[0])),
+        upper_skorokhod=float(np.max(sums[1])),
     )
     return LocalSolution(
         tau_levels=tl,
         sigma_levels=sl,
-        y_paths=y_paths,
-        y_right_paths=y_right_paths,
+        y_paths=context.y * in_vals,
+        y_right_paths=context.y_right * in_vals,
         dk_star_paths=dk,
         jump_k_paths=jk,
         da_star_paths=da,
         jump_a_paths=ja,
         dm_paths=dm,
-        k_paths=k_cum,
-        a_paths=a_cum,
+        k_paths=rebased(dk, jk),
+        a_paths=rebased(da, ja),
         report=report,
     )
 
@@ -525,8 +501,7 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
     hit_lo = _hit_mask(y, lower, tol, upper=False)
     terms = minimality_levels(bundle, instance.barriers)
     abs_defects = np.abs(budget_defects(bundle, instance))
-    y_val = y.value.values
-    outside = tree.split_levels(np.maximum(lower.value.values - y_val, y_val - upper.value.values))
+    outside = tree.split_levels(_sandwich_gaps(y, instance.barriers))
 
     n_phases = depth + 2
     budget = np.zeros(n_phases)
@@ -632,30 +607,15 @@ def patch_global(instance: ProblemInstance, pieces: list[LocalSolution]) -> Solu
     kk = np.arange(depth + 1)
     y_pathwise = np.zeros((n_paths, depth + 1))
     y_right_pathwise = np.zeros((n_paths, depth + 1))
-    dk = np.zeros((n_paths, depth))
-    jk = np.zeros((n_paths, depth))
-    da = np.zeros((n_paths, depth))
-    ja = np.zeros((n_paths, depth))
-    dm = np.zeros((n_paths, depth))
-    owned_val = np.zeros((n_paths, depth + 1), dtype=bool)
-    for piece in pieces:
-        vals = (piece.tau_levels[:, None] <= kk[None, :]) & (
-            kk[None, :] <= piece.sigma_levels[:, None]
-        )
-        take = vals & ~owned_val
-        y_pathwise = np.where(take, piece.y_paths, y_pathwise)
-        y_right_pathwise = np.where(take, piece.y_right_paths, y_right_pathwise)
-        owned_val |= vals
-        incs = (piece.tau_levels[:, None] <= kk[None, :-1]) & (
-            kk[None, :-1] < piece.sigma_levels[:, None]
-        )
-        dk += piece.dk_star_paths * incs
-        jk += piece.jump_k_paths * incs
-        da += piece.da_star_paths * incs
-        ja += piece.jump_a_paths * incs
-        dm += piece.dm_paths * incs
-    if not np.all(owned_val):
-        raise PatchingError("pieces leave uncovered instants")
+    for piece in reversed(pieces):  # a seam instant goes to the piece that closes there
+        vals = (piece.tau_levels[:, None] <= kk) & (kk <= piece.sigma_levels[:, None])
+        y_pathwise = np.where(vals, piece.y_paths, y_pathwise)
+        y_right_pathwise = np.where(vals, piece.y_right_paths, y_right_pathwise)
+    # each piece's increments are zero outside its interval
+    dk, jk, da, ja, dm = (
+        sum(getattr(piece, name) for piece in pieces)
+        for name in ("dk_star_paths", "jump_k_paths", "da_star_paths", "jump_a_paths", "dm_paths")
+    )
 
     y_field = _scatter_consistent(tree, y_pathwise, "Y", PATCH_TOL)
     y_right = _scatter_consistent(tree, y_right_pathwise, "right limit of Y", PATCH_TOL)

@@ -312,6 +312,7 @@ def _explicit_doc() -> dict:
         ("probs", [[[0.5, "half"]]], "transition probabilities must be lists of numbers"),
         ("children", [[[0, [1]]]], "child ids must be lists of numbers"),
         ("probs", [[[0.5, None]]], "transition probabilities must be lists of numbers"),
+        ("states", [[0.0], [-1.0, "x"]], "^tree.states must be lists of numbers$"),
     ],
 )
 def test_explicit_tree_rejects_malformed_edges(tmp_path, capsys, key, value, message):
@@ -430,6 +431,34 @@ def test_grid_must_be_numeric(tmp_path, capsys, key, value, message):
     capsys.readouterr()
     assert run("solve", path) == 1
     assert "invalid input:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys, value, field",
+    [
+        (("terminal",), {"family": "constant", "c": "-1.5"}, "terminal.c"),
+        (("tree", "p_up"), "0.5", "tree.p_up"),
+        (("terminal",), {"family": "constant", "c": "abc"}, "terminal.c"),
+        (("driver", "slope"), None, "driver.slope"),
+        (("terminal",), {"family": "table", "values": [0.0] * 10 + ["x"]}, "terminal.values"),
+        (("driver",), {"family": "constant", "rate": float("inf")}, "driver.rate"),
+    ],
+)
+def test_instance_numbers_are_checked_and_named(tmp_path, capsys, keys, value, field):
+    def edit(doc):
+        *parents, key = keys
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = value
+
+    path = _edited_instance(tmp_path, "two_sided_affine.json", edit)
+    with pytest.raises(InvalidInstanceError, match=f"^{field}"):
+        load_instance(path)
+    capsys.readouterr()
+    assert run("solve", path) == 1
+    err = capsys.readouterr().err
+    assert f"invalid input: {field}" in err and "Traceback" not in err
 
 
 def test_integral_grid_and_jump_numbers_still_load(tmp_path):

@@ -191,6 +191,23 @@ def test_comparison_refuses_lower_barriers_out_of_order():
         comparison_check(instance(low), instance([np.full(k + 1, -1.0) for k in range(4)]))
 
 
+def test_comparison_refuses_drivers_out_of_order():
+    tree = build_binomial(3, 0.0, 1.0, -1.0, 0.5)
+    barriers = BarrierPair(RegulatedField.constant(tree, -1.0), RegulatedField.constant(tree, 1.0))
+
+    def instance(rate):
+        return ProblemInstance(tree, TimeGrid.uniform(1.0, 3), np.zeros(4), constant_driver(rate), barriers)
+
+    with pytest.raises(PreconditionError, match=r"^drivers not ordered at t=0\.0, y=-2\.0: 0\.5 > 0\.2$"):
+        comparison_check(instance(0.5), instance(0.2))
+
+
+def test_stop_rule_enumeration_refuses_beyond_its_cap():
+    tree = build_binomial(3, 0.0, 1.0, -1.0, 0.5)
+    with pytest.raises(EnumerationCapError, match="^stopping-rule enumeration exceeds cap 1; use the fast variant$"):
+        _enumerate_stop_rules(tree, 1)
+
+
 def test_comparison_seeded_corpus_no_violations():
     rng = np.random.default_rng(2024)
     for seed in range(25):

@@ -6,7 +6,7 @@ import pytest
 from rbsde_lab.drivers import zero_driver
 from rbsde_lab.engine import PenalizationMode, solve_penalized
 from rbsde_lab.errors import AlternationStuckError, PatchingError, PreconditionError
-from rbsde_lab.lattice import AdaptedField, TimeGrid, build_binomial
+from rbsde_lab.lattice import AdaptedField, FiltrationTree, TimeGrid, build_binomial
 from rbsde_lab.oracle import InstanceRecipe, random_instance
 from rbsde_lab.regulated import BarrierPair, ProblemInstance, RegulatedField
 from rbsde_lab.solvers import solve_doubly_reflected
@@ -309,3 +309,24 @@ def test_patch_refuses_paths_that_disagree_at_a_node(instance):
     y_paths[0, 1] += 0.5  # path 0 only; other paths pass through the same level-1 node
     with pytest.raises(PatchingError, match="^patched Y disagrees across paths at level 1 by "):
         patch_global(instance, [replace(piece, y_paths=y_paths)])
+
+
+def test_patch_refuses_a_solution_off_the_direct_solve(instance):
+    sol = solve_doubly_reflected(instance)
+    shift = RegulatedField(sol.y.value.map(lambda v: v + 1e-3), sol.y.right_value.map(lambda v: v + 1e-3))
+    tree = instance.tree
+    piece = local_solution(
+        instance, StoppingRule.at_zero(tree), StoppingRule.at_terminal(tree), bundle=replace(sol, y=shift)
+    )
+    with pytest.raises(PatchingError, match=r"^patched solution deviates from the direct solve: Y by 0\.00"):
+        patch_global(instance, [piece])
+
+
+def test_sandwich_failure_names_a_reached_node():
+    # node (1,1) has no parent: Y far below L there must neither count nor be named
+    tree = FiltrationTree([[0.0], [0.0, 1.0], [0.0]], [[[0]], [[0], [0]]], [[[1.0]], [[1.0], [1.0]]])
+    y = RegulatedField.from_values(tree, [np.zeros(1), np.array([-1.2, -3.0]), np.zeros(1)])
+    barriers = BarrierPair(RegulatedField.constant(tree, -1.0), RegulatedField.constant(tree, 1.0))
+    rep = verify_local_properties(y, barriers, StoppingRule.at_zero(tree))
+    assert rep.lower_sandwich_violation == pytest.approx(0.2)
+    assert f"Y drops below the lower barrier at node (1,0) by {rep.lower_sandwich_violation}" in rep.failures

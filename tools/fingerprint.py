@@ -10,11 +10,14 @@ and the benchmark's ``deep_tree`` trees for seed 1 (built by
 ``bench/gen_instances.py``).  Outputs per input: the projection bundle and
 its ``lu4_residual``, ``solve_penalized`` in every mode at a few penalty
 levels, and the four-mode sweeps (levels run, convergence, trace rows and
-final bundle; residual rows at depth <= 16).  A refusal is fingerprinted by
-its exception type and message.
+final bundle; residual rows at depth <= 16).  On two-sided inputs of depth
+<= 16, also the path oracle on the projection bundle: the alternating
+sequence's levels, every local solution's matrices and report fields, and
+the patched bundle.  A refusal is fingerprinted by its exception type and
+message.
 """
+import dataclasses
 import hashlib
-import json
 import pathlib
 import random
 import sys
@@ -22,10 +25,11 @@ import sys
 import numpy as np
 
 from rbsde_lab.bundles import lu4_residual
+from rbsde_lab.cli import _solve_projection
 from rbsde_lab.engine import PenalizationMode, penalization_sweep, solve_penalized
 from rbsde_lab.errors import RBSDELabError
 from rbsde_lab.io_formats import load_instance, parse_instance
-from rbsde_lab.solvers import solve_doubly_reflected, solve_reflected_lower, solve_reflected_upper
+from rbsde_lab.stopping import PathContext, alternating_sequence, local_solution, patch_global
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
@@ -34,7 +38,7 @@ from deep_tree import EPS as DEEP_EPS, LEVELS as DEEP_LEVELS, SPECS as DEEP_SPEC
 from gen_instances import instance_doc  # noqa: E402
 
 PENALTIES = (1, 64, 2 ** 20)
-RESIDUAL_DEPTH = 16  # sweeps on deeper trees skip the per-level residuals
+RESIDUAL_DEPTH = 16  # sweeps and the path oracle skip deeper trees
 
 
 def inputs():
@@ -60,14 +64,6 @@ def bundle_parts(b) -> tuple:
     return tuple(f.values for f in fields) + (b.method, b.n, b.degenerate_nodes)
 
 
-def projection(instance):
-    if instance.lower is not None and instance.upper is not None:
-        return solve_doubly_reflected(instance)
-    if instance.upper is None:
-        return solve_reflected_lower(instance)
-    return solve_reflected_upper(instance)
-
-
 def sweep_parts(sweep) -> tuple:
     rows = tuple(
         (r.n, r.sup_distance.hex(), *(None if v is None else v.hex() for v in (
@@ -77,10 +73,28 @@ def sweep_parts(sweep) -> tuple:
     return (sweep.levels, sweep.converged, sweep.monotone_violation.hex(), rows) + bundle_parts(sweep.final)
 
 
+def alternating_parts(instance) -> tuple:
+    rules, stat = alternating_sequence(_solve_projection(instance).y, instance.barriers)
+    return (stat.max_index,) + tuple(rule.levels() for rule in rules)
+
+
+def local_solutions(instance) -> list:
+    bundle = _solve_projection(instance)
+    rules, _ = alternating_sequence(bundle.y, instance.barriers)
+    context = PathContext(instance, bundle)
+    return [local_solution(instance, tau, sigma, context=context) for tau, sigma in zip(rules, rules[1:])]
+
+
+def piece_parts(piece) -> tuple:
+    """Every matrix of a local solution, then its report fields as hex."""
+    matrices = tuple(getattr(piece, f.name) for f in dataclasses.fields(piece) if f.name != "report")
+    return matrices + tuple(getattr(piece.report, f.name).hex() for f in dataclasses.fields(piece.report))
+
+
 def outputs(instance, sweep_kwargs):
     """(output name, thunk returning the parts to hash) for one input."""
-    yield "projection", lambda: bundle_parts(projection(instance))
-    yield "projection.lu4", lambda: lu4_residual(projection(instance), instance).hex()
+    yield "projection", lambda: bundle_parts(_solve_projection(instance))
+    yield "projection.lu4", lambda: lu4_residual(_solve_projection(instance), instance).hex()
     for mode in PenalizationMode:
         for n in PENALTIES:
             yield f"penalized.{mode.value}.n{n}", lambda mode=mode, n=n: bundle_parts(
@@ -88,6 +102,12 @@ def outputs(instance, sweep_kwargs):
         residuals = instance.tree.depth <= RESIDUAL_DEPTH
         yield f"sweep.{mode.value}", lambda mode=mode: sweep_parts(
             penalization_sweep(instance, mode, compute_residuals=residuals, **sweep_kwargs))
+    if instance.lower is None or instance.upper is None or instance.tree.depth > RESIDUAL_DEPTH:
+        return
+    yield "path.alternating", lambda: alternating_parts(instance)
+    yield "path.local_solutions", lambda: tuple(
+        part for piece in local_solutions(instance) for part in piece_parts(piece))
+    yield "path.patched", lambda: bundle_parts(patch_global(instance, local_solutions(instance)))
 
 
 def main() -> None:
