@@ -167,9 +167,8 @@ def cmd_solve(args) -> int:
             print(f"non-convergence: {last}", file=sys.stderr)
     eps = None if args.method == "projection" else args.eps
     residuals, tolerances, passed = _bundle_report(bundle, instance, tol, eps=eps)
-    doc = solution_document(bundle, residuals, tolerances, passed, warnings)
     if args.out:
-        dump_json(doc, args.out)
+        dump_json(solution_document(bundle, residuals, tolerances, passed, warnings), args.out)
     print(f"method: {bundle.method}")
     for key in sorted(residuals):
         print(f"{key}: {residuals[key]}")

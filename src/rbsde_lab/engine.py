@@ -1,16 +1,17 @@
 """The shared backward sweep, and the plain and penalized steps on the tree.
 
-:func:`backward_sweep` is the one backward induction of the package.  Its
-level loop carries values only: the conditional expectations, the
-right-limit values Y+ a solver's step returns, and the values Y at the
-instant on the levels that hold a jump correction.  The increments are
-booked once afterwards, as array expressions over all nodes in level order:
-dK* and dA* by the step's own entrywise increment function, jumpK and jumpA
-by :func:`jump_corrections`, and dM as Y(child) - E(parent) on every edge.
-The penalized step lives here, the projection step in
-:mod:`rbsde_lab.solvers`; each is split into a value part for the loop and
-an increment part, and the level functions (:func:`penalized_level`) and the
-scalar steps call the same two parts.
+:func:`backward_sweep` is the one backward induction of the package.  A
+solver hands it two pure level kernels, one for the values and one for the
+increments, and the two jump-correction masks; the sweep reads the barriers
+from the instance.  Its level loop carries values only: the conditional
+expectations, the right-limit values Y+ the value kernel returns with where
+each side acted, and the values Y at the instant on the levels that hold a
+jump correction.  The increments are booked once afterwards, as array
+expressions over all nodes in level order: dK* and dA* by the increment
+kernel, jumpK and jumpA by :func:`jump_corrections`, and dM as
+Y(child) - E(parent) on every edge.  The penalized kernels live here, the
+projection kernels in :mod:`rbsde_lab.solvers`; the level function
+:func:`penalized_level` and the scalar steps call the same kernels.
 
 The driver integral is treated implicitly (solve y = e + f(t, y) dt) and so
 is the penalty term n (y - L+)^- dt: the piecewise-linear equation is solved
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -54,11 +56,6 @@ from .regulated import (
     negation_dual,
     require_valid,
 )
-
-# (k, e, t, dt) -> level k's right-limit values; the step keeps what its increments need
-LevelStep = Callable[[int, np.ndarray, float, float], np.ndarray]
-# (E, t, dt, Y+), flat over all nodes -> (dK*, dA*), flat over all nodes
-Increments = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 FIXED_POINT_TOL = 1e-13
 FIXED_POINT_MAX_ITER = 200
@@ -131,8 +128,8 @@ def implicit_level(e: np.ndarray, t: float, dt: float, driver: Driver) -> np.nda
 
 
 def _penalized_values(
-    e: np.ndarray, t: float, dt: float, n: int,
-    lower: np.ndarray, upper: np.ndarray, clamp: np.ndarray | bool, driver: Driver,
+    e: np.ndarray, t: float, dt: float, lower: np.ndarray, upper: np.ndarray,
+    n: int, clamp: np.ndarray | bool, driver: Driver,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The values of :func:`penalized_level`, and where each side acted: (y, pushed, clamped).
 
@@ -154,11 +151,12 @@ def _penalized_values(
 
 
 def _penalized_increments(
-    e: np.ndarray, t: np.ndarray, dt: np.ndarray, n: int,
-    lower: np.ndarray, y: np.ndarray, pushed: np.ndarray, clamped: np.ndarray, driver: Driver,
+    e: np.ndarray, t: np.ndarray, dt: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+    y: np.ndarray, pushed: np.ndarray, clamped: np.ndarray, n: int, driver: Driver,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dk_star, da_star) of the values of :func:`_penalized_values`, entry by
-    entry; ``t`` and ``dt`` hold each entry's instant and step."""
+    entry; ``t`` and ``dt`` hold each entry's instant and step.  A clamped
+    entry sits at ``upper``, so only ``y`` is read there."""
     dk, da = np.where(pushed | clamped, n * dt * positive_part(lower - y), 0.0), np.zeros(y.size)
     i = clamped.nonzero()[0]
     da[i] = positive_part(e[i] + driver.level(t[i], y[i]) * dt[i] + dk[i] - y[i])
@@ -175,9 +173,9 @@ def penalized_level(
     A clamped entry re-solves the budget at the barrier exactly, so the
     one-step identity holds to round-off.
     """
-    y, pushed, clamped = _penalized_values(e, t, dt, n, lower, upper, clamp, driver)
+    y, pushed, clamped = _penalized_values(e, t, dt, lower, upper, n, clamp, driver)
     times, steps = np.full(e.size, t), np.full(e.size, dt)
-    return (y, *_penalized_increments(e, times, steps, n, lower, y, pushed, clamped, driver))
+    return (y, *_penalized_increments(e, times, steps, lower, upper, y, pushed, clamped, n, driver))
 
 
 def jump_corrections(
@@ -261,63 +259,70 @@ def right_jump_correction(
     return tuple(float(v[0]) for v in rows)
 
 
+def _limits(side: RegulatedField | None, absent: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """A barrier's flat values and right limits; an absent one is ``absent`` everywhere, as a view."""
+    if side is None:
+        return (np.broadcast_to(absent, count),) * 2
+    return side.value.values, side.right_value.values
+
+
 def backward_sweep(
     instance: ProblemInstance,
-    step: LevelStep,
-    increments: Increments,
-    corrections: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    values: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]],
+    increments: Callable[..., tuple[np.ndarray, np.ndarray]],
+    at_lower: np.ndarray,
+    at_upper: np.ndarray,
     method: str,
     n: int | None = None,
-) -> SolutionBundle:
-    """Backward induction from the terminal payoff, one level at a time.
+) -> tuple[SolutionBundle, np.ndarray, np.ndarray]:
+    """Backward induction from the terminal payoff, one level at a time:
+    (bundle, first, second).
 
-    The level loop carries values only.  At level k it takes the conditional
-    expectations ``e`` of the level-(k+1) values Y; ``step(k, e, t, dt)``
-    returns the level's right-limit values Y+ and keeps what its increments
-    need.  On the levels that hold a node to correct, :func:`jump_corrections`
-    moves Y+ to the value at the instant; ``corrections`` holds its flat
-    ``(lower, upper, at_lower, at_upper)`` arguments over all nodes.
+    The barrier values L, U and right limits L+, U+ are read from the
+    instance, an absent lower (upper) barrier as -inf (+inf).  The level
+    loop carries values only.  At level k it takes the conditional
+    expectations ``e`` of the level-(k+1) values Y; the pure kernel
+    ``values(e, t, dt, L+, U+)`` returns the right-limit values Y+ and where
+    its first and its second side acted, kept in the flat masks ``first``
+    and ``second``.  On the levels that hold a node of ``at_lower`` or
+    ``at_upper``, :func:`jump_corrections` moves Y+ to the value at the
+    instant.
 
     The increments are then booked once, over all nodes in level order:
-    ``increments(E, t, dt, Y+)`` gives dK* and dA* from the flat
-    expectations, instants and steps; the corrections give jumpK and jumpA;
-    dM is Y(child) - E(parent) on every edge; and the right-limit value is
-    assembled as (Y - jumpK) + jumpA.
+    ``increments(E, t, dt, L+, U+, Y+, first, second)`` gives dK* and dA*
+    from the flat expectations, instants and steps; the corrections give
+    jumpK and jumpA; dM is Y(child) - E(parent) on every edge; and the
+    right-limit value is assembled as (Y - jumpK) + jumpA.
     """
-    tree, instants = instance.tree, instance.grid.instants
-    lower, upper, at_lower, at_upper = corrections
+    tree, instants, count = instance.tree, instance.grid.instants, instance.tree.node_count()
+    lower, lower_right = _limits(instance.lower, -np.inf, count)
+    upper, upper_right = _limits(instance.upper, np.inf, count)
     bounds, sizes, dts = tree.node_start.tolist(), np.diff(tree.node_start), np.diff(instants)
     t_k, dt_k = instants.tolist(), dts.tolist()
-    y, y_plus, expected = np.zeros((3, tree.node_count()))
+    y, y_plus, expected = np.zeros((3, count))
+    first, second = np.zeros((2, count), dtype=bool)
     y[bounds[-2] :] = y_plus[bounds[-2] :] = instance.terminal
     corrected = set(tree.locate(np.flatnonzero(at_lower | at_upper))[0].tolist())
     for k in range(tree.depth - 1, -1, -1):
         a, b, c = bounds[k : k + 3]
         e = expected[a:b] = expect_level(tree, k, y[b:c])
-        level = y_plus[a:b] = step(k, e, t_k[k], dt_k[k])
+        level, first[a:b], second[a:b] = values(e, t_k[k], dt_k[k], lower_right[a:b], upper_right[a:b])
+        y_plus[a:b] = level
         if k in corrected:
             level = jump_corrections(level, lower[a:b], upper[a:b], at_lower[a:b], at_upper[a:b])[0]
         y[a:b] = level
     # with every node's instant and step; the leaves take no step
-    dk_star, da_star = increments(
-        expected, np.repeat(instants, sizes), np.repeat(np.append(dts, 0.0), sizes), y_plus
-    )
+    times, steps = np.repeat(instants, sizes), np.repeat(np.append(dts, 0.0), sizes)
+    dk_star, da_star = increments(expected, times, steps, lower_right, upper_right, y_plus, first, second)
     jump_k, jump_a = jump_corrections(y_plus, lower, upper, at_lower, at_upper)[1:]
     value, right, dk_star, jump_k, da_star, jump_a = (
         AdaptedField.from_flat(tree, v) for v in (y, (y - jump_k) + jump_a, dk_star, jump_k, da_star, jump_a)
     )
-    return SolutionBundle(
-        tree=tree,
-        grid=instance.grid,
-        y=RegulatedField(value, right),
-        dm=edge_increments(tree, y, expected),
-        dk_star=dk_star,
-        jump_k=jump_k,
-        da_star=da_star,
-        jump_a=jump_a,
-        method=method,
-        n=n,
+    bundle = SolutionBundle(
+        tree=tree, grid=instance.grid, y=RegulatedField(value, right), dm=edge_increments(tree, y, expected),
+        dk_star=dk_star, jump_k=jump_k, da_star=da_star, jump_a=jump_a, method=method, n=n,
     )
+    return bundle, first, second
 
 
 def _require_barriers(instance: ProblemInstance, mode: PenalizationMode) -> None:
@@ -330,32 +335,22 @@ def _require_barriers(instance: ProblemInstance, mode: PenalizationMode) -> None
 
 
 def _penalized_lower_side(instance: ProblemInstance, n: int, mode: PenalizationMode) -> SolutionBundle:
-    """The penalized sweep of a lower-side mode on a validated instance."""
-    tree, driver, lower, upper = instance.tree, instance.driver, instance.lower, instance.upper
-    # the upper barrier, or the lower one standing in where no mask reads it
-    cap = lower if upper is None else upper
-    lower_right, upper_right = (tree.split_levels(side.right_value.values) for side in (lower, cap))
-    pushed, clamped = np.zeros((2, tree.node_count()), dtype=bool)
-    pushed_at, clamped_at = tree.split_levels(pushed), tree.split_levels(clamped)
+    """The penalized sweep of a lower-side mode on a validated instance.
 
-    def step(k: int, e: np.ndarray, t: float, dt: float) -> np.ndarray:
-        # the right-limit value: penalized toward L+, clamped at U+ when reflecting
-        y, pushed_at[k][:], clamped_at[k][:] = _penalized_values(
-            e, t, dt, n, lower_right[k], upper_right[k], mode.reflects, driver
-        )
-        return y
-
-    def increments(e, t, dt, y_plus):
-        return _penalized_increments(e, t, dt, n, lower.right_value.values, y_plus, pushed, clamped, driver)
-
-    # the value at the instant: scheduled nodes absorbed fully to L, declared upper jumps pulled to U
-    corrections = (
-        lower.value.values,
-        cap.value.values,
-        jump_exhaustion_schedule(lower, n, side="lower").mask(tree),
-        jump_masks(upper if mode.reflects else None, tree),
-    )
-    return backward_sweep(instance, step, increments, corrections, mode.value, n)
+    The right-limit value is penalized toward L+ and, when reflecting,
+    clamped at U+; the value at the instant absorbs the nodes scheduled at
+    level n fully to L and, when reflecting, pulls declared upper jumps to U.
+    """
+    tree, driver = instance.tree, instance.driver
+    return backward_sweep(
+        instance,
+        partial(_penalized_values, n=n, clamp=mode.reflects, driver=driver),
+        partial(_penalized_increments, n=n, driver=driver),
+        jump_exhaustion_schedule(instance.lower, n, side="lower").mask(tree),
+        jump_masks(instance.upper if mode.reflects else None, tree),
+        mode.value,
+        n,
+    )[0]
 
 
 def solve_penalized(instance: ProblemInstance, n: int, mode: PenalizationMode) -> SolutionBundle:

@@ -75,7 +75,8 @@ class TimeGrid:
 
 
 def flatten_node_lists(lists: Sequence, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """One level's per-node lists as (each node's length, one flat numeric array)."""
+    """One level's per-node lists as (each node's length, one flat numeric array);
+    a boolean is refused, though numpy reads one among numbers as 0 or 1."""
     try:
         rect = np.asarray(lists)
     except ValueError:  # ragged: the nodes differ in fan-out
@@ -88,7 +89,9 @@ def flatten_node_lists(lists: Sequence, what: str) -> tuple[np.ndarray, np.ndarr
             flat = np.asarray(list(chain.from_iterable(lists)))
     except (TypeError, ValueError):
         flat = None
-    if flat is None or flat.ndim != 1 or flat.dtype.kind not in "iuf":
+    if flat is None or flat.ndim != 1 or flat.dtype.kind not in "iuf" or (
+        not isinstance(lists, np.ndarray) and bool in map(type, chain.from_iterable(lists))
+    ):
         raise InvalidInstanceError(f"{what} must be lists of numbers")
     return counts, flat
 

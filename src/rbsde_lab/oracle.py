@@ -28,6 +28,8 @@ from .regulated import (
     BarrierPair,
     ProblemInstance,
     RegulatedField,
+    _flagged,
+    _order_gaps,
     check_separation,
     jump_masks,
     validate_instance,
@@ -200,17 +202,12 @@ def _check_field_order(
         raise PreconditionError(f"{name}: barriers must be both present or both absent")
     if a is None or b is None:
         return
-    pairs = (("value", a.value, b.value), ("right_value", a.right_value, b.right_value))
-    if not any(np.any(x.values > y.values) for _, x, y in pairs):  # the usual case: no level loop
-        return
-    for k in range(a.tree.levels):
-        for which, x, y in pairs:
-            bad = x.level(k) - y.level(k)
-            j = int(np.argmax(bad))
-            if float(bad[j]) > 0.0:
-                raise PreconditionError(
-                    f"{name} {which} not ordered at node ({k},{j}): {float(x.level(k)[j])} > {float(y.level(k)[j])}"
-                )
+    hits = _flagged(a.tree, _order_gaps(b, a), lambda g: g > 0.0)
+    if hits:  # the first level out of order, and its worst node
+        which, k = hits[0][:2]
+        x, y = (getattr(side, which).level(k) for side in (a, b))
+        j = int(np.argmax(x - y))
+        raise PreconditionError(f"{name} {which} not ordered at node ({k},{j}): {float(x[j])} > {float(y[j])}")
 
 
 def _check_driver_order(a: ProblemInstance, b: ProblemInstance) -> None:

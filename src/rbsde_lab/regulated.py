@@ -189,15 +189,13 @@ def _order_gaps(lower: RegulatedField, upper: RegulatedField) -> dict[str, np.nd
 def _flagged(tree: FiltrationTree, gaps: dict[str, np.ndarray], flag) -> list[tuple]:
     """(name, level, node, gap) wherever ``flag(gap)`` holds: level by level,
     within a level the value before the right value, then by node."""
-    out: list[tuple] = []
-    if not any(np.any(flag(g)) for g in gaps.values()):  # the usual case: no level loop
-        return out
-    per_level = {which: tree.split_levels(g) for which, g in gaps.items()}
-    for k in range(tree.levels):
-        for which, levels in per_level.items():
-            gap = levels[k]
-            out += [(which, k, int(j), float(gap[j])) for j in np.flatnonzero(flag(gap))]
-    return out
+    names = list(gaps)
+    hits = [np.flatnonzero(flag(g)) for g in gaps.values()]
+    side, index = np.repeat(np.arange(len(hits)), [h.size for h in hits]), np.concatenate(hits)
+    levels, nodes = tree.locate(index)
+    order = np.lexsort((nodes, side, levels))
+    rows = zip(*(v[order].tolist() for v in (side, levels, nodes, index)))
+    return [(names[s], k, j, float(gaps[names[s]][i])) for s, k, j, i in rows]
 
 
 def check_separation(pair: BarrierPair) -> SeparationReport:

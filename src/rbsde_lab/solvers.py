@@ -1,17 +1,19 @@
 """Reference reflected solutions by direct projection.
 
-The projection step of the shared backward sweep
-(:func:`rbsde_lab.engine.backward_sweep`) clamps the implicit flow values of
-a whole level into the barriers' right limits [L+, U+], which gives the
-right-limit value Y+ and the cadlag increments dK*, dA*; then, at nodes with
-declared barrier jumps, it corrects Y+ into [L, U] at the instant and books
-the correction as a right jump of the respective increasing process.  These
-bundles are the ground truth the penalization sweeps are cross-checked
-against.
+The projection kernels of the shared backward sweep
+(:func:`rbsde_lab.engine.backward_sweep`): the value kernel clamps the
+implicit flow values of a whole level into the barriers' right limits
+[L+, U+], which gives the right-limit value Y+, and the increment kernel
+books the clamps as the cadlag increments dK*, dA*.  At nodes with declared
+barrier jumps the sweep then corrects Y+ into [L, U] at the instant and
+books the correction as a right jump of the respective increasing process.
+These bundles are the ground truth the penalization sweeps are
+cross-checked against.
 """
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -38,12 +40,13 @@ def _projection_values(
 
 def _projection_increments(
     e: np.ndarray, t: np.ndarray, dt: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-    below: np.ndarray, above: np.ndarray, driver: Driver,
+    y: np.ndarray, below: np.ndarray, above: np.ndarray, driver: Driver,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dk_star, da_star) of the clamps of :func:`_projection_values`, entry by entry.
 
     ``t`` and ``dt`` hold each entry's instant and step.  A clamped entry
-    books what the budget at its barrier needs, cut at zero.
+    books what the budget at its barrier needs, cut at zero; ``y`` sits at
+    that barrier there, so it is not read.
     """
     dk, da = np.zeros(e.size), np.zeros(e.size)
     i = below.nonzero()[0]
@@ -54,26 +57,20 @@ def _projection_increments(
 
 
 def _projection_sweep(instance: ProblemInstance) -> SolutionBundle:
-    """Backward recursion with double clamp; either barrier may be absent."""
-    tree, driver, lower, upper = instance.tree, instance.driver, instance.lower, instance.upper
-    count = tree.node_count()
-    lo, lo_r = (np.full(count, -np.inf),) * 2 if lower is None else (lower.value.values, lower.right_value.values)
-    up, up_r = (np.full(count, np.inf),) * 2 if upper is None else (upper.value.values, upper.right_value.values)
-    lo_r_at, up_r_at = tree.split_levels(lo_r), tree.split_levels(up_r)
-    below, above = np.zeros((2, count), dtype=bool)
-    below_at, above_at = tree.split_levels(below), tree.split_levels(above)
+    """Backward recursion with double clamp; either barrier may be absent.
 
-    def step(k: int, e: np.ndarray, t: float, dt: float) -> np.ndarray:
-        # clamps into the right limits are cadlag increments over the interval
-        y, below_at[k][:], above_at[k][:] = _projection_values(e, t, dt, lo_r_at[k], up_r_at[k], driver)
-        return y
-
-    def increments(e, t, dt, y_plus):
-        return _projection_increments(e, t, dt, lo_r, up_r, below, above, driver)
-
-    # declared-jump corrections act on the value at the instant
-    corrections = (lo, up, jump_masks(lower, tree), jump_masks(upper, tree))
-    bundle = backward_sweep(instance, step, increments, corrections, "projection")
+    Clamps into the right limits are cadlag increments over the interval;
+    declared-jump corrections act on the value at the instant.
+    """
+    tree, driver = instance.tree, instance.driver
+    bundle, below, above = backward_sweep(
+        instance,
+        partial(_projection_values, driver=driver),
+        partial(_projection_increments, driver=driver),
+        jump_masks(instance.lower, tree),
+        jump_masks(instance.upper, tree),
+        "projection",
+    )
     # both sides pushed, at the instant or over the interval; listed last level first
     both = ((bundle.jump_k.values > 0.0) | below) & ((bundle.jump_a.values > 0.0) | above)
     levels, nodes = tree.locate(np.flatnonzero(both))

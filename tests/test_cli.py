@@ -313,6 +313,9 @@ def _explicit_doc() -> dict:
         ("children", [[[0, [1]]]], "child ids must be lists of numbers"),
         ("probs", [[[0.5, None]]], "transition probabilities must be lists of numbers"),
         ("states", [[0.0], [-1.0, "x"]], "^tree.states must be lists of numbers$"),
+        ("children", [[[False, 1]]], "child ids must be lists of numbers"),
+        ("probs", [[[True, 0.0]]], "transition probabilities must be lists of numbers"),
+        ("states", [[0.0], [-1.0, True]], "^tree.states must be lists of numbers$"),
     ],
 )
 def test_explicit_tree_rejects_malformed_edges(tmp_path, capsys, key, value, message):
@@ -442,6 +445,9 @@ def test_grid_must_be_numeric(tmp_path, capsys, key, value, message):
         (("driver", "slope"), None, "driver.slope"),
         (("terminal",), {"family": "table", "values": [0.0] * 10 + ["x"]}, "terminal.values"),
         (("driver",), {"family": "constant", "rate": float("inf")}, "driver.rate"),
+        (("terminal",), {"family": "table", "values": [True] + [0.0] * 10}, "terminal.values"),
+        (("barriers", "L"), {"family": "table", "values": [[-9.0] * k for k in range(1, 11)] + [[-9.0] * 10 + [False]]},
+         "barriers.L.values"),
     ],
 )
 def test_instance_numbers_are_checked_and_named(tmp_path, capsys, keys, value, field):

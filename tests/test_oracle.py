@@ -191,6 +191,27 @@ def test_comparison_refuses_lower_barriers_out_of_order():
         comparison_check(instance(low), instance([np.full(k + 1, -1.0) for k in range(4)]))
 
 
+def test_comparison_names_the_first_level_out_of_order_and_its_worst_node():
+    tree = build_binomial(4, 0.0, 1.0, -1.0, 0.5)
+    floor = [np.full(k + 1, -1.0) for k in range(5)]
+
+    def instance(lower_levels, right_jumps=()):
+        lower = RegulatedField.from_values(tree, lower_levels).with_right_jumps(right_jumps)
+        barriers = BarrierPair(lower, RegulatedField.constant(tree, 1.0))
+        return ProblemInstance(tree, TimeGrid.uniform(1.0, 4), np.zeros(5), zero_driver(), barriers)
+
+    low = [level.copy() for level in floor]
+    low[3][1] = -0.2  # a value out of order on a later level
+    jumps = [(2, 0, -0.9), (2, 1, -0.5)]
+    first = r"^lower barrier right_value not ordered at node \(2,1\): -0\.5 > -1\.0$"
+    with pytest.raises(PreconditionError, match=first):
+        comparison_check(instance(low, jumps), instance(floor))
+    low[2][2] = -0.95  # on that level the value comes before the right value, however small
+    first = r"^lower barrier value not ordered at node \(2,2\): -0\.95 > -1\.0$"
+    with pytest.raises(PreconditionError, match=first):
+        comparison_check(instance(low, jumps), instance(floor))
+
+
 def test_comparison_refuses_drivers_out_of_order():
     tree = build_binomial(3, 0.0, 1.0, -1.0, 0.5)
     barriers = BarrierPair(RegulatedField.constant(tree, -1.0), RegulatedField.constant(tree, 1.0))

@@ -62,6 +62,30 @@ def test_check_separation_simple(tree):
     assert any(v.level == 2 and v.node == 1 for v in report.violations)
 
 
+def test_order_violations_are_listed_level_by_level(tree):
+    upper_levels = [np.ones(tree.level_size(k)) for k in range(tree.levels)]
+    upper_levels[1][1] = -0.5
+    upper_levels[3][2] = 0.0
+    upper = RegulatedField.from_values(tree, upper_levels).with_right_jumps([(1, 0, 0.0), (3, 0, -1.0)])
+    lower = RegulatedField.constant(tree, 0.0)
+    report = check_separation(BarrierPair(lower, upper))
+    assert [(v.which, v.level, v.node, v.gap) for v in report.violations] == [
+        ("value", 1, 1, -0.5),
+        ("right_value", 1, 0, 0.0),
+        ("right_value", 1, 1, -0.5),
+        ("value", 3, 2, 0.0),
+        ("right_value", 3, 0, -1.0),
+        ("right_value", 3, 2, 0.0),
+    ]
+    order = [v for v in validate_instance(_instance(tree, lower=lower, upper=upper)).violations
+             if v.kind.startswith("barrier_order")]
+    assert [(v.kind, v.location, v.detail) for v in order] == [
+        ("barrier_order_value", "node (1,1)", 0.5),
+        ("barrier_order_right_value", "node (1,1)", 0.5),
+        ("barrier_order_right_value", "node (3,0)", 1.0),
+    ]
+
+
 def test_check_separation_randomized_margin(tree):
     rng = np.random.default_rng(5)
     lower_levels = [rng.normal(size=tree.level_size(k)) for k in range(tree.levels)]

@@ -5,8 +5,8 @@ Run it on two versions of the package and compare the lists:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
 
-Inputs: the shipped instances, ``tests/data/explicit_jumps_both_barriers.json``
-and the benchmark's ``deep_tree`` trees for seed 1 (built by
+Inputs: the shipped instances, the files in ``tests/data/`` and the
+benchmark's ``deep_tree`` trees for seed 1 (built by
 ``bench/gen_instances.py``).  Outputs per input: the projection bundle and
 its ``lu4_residual``, ``solve_penalized`` in every mode at a few penalty
 levels, and the four-mode sweeps (levels run, convergence, trace rows and
@@ -15,17 +15,26 @@ final bundle; residual rows at depth <= 16).  On two-sided inputs of depth
 sequence's levels, every local solution's matrices and report fields, and
 the patched bundle.  A refusal is fingerprinted by its exception type and
 message.
+
+After those lines, one line per instance file digests what ``rbsde-lab
+verify --json`` gives on it: the exit code, the JSON report and the printed
+report.  The file is named relative to the repository root, so the report's
+``instance`` entry does not depend on where the checkout lives.
 """
+import contextlib
 import dataclasses
 import hashlib
+import io
+import os
 import pathlib
 import random
 import sys
+import tempfile
 
 import numpy as np
 
 from rbsde_lab.bundles import lu4_residual
-from rbsde_lab.cli import _solve_projection
+from rbsde_lab.cli import _solve_projection, main as cli_main
 from rbsde_lab.engine import PenalizationMode, penalization_sweep, solve_penalized
 from rbsde_lab.errors import RBSDELabError
 from rbsde_lab.io_formats import load_instance, parse_instance
@@ -41,10 +50,13 @@ PENALTIES = (1, 64, 2 ** 20)
 RESIDUAL_DEPTH = 16  # sweeps and the path oracle skip deeper trees
 
 
+def instance_files() -> list[pathlib.Path]:
+    return sorted((ROOT / "instances").glob("*.json")) + sorted((ROOT / "tests/data").glob("*.json"))
+
+
 def inputs():
     """(name, instance, sweep keyword arguments) for every input."""
-    files = sorted((ROOT / "instances").glob("*.json")) + [ROOT / "tests/data/explicit_jumps_both_barriers.json"]
-    for path in files:
+    for path in instance_files():
         yield path.stem, load_instance(path), {}
     rng = random.Random(1)
     for name, spec in DEEP_SPECS.items():
@@ -110,6 +122,15 @@ def outputs(instance, sweep_kwargs):
     yield "path.patched", lambda: bundle_parts(patch_global(instance, local_solutions(instance)))
 
 
+def verify_parts(path: pathlib.Path, report: pathlib.Path) -> tuple:
+    """(exit code, JSON report, printed report) of ``verify --json`` on one file."""
+    report.unlink(missing_ok=True)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        code = cli_main(["verify", str(path.relative_to(ROOT)), "--json", str(report)])
+    return code, report.read_bytes() if report.exists() else b"", printed.getvalue()
+
+
 def main() -> None:
     for name, instance, sweep_kwargs in inputs():
         for what, thunk in outputs(instance, sweep_kwargs):
@@ -118,6 +139,11 @@ def main() -> None:
             except RBSDELabError as exc:
                 parts, note = ("error", type(exc).__name__, str(exc)), f" ({type(exc).__name__})"
             print(f"{name} {what} {digest(*parts)}{note}", flush=True)
+    os.chdir(ROOT)
+    with tempfile.TemporaryDirectory() as tmp:
+        for path in instance_files():
+            code, *parts = verify_parts(path, pathlib.Path(tmp) / "report.json")
+            print(f"{path.stem} verify {digest(code, *parts)} (exit {code})", flush=True)
 
 
 if __name__ == "__main__":
