@@ -177,8 +177,7 @@ def load_instance(path: str | Path) -> ProblemInstance:
 
 
 def _field_levels(field: AdaptedField) -> list[list[float]]:
-    flat, bounds = field.values.tolist(), field.tree.node_start.tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [level.tolist() for level in field.tree.split_levels(field.values)]
 
 
 def _edge_levels(edges: EdgeField) -> list[list[list[float]]]:

@@ -1,15 +1,15 @@
 """Finite-state filtration model.
 
 Trees with per-node transition probabilities carry every process in the
-package.  A tree stores the edges out of each level flat (a CSR layout):
-node offsets, then one child-id and one probability array per level.  Nodes
-are numbered level by level, and edges level by level in that CSR order, so
-an adapted field is one flat array over all nodes and an edge field one
-flat array over all edges; ``level(k)`` is a read-only view of level k, and
-checks that read every node are single array expressions.  Conditional
-expectations and martingale increments are level-wide expressions on these
-arrays, exact weighted sums over children taken slot by slot, so martingale
-and tower properties can be asserted to round-off rather than statistically.
+package.  A tree is one flat layout (CSR): nodes numbered level by level,
+edges node by node, one child-id and one probability per edge, checked once
+over the whole tree; its per-level arrays are read-only views of the flat
+ones.  An adapted field is one flat array over all nodes and an edge field
+one flat array over all edges; ``level(k)`` is a view of level k, and checks
+that read every node are single array expressions.  Conditional expectations
+and martingale increments are exact weighted sums over children taken slot
+by slot, so martingale and tower properties can be asserted to round-off
+rather than statistically.
 """
 from __future__ import annotations
 
@@ -134,7 +134,7 @@ SlotPlan = tuple[tuple[slice | np.ndarray, slice | np.ndarray], ...]
 
 
 def _slot_plan(offsets: np.ndarray) -> SlotPlan:
-    """One level's edges slot by slot: per child slot, ``(nodes, edges)``.
+    """Edges slot by slot: per child slot, ``(nodes, edges)``.
 
     ``edges`` are the slot's edges and ``nodes`` the nodes that own them, in
     node order; node ``j`` owns the edges ``offsets[j]:offsets[j+1]`` and has
@@ -142,11 +142,11 @@ def _slot_plan(offsets: np.ndarray) -> SlotPlan:
     slices.
     """
     starts, counts = offsets[:-1], np.diff(offsets)
-    fan_out = int(counts[0])
+    fan_out = int(counts.max(initial=0))
     if np.all(counts == fan_out):
         return tuple((slice(None), slice(slot, None, fan_out)) for slot in range(fan_out))
     plan = []
-    for slot in range(int(counts.max())):
+    for slot in range(fan_out):
         nodes = np.flatnonzero(counts > slot)
         plan.append((slice(None) if nodes.size == counts.size else _frozen(nodes), _frozen(starts[nodes] + slot)))
     return tuple(plan)
@@ -155,7 +155,7 @@ def _slot_plan(offsets: np.ndarray) -> SlotPlan:
 def _slot_sums(plan: SlotPlan, terms: np.ndarray) -> np.ndarray:
     """Per node, the sum of its edge terms (last axis) in child-slot order.
 
-    ``plan`` is the level's :func:`_slot_plan`.  Every sum runs from 0.0 one
+    ``plan`` is the nodes' :func:`_slot_plan`.  Every sum runs from 0.0 one
     slot at a time, the order of a scalar running sum, so the results equal
     a per-node loop bit for bit.
     """
@@ -166,20 +166,24 @@ def _slot_sums(plan: SlotPlan, terms: np.ndarray) -> np.ndarray:
     return total
 
 
+def _views(flat: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pieces ``flat[..., bounds[i]:bounds[i+1]]`` (last axis), as views."""
+    bounds = bounds.tolist()
+    return tuple(flat[..., a:b] for a, b in zip(bounds, bounds[1:]))
+
+
 class FiltrationTree:
     """Finite rooted tree: nodes indexed by (level, id), all leaves at level N.
 
-    The edges out of level ``k`` are stored flat, node by node in child-slot
-    order: node ``j`` owns edges ``offsets[k][j]:offsets[k][j+1]``, and edge
-    ``e`` leads from node ``edge_parent[k][e]`` to node ``edge_child[k][e]``
-    of level ``k+1`` with probability ``edge_prob[k][e]``.
-
-    ``slot_plans[k]`` lists level k's edges child slot by child slot (see
-    :func:`_slot_plan`), the order every sum over a node's edges runs in.
-
-    Listed level by level, node (k, j) is node ``node_start[k] + j`` of the
-    whole tree and edge (k, e) is edge ``edge_start[k] + e``; ``edge_source``
-    and ``edge_target`` give each edge's end nodes in that numbering.
+    One flat layout holds the tree: node (k, j) is node ``node_start[k] +
+    j``, and edges follow node by node in child-slot order, edge (k, e) being
+    edge ``edge_start[k] + e`` from node ``edge_source`` to ``edge_target``.
+    The per-level arrays are read-only views of it: ``states[k]``; node j of
+    level k owns edges ``offsets[k][j]:offsets[k][j+1]``, and edge e leads to
+    node ``edge_child[k][e]`` of level k+1 from ``edge_parent[k][e]`` with
+    probability ``edge_prob[k][e]``.  ``slot_plans[k]`` lists level k's edges
+    child slot by child slot (:func:`_slot_plan`), the order every sum over a
+    node's edges runs in; a whole-tree plan runs the same sums at once.
     Immutable after construction.
     """
 
@@ -193,49 +197,67 @@ class FiltrationTree:
             raise InvalidInstanceError("tree needs at least one transition level")
         if len(children) != len(states) - 1 or len(probs) != len(states) - 1:
             raise InvalidInstanceError("children/probs must cover every non-leaf level")
-        self.states = tuple(_frozen(np.asarray(s, dtype=float)) for s in states)
-        if any(s.ndim != 1 or s.size == 0 for s in self.states):
+        levels = [np.asarray(s, dtype=float) for s in states]
+        if any(s.ndim != 1 or s.size == 0 for s in levels):
             raise InvalidInstanceError("each level must hold at least one node")
-        layout = zip(*(self._level_edges(k, children[k], probs[k]) for k in range(self.depth)))
-        self.offsets, self.edge_parent, self.edge_child, self.edge_prob, self.slot_plans = map(tuple, layout)
-        self.node_start = _frozen(np.cumsum([0] + [s.size for s in self.states]))
-        self.edge_start = _frozen(np.cumsum([0] + [c.size for c in self.edge_child]))
-        starts = self.node_start.tolist()
-        self.edge_source = _frozen(np.concatenate([p + s for p, s in zip(self.edge_parent, starts)]))
-        self.edge_target = _frozen(np.concatenate([c + s for c, s in zip(self.edge_child, starts[1:])]))
-        self._paths_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._gather_cache: tuple[np.ndarray, np.ndarray] | None = None
+        edges, sizes = [], [s.size for s in levels]
+        try:
+            for k, width in enumerate(sizes[:-1]):
+                if len(children[k]) != width or len(probs[k]) != width:
+                    raise InvalidInstanceError(f"level {k}: child lists must match node count")
+                edges.append(flatten_node_lists(children[k], f"level {k}: child ids")
+                             + flatten_node_lists(probs[k], f"level {k}: transition probabilities"))
+        finally:  # the levels above a malformed one are checked too: a fault there is named first
+            if edges:
+                n = len(edges) + 1
+                self._lay_out(np.concatenate(levels[:n]), sizes[:n], *map(np.concatenate, zip(*edges)))
 
-    def _level_edges(self, k: int, children: Sequence, probs: Sequence) -> tuple:
-        """Level k's frozen (offsets, parents, children, probabilities) and its
-        slot plan, checked level-wide."""
-        width = self.level_size(k)
-        if len(children) != width or len(probs) != width:
-            raise InvalidInstanceError(f"level {k}: child lists must match node count")
-        counts, child = flatten_node_lists(children, f"level {k}: child ids")
-        p_counts, prob = flatten_node_lists(probs, f"level {k}: transition probabilities")
-        node_checks = ((counts == 0, "has no children"), (counts != p_counts, "children/probs length mismatch"))
-        for bad, what in node_checks:
-            if np.any(bad):
-                raise InvalidInstanceError(f"node ({k},{int(np.argmax(bad))}): {what}")
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        parent = np.repeat(np.arange(width), counts)
-        for bad, what in (
-            (child != np.trunc(child), "child id is not an integer"),
-            ((child < 0) | (child >= self.level_size(k + 1)), "child id out of range"),
-            (~np.isfinite(prob), "non-finite transition probability"),
-            (prob < 0.0, "negative transition probability"),
-        ):
-            if np.any(bad):
-                raise InvalidInstanceError(f"node ({k},{parent[np.argmax(bad)]}): {what}")
-        plan = _slot_plan(offsets)
-        sums = _slot_sums(plan, prob)
-        bad = np.abs(sums - 1.0) > PROB_TOL
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise InvalidInstanceError(f"node ({k},{j}): probabilities sum to {sums[j]}")
-        arrays = (offsets, parent, child.astype(np.int64), prob.astype(float))
-        return (*map(_frozen, arrays), plan)
+    def _lay_out(self, states, sizes, counts, child, p_counts, prob) -> "FiltrationTree":
+        """Check the layout over all levels at once, store it and return the tree:
+        the level ``sizes`` and, node by node, ``counts`` child ids (level-local)
+        in ``child`` and ``p_counts`` probabilities in ``prob``.  The first fault
+        by level, then by the order of the checks, is named."""
+        node_start, depth = np.cumsum([0, *sizes]), len(sizes) - 1
+        nodes, level = np.arange(node_start[-2]), np.repeat(np.arange(depth), sizes[:-1])  # non-leaf nodes, their levels
+        owner, p_owner = np.repeat(nodes, counts), np.repeat(nodes, p_counts)  # the node of each id, each probability
+        edge_level = level[owner]
+        first = np.concatenate(([0], np.cumsum(p_counts)))
+        plan = _slot_plan(np.concatenate(([0], first[1:][p_counts > 0])))  # of the nodes with a probability
+        sums = _slot_sums(plan, prob) if plan else prob
+        checks = (
+            (counts == 0, nodes, "has no children"),
+            (counts != p_counts, nodes, "children/probs length mismatch"),
+            (child != np.trunc(child), owner, "child id is not an integer"),
+            ((child < 0) | (child >= np.asarray(sizes)[edge_level + 1]), owner, "child id out of range"),
+            (~np.isfinite(prob), p_owner, "non-finite transition probability"),
+            (prob < 0.0, p_owner, "negative transition probability"),
+            (np.abs(sums - 1.0) > PROB_TOL, np.flatnonzero(p_counts), "probabilities sum to"),
+        )
+        faults = [(level[node_of[i]], order, node_of[i], i) for order, (bad, node_of, _) in enumerate(checks)
+                  for i in np.flatnonzero(bad)[:1]]
+        if faults:
+            k, order, node, i = min(faults)
+            what = checks[order][2] + (f" {sums[i]}" if order == len(checks) - 1 else "")
+            raise InvalidInstanceError(f"node ({k},{node - node_start[k]}): {what}")
+        # every node now has as many probabilities as child ids, at least one
+        child, prob = child.astype(np.int64, copy=False), prob.astype(float, copy=False)
+        self.node_start = _frozen(node_start)
+        self.edge_start = edge_start = _frozen(first[node_start[:-1]])
+        self.edge_source = _frozen(owner)
+        self.edge_target = _frozen(child + node_start[edge_level + 1])
+        self.states = _views(_frozen(states), node_start)
+        self.edge_parent = _views(_frozen(owner - node_start[edge_level]), edge_start)
+        self.edge_child = _views(_frozen(child), edge_start)
+        self.edge_prob = _views(_frozen(prob), edge_start)
+        # level k's offsets, its nodes' first edges and its end, sit at node_start[k] + k
+        at = np.repeat(np.arange(depth), np.asarray(sizes[:-1]) + 1)
+        local = first[np.arange(at.size) - at] - edge_start[at]
+        self.offsets = _views(_frozen(local), node_start[:-1] + np.arange(depth + 1))
+        self._first, self._prob, self._plan = _frozen(first), prob, plan
+        uniform = isinstance(plan[0][1], slice)  # one fan-out: every level has the whole-tree plan
+        self.slot_plans = (plan,) * depth if uniform else tuple(map(_slot_plan, self.offsets))
+        self._paths_cache = self._gather_cache = None
+        return self
 
     @property
     def levels(self) -> int:
@@ -260,8 +282,7 @@ class FiltrationTree:
 
     def split_levels(self, values: np.ndarray) -> list[np.ndarray]:
         """Per level, the view of a flat node array (nodes on the last axis)."""
-        bounds = self.node_start.tolist()
-        return [values[..., a:b] for a, b in zip(bounds, bounds[1:])]
+        return list(_views(values, self.node_start))
 
     def state(self, k: int, j: int) -> float:
         return float(self.states[k][j])
@@ -293,12 +314,9 @@ class FiltrationTree:
 
     @cached_property
     def reached(self) -> tuple[np.ndarray, ...]:
-        """Per level, which nodes some path from the root passes through."""
-        out = [_frozen(np.ones(1, dtype=bool))]
-        for k in range(self.depth):
-            live = np.where(out[-1], 0.0, -np.inf)[self.edge_parent[k]]
-            out.append(_frozen(self.push_max(k, live) == 0.0))
-        return tuple(out)
+        """Per level, which nodes some path from the root passes through (a running sum of zeros is 0.0 there)."""
+        zeros = self.split_levels(np.zeros(self.node_count()))[:-1]
+        return tuple(_frozen(best == 0.0) for best in running_sum_maxima(self, zeros))
 
     def push_max(self, k: int, edge_values: np.ndarray) -> np.ndarray:
         """Per level-(k+1) node, the max of ``edge_values`` over the edges into it.
@@ -312,11 +330,8 @@ class FiltrationTree:
         return out
 
     def same_shape(self, other: "FiltrationTree") -> bool:
-        if self.depth != other.depth or self.level_size(self.depth) != other.level_size(self.depth):
-            return False
-        mine = self.offsets + self.edge_child + self.edge_prob
-        pairs = zip(mine, other.offsets + other.edge_child + other.edge_prob)
-        return all(np.array_equal(a, b) for a, b in pairs)
+        layouts = ((tree.node_start, tree._first, tree.edge_target, tree._prob) for tree in (self, other))
+        return all(map(np.array_equal, *layouts))
 
     def path_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All root-to-leaf paths as matrices.
@@ -358,8 +373,7 @@ class FiltrationTree:
         if self._gather_cache is None:
             nodes, choices, _ = self.path_arrays()
             node_index = nodes + self.node_start[:-1]
-            first_edge = np.concatenate([o[:-1] + s for o, s in zip(self.offsets, self.edge_start)])
-            self._gather_cache = (_frozen(node_index), _frozen(first_edge[node_index[:, :-1]] + choices))
+            self._gather_cache = (_frozen(node_index), _frozen(self._first[node_index[:, :-1]] + choices))
         return self._gather_cache
 
 
@@ -375,11 +389,14 @@ def build_binomial(steps: int, x0: float, up: float, down: float, p_up: float) -
         raise InvalidInstanceError("p_up must lie strictly between 0 and 1")
     if not up > down:
         raise InvalidInstanceError("up factor must exceed down factor")
-    nodes = [np.arange(k + 1) for k in range(steps + 1)]
-    states = [x0 + j * up + (k - j) * down for k, j in enumerate(nodes)]
-    children = [np.stack([j, j + 1], axis=1) for j in nodes[:-1]]
-    probs = [np.tile([1.0 - p_up, p_up], (j.size, 1)) for j in nodes[:-1]]
-    return FiltrationTree(states, children, probs)
+    sizes = np.arange(1, steps + 2)
+    k = np.repeat(np.arange(steps + 1), sizes)
+    j = np.arange(k.size) - k * (k + 1) // 2  # node (k, j) is node k(k+1)/2 + j
+    inner = j[: -sizes[-1]]  # the nodes before the leaves
+    two = np.full(inner.size, 2)
+    child, prob = (inner[:, None] + [0, 1]).ravel(), np.tile([1.0 - p_up, p_up], inner.size)
+    tree = FiltrationTree.__new__(FiltrationTree)
+    return tree._lay_out(x0 + j * up + (k - j) * down, sizes, two, child, two, prob)
 
 
 class AdaptedField:
@@ -528,11 +545,7 @@ class EdgeField:
 
     def conditional_mean_deviation(self) -> float:
         """Max over nodes of |sum_children p * value|; zero for centered fields."""
-        tree = self.tree
-        return max(
-            float(np.max(np.abs(_slot_sums(tree.slot_plans[k], tree.edge_prob[k] * self.level(k)))))
-            for k in range(tree.depth)
-        )
+        return float(np.max(np.abs(_slot_sums(self.tree._plan, self.tree._prob * self.values))))
 
     def path_matrix(self) -> np.ndarray:
         """Edge values along every path: shape (P, N), entry k is the k -> k+1 increment."""
@@ -574,7 +587,7 @@ def martingale_increments(y: AdaptedField) -> EdgeField:
     conditionally centered at every node.
     """
     tree = y.tree
-    expected = np.concatenate([expect_level(tree, k, y.level(k + 1)) for k in range(tree.depth)])
+    expected = _slot_sums(tree._plan, tree._prob * y.values[tree.edge_target])
     return edge_increments(tree, y.values, expected)
 
 

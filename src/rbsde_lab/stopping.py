@@ -503,7 +503,8 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
     hit_up = _hit_mask(y, upper, tol, upper=True)
     hit_lo = _hit_mask(y, lower, tol, upper=False)
     terms = minimality_levels(bundle, instance.barriers)
-    abs_defects = np.abs(budget_defects(bundle, instance))
+    node_budget = np.zeros(tree.node_count())  # per node, its largest budget defect over its edges
+    np.maximum.at(node_budget, tree.edge_source, np.abs(budget_defects(bundle, instance)))
     outside = tree.split_levels(_sandwich_gaps(y, instance.barriers))
 
     n_phases = depth + 2
@@ -531,10 +532,7 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
             first = min(zip(phase[stalled] + 2, node[stalled]))
             if stall is None or first[0] < stall[0]:
                 stall = (int(first[0]), k, int(first[1]))
-        node_budget = np.zeros(tree.level_size(k))
-        edges = slice(tree.edge_start[k], tree.edge_start[k + 1])
-        np.maximum.at(node_budget, tree.edge_parent[k], abs_defects[edges])
-        np.maximum.at(budget, leave, node_budget[node])
+        np.maximum.at(budget, leave, node_budget[tree.node_start[k] + node])
     if stall is not None:
         _, k, j = stall
         gap = float(upper.value.level(k)[j] - lower.value.level(k)[j])
@@ -557,14 +555,14 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
     )
 
 
-def _scatter_consistent(tree: FiltrationTree, matrix: np.ndarray, what: str, tol: float) -> AdaptedField:
-    """Re-project pathwise values to a node field, checking path agreement."""
-    index = tree.path_gather()[0]
+def _scatter_consistent(tree: FiltrationTree, matrix: np.ndarray, what: str) -> AdaptedField:
+    """Re-project the first levels' pathwise values to a node field (0.0 beyond), checking path agreement."""
+    index = tree.path_gather()[0][:, : matrix.shape[1]]
     flat = np.zeros(tree.node_count())
     flat[index] = matrix
     spread = np.max(np.abs(matrix - flat[index]), axis=0)
-    if np.any(spread > tol):
-        k = int(np.argmax(spread > tol))
+    if np.any(spread > PATCH_TOL):
+        k = int(np.argmax(spread > PATCH_TOL))
         raise PatchingError(
             f"patched {what} disagrees across paths at level {k} by {float(spread[k])}"
         )
@@ -618,26 +616,19 @@ def patch_global(instance: ProblemInstance, pieces: list[LocalSolution]) -> Solu
         sum(getattr(piece, name) for piece in pieces)
         for name in ("dk_star_paths", "jump_k_paths", "da_star_paths", "jump_a_paths", "dm_paths")
     )
-
-    y_field = _scatter_consistent(tree, y_pathwise, "Y", PATCH_TOL)
-    y_right = _scatter_consistent(tree, y_right_pathwise, "right limit of Y", PATCH_TOL)
-    pad = np.zeros((n_paths, 1))
-    dk_field = _scatter_consistent(tree, np.hstack([dk, pad]), "dK*", PATCH_TOL)
-    jk_field = _scatter_consistent(tree, np.hstack([jk, pad]), "right jumps of K", PATCH_TOL)
-    da_field = _scatter_consistent(tree, np.hstack([da, pad]), "dA*", PATCH_TOL)
-    ja_field = _scatter_consistent(tree, np.hstack([ja, pad]), "right jumps of A", PATCH_TOL)
-
     flat = np.zeros(int(tree.edge_start[-1]))
     flat[tree.path_gather()[1]] = dm
-    patched = SolutionBundle(
+    patched = SolutionBundle(  # Y, its right limit, K and A are checked for path agreement in this order
         tree=tree,
         grid=instance.grid,
-        y=RegulatedField(y_field, y_right),
+        y=RegulatedField(
+            _scatter_consistent(tree, y_pathwise, "Y"), _scatter_consistent(tree, y_right_pathwise, "right limit of Y")
+        ),
         dm=EdgeField.from_flat(tree, flat),
-        dk_star=dk_field,
-        jump_k=jk_field,
-        da_star=da_field,
-        jump_a=ja_field,
+        dk_star=_scatter_consistent(tree, dk, "dK*"),
+        jump_k=_scatter_consistent(tree, jk, "right jumps of K"),
+        da_star=_scatter_consistent(tree, da, "dA*"),
+        jump_a=_scatter_consistent(tree, ja, "right jumps of A"),
         method="patched",
     )
     direct = solve_doubly_reflected(instance)

@@ -234,6 +234,33 @@ def test_tree_rejects_non_finite_probabilities_naming_the_node():
             )
 
 
+def three_level_edges() -> tuple[list, list]:
+    """Valid children and probabilities for the states ``[[0], [1, 2], [0, 1, 2]]``."""
+    return [[[0, 1]], [[0, 1], [1, 2]]], [[[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({("probs", 0, 0): [-0.1, 1.1], ("children", 1, 0): [], ("probs", 1, 0): []},
+         r"node \(0,0\): negative transition probability"),
+        ({("probs", 1, 0): [0.5, 0.6], ("children", 1, 1): [1, 3]}, r"node \(1,1\): child id out of range"),
+        ({("probs", 1, 0): [-0.5, 1.5], ("probs", 1, 1): [0.5, 0.25, 0.25]},
+         r"node \(1,1\): children/probs length mismatch"),
+        ({("probs", 0, 0): [0.5, 0.6], ("children", 1, 0): [0, 0.5]}, r"node \(0,0\): probabilities sum to 1\.1"),
+        ({("probs", 0, 0): [1.0], ("probs", 1, 0): [-0.5, 1.5]}, r"node \(0,0\): children/probs length mismatch"),
+        ({("probs", 0, 0): [-0.5, 1.5], ("children", 1, 1): [1, True]}, r"node \(0,0\): negative transition probability"),
+    ],
+)
+def test_tree_names_the_first_fault_by_level_then_check_order(faults, message):
+    children, probs = three_level_edges()
+    data = {"children": children, "probs": probs}
+    for (what, k, j), value in faults.items():
+        data[what][k][j] = value
+    with pytest.raises(InvalidInstanceError, match=f"^{message}$"):
+        FiltrationTree([[0.0], [1.0, 2.0], [0.0, 1.0, 2.0]], children, probs)
+
+
 def test_edge_field_rejects_non_finite_values():
     tree = build_binomial(2, 0.0, 1.0, -1.0, 0.5)
     good = [np.zeros(2), np.zeros(4)]

@@ -20,6 +20,12 @@ After those lines, one line per instance file digests what ``rbsde-lab
 verify --json`` gives on it: the exit code, the JSON report and the printed
 report.  The file is named relative to the repository root, so the report's
 ``instance`` entry does not depend on where the checkout lives.
+
+Last, one ``tree`` line per input digests the tree layout: the node and edge
+numbering, the states, every level's offsets, edge arrays and slot plan (a
+slice written out as the indices it takes), ``path_gather()`` at depth
+<= 16, and the martingale increments of the projection's Y with their
+conditional mean deviation.
 """
 import contextlib
 import dataclasses
@@ -38,6 +44,7 @@ from rbsde_lab.cli import _solve_projection, main as cli_main
 from rbsde_lab.engine import PenalizationMode, penalization_sweep, solve_penalized
 from rbsde_lab.errors import RBSDELabError
 from rbsde_lab.io_formats import load_instance, parse_instance
+from rbsde_lab.lattice import martingale_increments
 from rbsde_lab.stopping import PathContext, alternating_sequence, local_solution, patch_global
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -122,6 +129,25 @@ def outputs(instance, sweep_kwargs):
     yield "path.patched", lambda: bundle_parts(patch_global(instance, local_solutions(instance)))
 
 
+def slot_indices(tree, k: int) -> list:
+    """Level k's slot plan, each slice written out as the indices it takes."""
+    sizes = (tree.level_size(k), tree.edge_child[k].size)  # of the nodes and of the edges
+    return [np.arange(n)[index] for slot in tree.slot_plans[k] for n, index in zip(sizes, slot)]
+
+
+def tree_parts(instance) -> tuple:
+    """The tree's layout arrays, level by level, and the increments of the projection's Y."""
+    tree = instance.tree
+    parts = [tree.node_start, tree.edge_start, *tree.states]
+    for k in range(tree.depth):
+        parts += [tree.offsets[k], tree.edge_parent[k], tree.edge_child[k], tree.edge_prob[k], *slot_indices(tree, k)]
+    parts += [tree.edge_source, tree.edge_target]
+    if tree.depth <= RESIDUAL_DEPTH:
+        parts += tree.path_gather()
+    dm = martingale_increments(_solve_projection(instance).y.value)
+    return (*parts, dm.values, dm.conditional_mean_deviation().hex())
+
+
 def verify_parts(path: pathlib.Path, report: pathlib.Path) -> tuple:
     """(exit code, JSON report, printed report) of ``verify --json`` on one file."""
     report.unlink(missing_ok=True)
@@ -144,6 +170,8 @@ def main() -> None:
         for path in instance_files():
             code, *parts = verify_parts(path, pathlib.Path(tmp) / "report.json")
             print(f"{path.stem} verify {digest(code, *parts)} (exit {code})", flush=True)
+    for name, instance, _ in inputs():
+        print(f"{name} tree {digest(*tree_parts(instance))}", flush=True)
 
 
 if __name__ == "__main__":
