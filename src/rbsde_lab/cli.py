@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
             if not local.passed:
                 identity_failures.append("local_properties")
 
-            probe = uniqueness_probe(instance)
+            probe = uniqueness_probe(instance, projection=bundle)
             checks["uniqueness"] = {
                 "passed": probe.passed,
                 "y_distances": probe.y_distances,

@@ -23,6 +23,14 @@ one fixed-point loop serves both implicit solves; the scalar steps
 (:func:`implicit_step` and the like) run the level code on one entry, so the
 flat bookkeeping equals a node-by-node recursion bit for bit.
 
+A penalization sweep runs its whole ladder in one stacked backward pass,
+:func:`ladder_distances`: each tree level is processed once for every
+penalty level, the value kernel acting on the ladder as one vector of
+entries, each with its own n.  The pass keeps only the sup distance and the
+monotonicity drop of each consecutive pair of penalty levels; the sweep's
+stopping rule reads them, and one ordinary :func:`solve_penalized` at the
+stopping level gives the final bundle.
+
 The penalized step is lower-side only.  Upper-side modes are solved by
 negation duality: (Y, M, K, A) solves the upper problem iff (-Y, -M, A, K)
 solves the lower problem for the negated data.  :func:`solve_penalized`
@@ -94,7 +102,7 @@ def positive_part(x: np.ndarray) -> np.ndarray:
     return np.where(0.0 > x, 0.0, x)
 
 
-def _fixed_point(e: np.ndarray, t: float, dt: float, driver: Driver, settle, failure: str):
+def _fixed_point(e: np.ndarray, t: float, dt: float, driver: Driver, settle, failure: str | None):
     """Level-wide solve of y = settle(e + f(t, y) dt) for an implicit step.
 
     ``settle(c, scale, at)`` returns, at the entries ``at``, the y with
@@ -103,7 +111,9 @@ def _fixed_point(e: np.ndarray, t: float, dt: float, driver: Driver, settle, fai
     iterate y -> settle(e + f(t, y) dt, 1) from y = e, a contraction while
     mu * dt < 1/2; each entry stops once its own iterates are within 1e-13,
     so it repeats its scalar sequence and the driver is not called on it
-    again.  Returns (y, c, scale) of the last iterate.
+    again.  Returns (y, c, scale) of the last iterate.  Entries still moving
+    after FIXED_POINT_MAX_ITER iterates raise ``failure``, or with no
+    ``failure`` are left NaN for the caller to find.
     """
     if driver.affine:
         c, scale = e + driver.intercept * dt, 1.0 - driver.slope * dt
@@ -118,6 +128,9 @@ def _fixed_point(e: np.ndarray, t: float, dt: float, driver: Driver, settle, fai
         live = live[~done]
         if not live.size:
             return y, c, 1.0
+    if failure is None:
+        y[live] = np.nan
+        return y, c, 1.0
     raise NumericalError(failure.format(e=float(e[live[0]]), t=t, dt=dt, z=float(y[live[0]])))
 
 
@@ -129,20 +142,23 @@ def implicit_level(e: np.ndarray, t: float, dt: float, driver: Driver) -> np.nda
 
 def _penalized_values(
     e: np.ndarray, t: float, dt: float, lower: np.ndarray, upper: np.ndarray,
-    n: int, clamp: np.ndarray | bool, driver: Driver,
+    n: int | np.ndarray, clamp: np.ndarray | bool, driver: Driver,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The values of :func:`penalized_level`, and where each side acted: (y, pushed, clamped).
 
     ``pushed`` marks the entries whose implicit solve met the penalty,
-    ``clamped`` those of ``clamp`` then moved down to ``upper``.
+    ``clamped`` those of ``clamp`` then moved down to ``upper``.  ``n`` is
+    one penalty level, or one per entry for a stacked ladder; there a
+    stalled fixed point leaves its entries NaN rather than raising, since
+    only the caller knows which penalty levels it will read.
     """
-    ndt = n * dt
+    ndt = np.broadcast_to(n * dt, e.shape)
 
     def settle(c, scale, at):
-        lo = lower[at]
-        return np.where(c >= lo * scale, c / scale, (c + ndt * lo) / (scale + ndt))
+        lo, nd = lower[at], ndt[at]
+        return np.where(c >= lo * scale, c / scale, (c + nd * lo) / (scale + nd))
 
-    failure = f"penalized step failed to converge: e={{e!r}}, t={{t!r}}, dt={{dt!r}}, n={n}"
+    failure = None if np.ndim(n) else f"penalized step failed to converge: e={{e!r}}, t={{t!r}}, dt={{dt!r}}, n={n}"
     y, c, scale = _fixed_point(e, t, dt, driver, settle, failure)
     pushed = c < lower * scale
     clamped = clamp & (y > upper)
@@ -395,6 +411,50 @@ def default_levels(n_max: int = DEFAULT_MAX_PENALTY) -> list[int]:
     return out
 
 
+def ladder_distances(
+    instance: ProblemInstance, levels: list[int], mode: PenalizationMode
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One backward pass of a lower-side mode at every penalty level of
+    ``levels``: (distances, drops, failed).
+
+    Row i of each level's arrays holds the values Y of
+    :func:`solve_penalized` at ``levels[i]``, bit for bit: the level kernels
+    run entry by entry, here on the whole ladder as one vector of entries,
+    each with its own n, and the lower jump-exhaustion mask gets the ladder
+    as its leading axis.  Only level k+1's rows are carried.  For each
+    consecutive pair (i-1, i), ``distances`` is the sup distance of the two
+    Y and ``drops`` the max of Y_{i-1} - Y_i, both from 0.0.  ``failed[i]``
+    marks a level whose fixed point stalled or whose Y+ left the finite
+    numbers, where :func:`solve_penalized` raises; its pairs mean nothing.
+    The instance is not checked here.
+    """
+    tree, instants, driver = instance.tree, instance.grid.instants, instance.driver
+    lower, lower_right = _limits(instance.lower, -np.inf, tree.node_count())
+    upper, upper_right = _limits(instance.upper, np.inf, tree.node_count())
+    jumps, at_upper = instance.lower.jumps, jump_masks(instance.upper if mode.reflects else None, tree)
+    ns = np.array(levels, dtype=float)
+    rows, thresholds = ns.size, -1.0 / ns[:, None]
+    # the highest penalty level schedules every node some level schedules
+    corrected = set(tree.locate(np.flatnonzero((jumps < -1.0 / ns.max()) | at_upper))[0].tolist())
+    bounds, t_k, dt_k = tree.node_start.tolist(), instants.tolist(), np.diff(instants).tolist()
+    y = np.broadcast_to(instance.terminal, (rows, instance.terminal.size))
+    distances, drops = np.zeros((2, rows - 1))
+    failed = np.zeros(rows, dtype=bool)
+    for k in range(tree.depth - 1, -1, -1):
+        a, b = bounds[k : k + 2]
+        e = expect_level(tree, k, y).ravel()
+        lo, up, n = np.tile(lower_right[a:b], rows), np.tile(upper_right[a:b], rows), np.repeat(ns, b - a)
+        y = _penalized_values(e, t_k[k], dt_k[k], lo, up, n, mode.reflects, driver)[0].reshape(rows, b - a)
+        failed |= ~np.isfinite(y).all(axis=1)
+        y[failed] = 0.0  # keeps the driver and the fixed point off what no pair reads
+        if k in corrected:
+            y = jump_corrections(y, lower[a:b], upper[a:b], jumps[a:b] < thresholds, at_upper[a:b])[0]
+        diff = y[1:] - y[:-1]
+        np.maximum(distances, np.abs(diff).max(axis=1), out=distances)
+        np.maximum(drops, (-diff).max(axis=1), out=drops)
+    return distances, drops, failed
+
+
 def penalization_sweep(
     instance: ProblemInstance,
     mode: PenalizationMode,
@@ -410,9 +470,13 @@ def penalization_sweep(
     raises when it fails beyond 1e-10.  Non-convergence within the schedule
     is reported in the result, not raised.
 
-    An upper-side mode sweeps the negation dual of the validated instance and
-    maps back only the final bundle, plus each level's when residuals are
-    asked for.  Negation is exact: distances and monotonicity carry over.
+    One stacked pass, :func:`ladder_distances`, gives the distances of
+    every consecutive pair of the whole schedule; the stopping rule then
+    reads them in order, and one ordinary :func:`solve_penalized` at the
+    stopping level gives the final bundle (also at each traced level when
+    residuals are asked for).  An upper-side mode sweeps the negation dual
+    of the validated instance and maps back only the bundles it solves.
+    Negation is exact: distances and monotonicity carry over.
     """
     if levels is None:
         levels = default_levels()
@@ -424,36 +488,42 @@ def penalization_sweep(
         _require_barriers(instance, mode)
     frame = negation_dual(instance) if upper_side else instance
     frame_mode = mode.dual if upper_side else mode
-    prev: SolutionBundle | None = None
+    if levels[0] < 1:
+        raise PreconditionError("penalty level must be >= 1")
+    if not upper_side:
+        require_valid(instance)
+        _require_barriers(instance, mode)
+    distances, drops, failed = ladder_distances(frame, levels, frame_mode)
     trace: list[TraceRow] = []
-    ran: list[int] = []
     worst_mono = 0.0
     converged = False
     sol: SolutionBundle | None = None
-    for n in levels:
-        sol = solve_penalized(frame, n, frame_mode)
-        ran.append(n)
-        if prev is not None:
-            diff = sol.y.value.values - prev.y.value.values
-            dist = max(0.0, float(np.max(np.abs(diff))))
-            worst_mono = max(worst_mono, float(np.max(-diff)))
-            row = TraceRow(n, dist)
-            if compute_residuals:
-                here = sol.negate_swap(mode.value) if upper_side else sol
-                rep = skorokhod_residual(here, instance.barriers)
-                row.lower_skorokhod_residual = rep.lower_residual
-                row.upper_skorokhod_residual = rep.upper_residual
-                row.lu4_residual = lu4_residual(here, instance)
-            trace.append(row)
-            if worst_mono > MONOTONICITY_TOL:
-                raise SchemeMonotonicityError(
-                    f"{mode.value} sweep lost monotonicity by {worst_mono} at level {n}"
-                )
-            if dist < eps:
-                converged = True
-                break
-        prev = sol
-    assert sol is not None
+    for i, n in enumerate(levels):
+        if failed[i]:
+            solve_penalized(frame, n, frame_mode)  # raises what stopped the level
+            raise NumericalError(f"penalty level {n} failed in the stacked pass only")
+        if not i:
+            continue
+        worst_mono = max(worst_mono, float(drops[i - 1]))
+        row = TraceRow(n, float(distances[i - 1]))
+        if compute_residuals:
+            sol = solve_penalized(frame, n, frame_mode)
+            here = sol.negate_swap(mode.value) if upper_side else sol
+            rep = skorokhod_residual(here, instance.barriers)
+            row.lower_skorokhod_residual = rep.lower_residual
+            row.upper_skorokhod_residual = rep.upper_residual
+            row.lu4_residual = lu4_residual(here, instance)
+        trace.append(row)
+        if worst_mono > MONOTONICITY_TOL:
+            raise SchemeMonotonicityError(
+                f"{mode.value} sweep lost monotonicity by {worst_mono} at level {n}"
+            )
+        if row.sup_distance < eps:
+            converged = True
+            break
+    ran = list(levels[: i + 1])
+    if sol is None:
+        sol = solve_penalized(frame, ran[-1], frame_mode)
     label = "decreasing-penalization" if upper_side else "increasing-penalization"
     final = sol.negate_swap(label) if upper_side else replace(sol, method=label)
     return SweepResult(

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bundles import process_distances
+from .bundles import SolutionBundle, process_distances
 from .drivers import Driver, constant_driver, linear_driver, zero_driver
 from .engine import DEFAULT_EPS, PenalizationMode, penalization_sweep
 from .errors import (
@@ -276,14 +276,18 @@ class UniquenessReport:
         return self.converged_all and max(gate) <= self.tolerance
 
 
-def uniqueness_probe(instance: ProblemInstance, eps: float = DEFAULT_EPS) -> UniquenessReport:
+def uniqueness_probe(
+    instance: ProblemInstance, eps: float = DEFAULT_EPS, projection: SolutionBundle | None = None
+) -> UniquenessReport:
     """Solve by projection and by both penalization sweeps, compare everything.
 
     Y and K - A must agree across methods; K and A separately are gated only
     when the barriers are strictly separated (otherwise only their difference
     is pinned down, and the individual distances are reported, not failed).
+    ``projection`` is the instance's :func:`solve_doubly_reflected` bundle,
+    when the caller holds it already.
     """
-    proj = solve_doubly_reflected(instance)
+    proj = solve_doubly_reflected(instance) if projection is None else projection
     inc = penalization_sweep(instance, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, eps=eps)
     dec = penalization_sweep(instance, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT, eps=eps)
     bundles = {"projection": proj, "increasing": inc.final, "decreasing": dec.final}

@@ -5,9 +5,10 @@ Run it on two versions of the package and compare the lists:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
 
-Inputs: the shipped instances, the files in ``tests/data/`` and the
+Inputs: the shipped instances, the files in ``tests/data/``, the
 benchmark's ``deep_tree`` trees for seed 1 (built by
-``bench/gen_instances.py``).  Outputs per input: the projection bundle and
+``bench/gen_instances.py``) and ``two_sided_affine.json`` with a non-affine
+driver, a sine rule, whose sweeps run on a ladder that does not double.  Outputs per input: the projection bundle and
 its ``lu4_residual``, ``solve_penalized`` in every mode at a few penalty
 levels, and the four-mode sweeps (levels run, convergence, trace rows and
 final bundle; residual rows at depth <= 16).  On two-sided inputs of depth
@@ -31,6 +32,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import math
 import os
 import pathlib
 import random
@@ -41,10 +43,12 @@ import numpy as np
 
 from rbsde_lab.bundles import lu4_residual
 from rbsde_lab.cli import _solve_projection, main as cli_main
+from rbsde_lab.drivers import custom_driver
 from rbsde_lab.engine import PenalizationMode, penalization_sweep, solve_penalized
 from rbsde_lab.errors import RBSDELabError
 from rbsde_lab.io_formats import load_instance, parse_instance
 from rbsde_lab.lattice import martingale_increments
+from rbsde_lab.regulated import ProblemInstance
 from rbsde_lab.stopping import PathContext, alternating_sequence, local_solution, patch_global
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -55,6 +59,12 @@ from gen_instances import instance_doc  # noqa: E402
 
 PENALTIES = (1, 64, 2 ** 20)
 RESIDUAL_DEPTH = 16  # sweeps and the path oracle skip deeper trees
+UNEVEN_LEVELS = [1, 3, 10, 30, 100, 300, 1000, 3000, 10 ** 4, 3 * 10 ** 4, 10 ** 5, 3 * 10 ** 5, 10 ** 6]
+
+
+def sine_rule(t: float, y: float) -> float:
+    """A Lipschitz driver with constant 1.5 that is not affine in y."""
+    return 0.5 * math.sin(3.0 * y) + 0.2 - 0.1 * t
 
 
 def instance_files() -> list[pathlib.Path]:
@@ -65,6 +75,9 @@ def inputs():
     """(name, instance, sweep keyword arguments) for every input."""
     for path in instance_files():
         yield path.stem, load_instance(path), {}
+    base = load_instance(ROOT / "instances/two_sided_affine.json")
+    sine = ProblemInstance(base.tree, base.grid, base.terminal, custom_driver(sine_rule, 1.5), base.barriers)
+    yield "two_sided_affine.sine", sine, {"levels": UNEVEN_LEVELS}
     rng = random.Random(1)
     for name, spec in DEEP_SPECS.items():
         sweep_kwargs = {"levels": DEEP_LEVELS, "eps": DEEP_EPS}
