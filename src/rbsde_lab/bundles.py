@@ -145,21 +145,27 @@ def skorokhod_residual(bundle: SolutionBundle, barriers: BarrierPair) -> Skorokh
 
 
 def process_distances(first: SolutionBundle, second: SolutionBundle) -> tuple[float, float, float]:
-    """Max over paths and instants of |K - K'|, |A - A'| and |(K - A) - (K' - A')|.
+    """Max over paths and instants of |K - K'|, |A - A'| and |(K - A) - (K' - A')|."""
+    return pairwise_process_distances([(first, second)])[0]
+
+
+def pairwise_process_distances(pairs: list[tuple[SolutionBundle, SolutionBundle]]) -> list[tuple[float, ...]]:
+    """:func:`process_distances` of each pair of bundles on one tree.
 
     Each is the largest |running sum| of the per-node increment differences,
-    from one forward max recursion over the levels (no path enumeration).
+    from one forward max recursion over the levels (no path enumeration),
+    run once for all pairs: each channel has its own sums and max.
     """
-    def increments(b: SolutionBundle) -> tuple[np.ndarray, np.ndarray]:
-        return b.jump_k.values + b.dk_star.values, b.jump_a.values + b.da_star.values
-
-    (k1, a1), (k2, a2) = increments(first), increments(second)
-    rows = np.array([k1 - k2, a1 - a2, (k1 - a1) - (k2 - a2)])
+    rows = []
+    for first, second in pairs:
+        (k1, a1), (k2, a2) = ((b.jump_k.values + b.dk_star.values, b.jump_a.values + b.da_star.values)
+                              for b in (first, second))
+        rows += [k1 - k2, a1 - a2, (k1 - a1) - (k2 - a2)]
+    rows, tree = np.array(rows), pairs[0][0].tree
     gaps = np.stack([rows, -rows])  # the max of both signs is the max |.|
-    maxima = running_sum_maxima(first.tree, first.tree.split_levels(gaps)[:-1])
-    worst = np.max([np.max(level, axis=-1) for level in maxima], axis=0).max(axis=0)
-    k_gap, a_gap, ka_gap = worst.tolist()
-    return k_gap, a_gap, ka_gap
+    maxima = running_sum_maxima(tree, tree.split_levels(gaps)[:-1])
+    worst = np.max([np.max(level, axis=-1) for level in maxima], axis=0).max(axis=0).tolist()
+    return [tuple(worst[i : i + 3]) for i in range(0, len(worst), 3)]
 
 
 def budget_defects(bundle: SolutionBundle, instance: ProblemInstance) -> np.ndarray:

@@ -5,13 +5,13 @@ solver hands it two pure level kernels, one for the values and one for the
 increments, and the two jump-correction masks; the sweep reads the barriers
 from the instance.  Its level loop carries values only: the conditional
 expectations, the right-limit values Y+ the value kernel returns with where
-each side acted, and the values Y at the instant on the levels that hold a
-jump correction.  The increments are booked once afterwards, as array
-expressions over all nodes in level order: dK* and dA* by the increment
-kernel, jumpK and jumpA by :func:`jump_corrections`, and dM as
-Y(child) - E(parent) on every edge.  The penalized kernels live here, the
-projection kernels in :mod:`rbsde_lab.solvers`; the level function
-:func:`penalized_level` and the scalar steps call the same kernels.
+each side acted, and the values Y at the instant (:func:`corrected_value`)
+on the levels that hold a jump correction.  The increments are booked once
+afterwards, as array expressions over all nodes in level order: dK* and
+dA* by the increment kernel, jumpK and jumpA by :func:`jump_corrections`,
+and dM as Y(child) - E(parent) on every edge.  The penalized kernels live
+here, the projection kernels in :mod:`rbsde_lab.solvers`; the level
+function :func:`penalized_level` and the scalar steps call the same kernels.
 
 The driver integral is treated implicitly (solve y = e + f(t, y) dt) and so
 is the penalty term n (y - L+)^- dt: the piecewise-linear equation is solved
@@ -25,11 +25,12 @@ flat bookkeeping equals a node-by-node recursion bit for bit.
 
 A penalization sweep runs its whole ladder in one stacked backward pass,
 :func:`ladder_distances`: each tree level is processed once for every
-penalty level, the value kernel acting on the ladder as one vector of
-entries, each with its own n.  The pass keeps only the sup distance and the
-monotonicity drop of each consecutive pair of penalty levels; the sweep's
-stopping rule reads them, and one ordinary :func:`solve_penalized` at the
-stopping level gives the final bundle.
+penalty level, on ``(ladder, width)`` arrays with n as a ``(ladder, 1)``
+column the value kernel broadcasts, so nothing is tiled per level.  The
+pass keeps only the sup distance and the monotonicity drop of each
+consecutive pair of penalty levels; the sweep's stopping rule reads them,
+and one ordinary :func:`solve_penalized` at the stopping level gives the
+final bundle.
 
 The penalized step is lower-side only.  Upper-side modes are solved by
 negation duality: (Y, M, K, A) solves the upper problem iff (-Y, -M, A, K)
@@ -59,7 +60,6 @@ from .lattice import AdaptedField, edge_increments, expect_level
 from .regulated import (
     ProblemInstance,
     RegulatedField,
-    jump_exhaustion_schedule,
     jump_masks,
     negation_dual,
     require_valid,
@@ -140,27 +140,34 @@ def implicit_level(e: np.ndarray, t: float, dt: float, driver: Driver) -> np.nda
     return _fixed_point(e, t, dt, driver, lambda c, scale, at: c / scale, failure)[0]
 
 
+def _settle(c: np.ndarray, scale: float, lower: np.ndarray, ndt) -> tuple[np.ndarray, np.ndarray]:
+    """(y, pushed): the y with scale*y = c + ndt (lower - y)^+, by the penalty's two cases."""
+    pushed = c < lower * scale
+    return np.where(pushed, (c + ndt * lower) / (scale + ndt), c / scale), pushed
+
+
 def _penalized_values(
     e: np.ndarray, t: float, dt: float, lower: np.ndarray, upper: np.ndarray,
     n: int | np.ndarray, clamp: np.ndarray | bool, driver: Driver,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | bool]:
     """The values of :func:`penalized_level`, and where each side acted: (y, pushed, clamped).
 
     ``pushed`` marks the entries whose implicit solve met the penalty,
-    ``clamped`` those of ``clamp`` then moved down to ``upper``.  ``n`` is
-    one penalty level, or one per entry for a stacked ladder; there a
-    stalled fixed point leaves its entries NaN rather than raising, since
-    only the caller knows which penalty levels it will read.
+    ``clamped`` those of ``clamp`` then moved down to ``upper`` (False when
+    ``clamp`` is).  ``n`` is one penalty level, or a ``(ladder, 1)`` column
+    against a ``(ladder, width)`` block ``e``; there a stalled fixed point
+    leaves its entries NaN, since only the caller knows what it will read.
     """
-    ndt = np.broadcast_to(n * dt, e.shape)
-
-    def settle(c, scale, at):
-        lo, nd = lower[at], ndt[at]
-        return np.where(c >= lo * scale, c / scale, (c + nd * lo) / (scale + nd))
-
-    failure = None if np.ndim(n) else f"penalized step failed to converge: e={{e!r}}, t={{t!r}}, dt={{dt!r}}, n={n}"
-    y, c, scale = _fixed_point(e, t, dt, driver, settle, failure)
-    pushed = c < lower * scale
+    ndt = n * dt
+    if driver.affine:
+        y, pushed = _settle(e + driver.intercept * dt, 1.0 - driver.slope * dt, lower, ndt)
+    else:  # the entries as one vector, each stopping on its own
+        lo, nd = (np.broadcast_to(v, e.shape).ravel() for v in (lower, ndt))
+        failure = None if np.ndim(n) else "penalized step failed to converge: e={e!r}, t={t!r}, dt={dt!r}, n=" + str(n)
+        y, c, _ = _fixed_point(e.ravel(), t, dt, driver, lambda c, sc, at: _settle(c, sc, lo[at], nd[at])[0], failure)
+        y, pushed = y.reshape(e.shape), c.reshape(e.shape) < lower
+    if clamp is False:
+        return y, pushed, False
     clamped = clamp & (y > upper)
     np.copyto(y, upper, where=clamped)
     return y, pushed, clamped
@@ -194,18 +201,23 @@ def penalized_level(
     return (y, *_penalized_increments(e, times, steps, lower, upper, y, pushed, clamped, n, driver))
 
 
+def corrected_value(
+    y: np.ndarray, lower: np.ndarray, upper: np.ndarray, at_lower: np.ndarray, at_upper: np.ndarray
+) -> np.ndarray:
+    """The value at the instant of the right-limit value y: entries of ``at_lower``
+    below ``lower`` move up to it, then entries of ``at_upper`` above ``upper`` down to it."""
+    lifted = np.where(at_lower & (y < lower), lower, y)
+    return np.where(at_upper & (lifted > upper), upper, lifted)
+
+
 def jump_corrections(
     y: np.ndarray, lower: np.ndarray, upper: np.ndarray, at_lower: np.ndarray, at_upper: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Value-at-the-instant corrections of the right-limit value y: (y, jump_k, jump_a).
-
-    Entries of ``at_lower`` below ``lower`` move up to it, booked as a right
-    jump of K; then entries of ``at_upper`` above ``upper`` move down to it,
-    a right jump of A.  A jump is positive exactly where its side acted, and
-    an exact 0.0 (x - x) elsewhere.
-    """
-    lifted = np.where(at_lower & (y < lower), lower, y)
-    value = np.where(at_upper & (lifted > upper), upper, lifted)
+    """:func:`corrected_value` with its moves booked as right jumps of K (up) and A
+    (down): (y, jump_k, jump_a).  A jump is positive exactly where its side
+    acted, and an exact 0.0 (x - x) elsewhere."""
+    lifted = corrected_value(y, lower, upper, at_lower, False)
+    value = corrected_value(lifted, lower, upper, False, at_upper)
     return value, lifted - y, lifted - value
 
 
@@ -301,7 +313,7 @@ def backward_sweep(
     ``values(e, t, dt, L+, U+)`` returns the right-limit values Y+ and where
     its first and its second side acted, kept in the flat masks ``first``
     and ``second``.  On the levels that hold a node of ``at_lower`` or
-    ``at_upper``, :func:`jump_corrections` moves Y+ to the value at the
+    ``at_upper``, :func:`corrected_value` moves Y+ to the value at the
     instant.
 
     The increments are then booked once, over all nodes in level order:
@@ -325,7 +337,7 @@ def backward_sweep(
         level, first[a:b], second[a:b] = values(e, t_k[k], dt_k[k], lower_right[a:b], upper_right[a:b])
         y_plus[a:b] = level
         if k in corrected:
-            level = jump_corrections(level, lower[a:b], upper[a:b], at_lower[a:b], at_upper[a:b])[0]
+            level = corrected_value(level, lower[a:b], upper[a:b], at_lower[a:b], at_upper[a:b])
         y[a:b] = level
     # with every node's instant and step; the leaves take no step
     times, steps = np.repeat(instants, sizes), np.repeat(np.append(dts, 0.0), sizes)
@@ -362,7 +374,7 @@ def _penalized_lower_side(instance: ProblemInstance, n: int, mode: PenalizationM
         instance,
         partial(_penalized_values, n=n, clamp=mode.reflects, driver=driver),
         partial(_penalized_increments, n=n, driver=driver),
-        jump_exhaustion_schedule(instance.lower, n, side="lower").mask(tree),
+        instance.lower.jumps < -1.0 / n,  # the nodes regulated.jump_exhaustion_schedule lists at level n
         jump_masks(instance.upper if mode.reflects else None, tree),
         mode.value,
         n,
@@ -417,13 +429,13 @@ def ladder_distances(
     """One backward pass of a lower-side mode at every penalty level of
     ``levels``: (distances, drops, failed).
 
-    Row i of each level's arrays holds the values Y of
+    Row i of each level's ``(ladder, width)`` arrays holds the values Y of
     :func:`solve_penalized` at ``levels[i]``, bit for bit: the level kernels
-    run entry by entry, here on the whole ladder as one vector of entries,
-    each with its own n, and the lower jump-exhaustion mask gets the ladder
-    as its leading axis.  Only level k+1's rows are carried.  For each
-    consecutive pair (i-1, i), ``distances`` is the sup distance of the two
-    Y and ``drops`` the max of Y_{i-1} - Y_i, both from 0.0.  ``failed[i]``
+    run entry by entry, here with ``n`` as a ``(ladder, 1)`` column and the
+    lower jump-exhaustion mask with the ladder as its leading axis, both
+    broadcast (nothing is tiled); only level k+1's rows are carried.  For
+    each consecutive pair (i-1, i), ``distances`` is the sup distance of the
+    two Y and ``drops`` the max of Y_{i-1} - Y_i, both from 0.0.  ``failed[i]``
     marks a level whose fixed point stalled or whose Y+ left the finite
     numbers, where :func:`solve_penalized` raises; its pairs mean nothing.
     The instance is not checked here.
@@ -432,27 +444,27 @@ def ladder_distances(
     lower, lower_right = _limits(instance.lower, -np.inf, tree.node_count())
     upper, upper_right = _limits(instance.upper, np.inf, tree.node_count())
     jumps, at_upper = instance.lower.jumps, jump_masks(instance.upper if mode.reflects else None, tree)
-    ns = np.array(levels, dtype=float)
-    rows, thresholds = ns.size, -1.0 / ns[:, None]
+    ns = np.array(levels, dtype=float)[:, None]
+    thresholds = -1.0 / ns
     # the highest penalty level schedules every node some level schedules
     corrected = set(tree.locate(np.flatnonzero((jumps < -1.0 / ns.max()) | at_upper))[0].tolist())
     bounds, t_k, dt_k = tree.node_start.tolist(), instants.tolist(), np.diff(instants).tolist()
-    y = np.broadcast_to(instance.terminal, (rows, instance.terminal.size))
-    distances, drops = np.zeros((2, rows - 1))
-    failed = np.zeros(rows, dtype=bool)
+    y = np.broadcast_to(instance.terminal, (ns.size, instance.terminal.size))
+    distances, lows = np.zeros((2, ns.size - 1))
+    failed = np.zeros(ns.size, dtype=bool)
     for k in range(tree.depth - 1, -1, -1):
         a, b = bounds[k : k + 2]
-        e = expect_level(tree, k, y).ravel()
-        lo, up, n = np.tile(lower_right[a:b], rows), np.tile(upper_right[a:b], rows), np.repeat(ns, b - a)
-        y = _penalized_values(e, t_k[k], dt_k[k], lo, up, n, mode.reflects, driver)[0].reshape(rows, b - a)
-        failed |= ~np.isfinite(y).all(axis=1)
-        y[failed] = 0.0  # keeps the driver and the fixed point off what no pair reads
+        e = expect_level(tree, k, y)
+        y = _penalized_values(e, t_k[k], dt_k[k], lower_right[a:b], upper_right[a:b], ns, mode.reflects, driver)[0]
+        if not np.isfinite(y).all():  # zeroing failed rows keeps the driver and the fixed point off them
+            failed |= ~np.isfinite(y).all(axis=1)
+            y[failed] = 0.0
         if k in corrected:
-            y = jump_corrections(y, lower[a:b], upper[a:b], jumps[a:b] < thresholds, at_upper[a:b])[0]
+            y = corrected_value(y, lower[a:b], upper[a:b], jumps[a:b] < thresholds, at_upper[a:b])
         diff = y[1:] - y[:-1]
         np.maximum(distances, np.abs(diff).max(axis=1), out=distances)
-        np.maximum(drops, (-diff).max(axis=1), out=drops)
-    return distances, drops, failed
+        np.minimum(lows, diff.min(axis=1), out=lows)
+    return distances, 0.0 - lows, failed  # max of Y_{i-1} - Y_i = -(min of Y_i - Y_{i-1})
 
 
 def penalization_sweep(

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bundles import SolutionBundle, process_distances
+from .bundles import SolutionBundle, pairwise_process_distances
 from .drivers import Driver, constant_driver, linear_driver, zero_driver
 from .engine import DEFAULT_EPS, PenalizationMode, penalization_sweep
 from .errors import (
@@ -100,7 +100,8 @@ def _enumerate_stop_rules(
             alive = np.zeros(tree.level_size(k), dtype=bool)
             alive[reachable[digits == 0]] = True
             codes.append(code)
-            rec(k + 1, np.unique(tree.edge_child[k][alive[tree.edge_parent[k]]]), codes)
+            reached = np.bincount(tree.edge_child[k][alive[tree.edge_parent[k]]], minlength=tree.level_size(k + 1))
+            rec(k + 1, np.flatnonzero(reached), codes)
             codes.pop()
 
     rec(0, np.zeros(1, dtype=np.int64), [])
@@ -291,11 +292,10 @@ def uniqueness_probe(
     inc = penalization_sweep(instance, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, eps=eps)
     dec = penalization_sweep(instance, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT, eps=eps)
     bundles = {"projection": proj, "increasing": inc.final, "decreasing": dec.final}
-    y_d, k_d, a_d, ka_d = {}, {}, {}, {}
-    for first, second in combinations(bundles, 2):
-        key, bi, bj = f"{first}/{second}", bundles[first], bundles[second]
-        y_d[key] = sup_distance(bi.y.value, bj.y.value)
-        k_d[key], a_d[key], ka_d[key] = process_distances(bi, bj)
+    pairs = {f"{a}/{b}": (bundles[a], bundles[b]) for a, b in combinations(bundles, 2)}
+    y_d = {key: sup_distance(bi.y.value, bj.y.value) for key, (bi, bj) in pairs.items()}
+    gaps = dict(zip(pairs, pairwise_process_distances(list(pairs.values()))))
+    k_d, a_d, ka_d = ({key: gap[c] for key, gap in gaps.items()} for c in range(3))
     sep = check_separation(instance.barriers).satisfied
     return UniquenessReport(
         y_distances=y_d,

@@ -121,12 +121,6 @@ class JumpExhaustionSchedule:
     def node_set(self) -> set[tuple[int, int]]:
         return {(e.level, e.node) for e in self.events}
 
-    def mask(self, tree: FiltrationTree) -> np.ndarray:
-        """The scheduled nodes, flat in level order."""
-        out = np.zeros(tree.node_count(), dtype=bool)
-        out[[tree.node_start[e.level] + e.node for e in self.events]] = True
-        return out
-
 
 def jump_exhaustion_schedule(barrier: RegulatedField, n: int, side: str = "lower") -> JumpExhaustionSchedule:
     """Threshold rule exhausting one-sided right jumps of a barrier.

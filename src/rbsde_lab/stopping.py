@@ -192,7 +192,7 @@ def _chain_walk(tree: FiltrationTree, pattern: list, n_rules: int, terms: list[n
         if terms is not None:
             vals = vals + terms[k][:, None, :]
         out = np.full((channels, int(np.max(depart[live])) + 1, width), -np.inf)
-        for s in np.unique(shift[live]).tolist():
+        for s in sorted(set(shift[live].tolist())):
             n = min(phases.size, out.shape[1] - s)
             moved = np.where(shift == s, vals, -np.inf)[:, :n]
             out[:, s : s + n] = np.maximum(out[:, s : s + n], moved)

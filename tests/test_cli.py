@@ -357,6 +357,31 @@ def test_console_entry_point_subprocess():
     assert "passed: True" in result.stdout
 
 
+def test_verify_and_exhaustive_game_leave_numpy_ma_unloaded(tmp_path):
+    """Neither command calls what imports numpy.ma (np.unique does), some 15 ms per process."""
+    small = {
+        "grid": {"T": 1.0, "steps": 3},
+        "tree": {"kind": "binomial", "x0": 0.0, "up": 1.0, "down": -1.0, "p_up": 0.5},
+        "terminal": {"family": "affine_state", "a": 1.0, "b": 0.0},
+        "driver": {"family": "constant", "rate": 0.1},
+        "barriers": {
+            "L": {"family": "affine_state", "a": 1.0, "b": -0.5},
+            "U": {"family": "affine_state", "a": 1.0, "b": 0.5},
+        },
+    }
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(small))
+    script = (
+        "import sys\n"
+        "from rbsde_lab.cli import main\n"
+        f"codes = main(['verify', {str(INSTANCES / 'two_sided_affine.json')!r}]), "
+        f"main(['game', {str(path)!r}, '--exhaustive'])\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.stdout.splitlines()[-1] == "(0, 0) False", result.stderr
+
+
 def test_residual_tolerance_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("RBSDE_LAB_TOL", "1e-30")
     # impossible tolerance: even round-off fails the gate

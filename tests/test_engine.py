@@ -395,3 +395,57 @@ def test_sweep_raises_when_a_level_loses_monotonicity(monkeypatch):
     )
     with pytest.raises(SchemeMonotonicityError, match="pure-lower sweep lost monotonicity by .* at level 2"):
         penalization_sweep(_one_step_instance(), PenalizationMode.PURE_LOWER, levels=[1, 2, 4])
+
+
+def _bits(a) -> bytes:
+    """Shape, dtype and raw bytes: equal only when two arrays agree bit for bit, -0.0 included."""
+    a = np.asarray(a)
+    return repr((a.shape, a.dtype)).encode() + a.tobytes()
+
+
+def _kernel_case(upper_absent: bool):
+    """Dyadic level data (exact arithmetic) with entries at the penalty switch and -0.0 entries."""
+    rng = np.random.default_rng(3)
+    t, dt, width = 0.25, 0.125, 12
+    lower = rng.integers(-64, 64, width) / 64.0
+    upper = np.full(width, np.inf) if upper_absent else lower + rng.integers(1, 32, width) / 64.0
+    e = rng.integers(-96, 96, (4, width)) / 64.0
+    # affine driver 0.5 - 0.5 y: c = e + 1/16 and scale = 17/16, so c == L+ * scale at e = L+ * 17/16 - 1/16
+    e[:, :3] = lower[:3] * 1.0625 - 0.0625
+    e[:, 3], lower[4] = -0.0, -0.0
+    if not upper_absent:
+        upper[5] = -0.0
+        e[:, 5], lower[5] = 0.25, -0.25
+    return e, t, dt, lower, upper
+
+
+@pytest.mark.parametrize("upper_absent", [False, True])
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("driver", [
+    linear_driver(0.5, -0.5),
+    custom_driver(lambda t, y: 0.4 * np.sin(2.0 * y) + 0.1 - 0.2 * t, mu=0.8),
+], ids=["affine", "sine"])
+def test_stacked_penalized_values_equal_one_call_per_row(driver, clamp, upper_absent):
+    """The value kernel on a (ladder, width) block with n as a column is its call on each row."""
+    e, t, dt, lower, upper = _kernel_case(upper_absent)
+    levels = [1, 2, 64, 2 ** 20]
+    column = np.array(levels, dtype=float)[:, None]
+    block = engine._penalized_values(e, t, dt, lower, upper, column, clamp, driver)
+    if driver.affine:
+        assert np.any(e + 0.0625 == lower * 1.0625)  # entries sit exactly at the switch
+    for i, n in enumerate(levels):
+        row = engine._penalized_values(e[i], t, dt, lower, upper, n, clamp, driver)
+        assert _bits(block[0][i]) == _bits(row[0]) and _bits(block[1][i]) == _bits(row[1])
+        if clamp:
+            assert _bits(block[2][i]) == _bits(row[2])
+        else:
+            assert block[2] is False and row[2] is False
+    assert np.signbit(block[0][:, 5]).all() == (clamp and not upper_absent)  # clamped to U+ = -0.0
+
+
+def test_corrected_value_is_the_value_of_jump_corrections():
+    e, _, _, lower, upper = _kernel_case(upper_absent=False)
+    rng = np.random.default_rng(5)
+    at_lower, at_upper = rng.random(e.shape) < 0.5, rng.random(e.shape[1]) < 0.5
+    value = engine.corrected_value(e, lower, upper, at_lower, at_upper)
+    assert _bits(value) == _bits(engine.jump_corrections(e, lower, upper, at_lower, at_upper)[0])
