@@ -1,50 +1,48 @@
-"""The shared backward sweep, and the plain and penalized steps on the tree.
+"""The one backward level loop, its two consumers, and the plain and penalized steps.
 
-:func:`backward_sweep` is the one backward induction of the package.  A
-solver hands it two pure level kernels, one for the values and one for the
-increments, and the two jump-correction masks; the sweep reads the barriers
-from the instance.  Its level loop carries values only: the conditional
-expectations, the right-limit values Y+ the value kernel returns with where
-each side acted, and the values Y at the instant (:func:`corrected_value`)
-on the levels that hold a jump correction.  The increments are booked once
-afterwards, as array expressions over all nodes in level order: dK* and
-dA* by the increment kernel, jumpK and jumpA by :func:`jump_corrections`,
-and dM as Y(child) - E(parent) on every edge.  The penalized kernels live
-here, the projection kernels in :mod:`rbsde_lab.solvers`; the level
-function :func:`penalized_level` and the scalar steps call the same kernels.
+:func:`_value_levels` is the only level loop of the package.  It reads the
+barriers from the instance and, from the terminal payoff down, yields for
+each tree level the conditional expectations, the right-limit values Y+ a
+pure value kernel returns with where each side acted, and the values Y at
+the instant (:func:`corrected_value`, on the levels that hold a jump
+correction).  Two consumers read it:
+
+- :func:`backward_sweep` stores the levels in flat arrays, then books the
+  increments once, as array expressions over all nodes in level order: dK*
+  and dA* by an increment kernel, jumpK and jumpA by
+  :func:`jump_corrections`, and dM as Y(child) - E(parent) on every edge.
+  A solver hands it its two kernels and jump masks; the penalized kernels
+  live here, the projection kernels in :mod:`rbsde_lab.solvers`.
+- :func:`ladder_distances` runs a penalization sweep's whole ladder through
+  the same loop, on ``(ladder, width)`` blocks with n as a ``(ladder, 1)``
+  column the value kernel broadcasts, and keeps only the sup distance and
+  the monotonicity drop of each consecutive pair of penalty levels.  The
+  sweep's stopping rule reads them, and one ordinary :func:`solve_penalized`
+  at the stopping level gives the final bundle.
 
 The driver integral is treated implicitly (solve y = e + f(t, y) dt) and so
 is the penalty term n (y - L+)^- dt: the piecewise-linear equation is solved
 exactly by case analysis, with fixed-point refinement only for non-affine
-drivers.  Explicit penalties would blow up along the level schedule.
-
-The steps act on whole levels, with masked updates where nodes differ, and
-one fixed-point loop serves both implicit solves; the scalar steps
+drivers.  Explicit penalties would blow up along the level schedule.  The
+steps act on whole levels, with masked updates where nodes differ, and one
+fixed-point loop serves both implicit solves; the scalar steps
 (:func:`implicit_step` and the like) run the level code on one entry, so the
 flat bookkeeping equals a node-by-node recursion bit for bit.
 
-A penalization sweep runs its whole ladder in one stacked backward pass,
-:func:`ladder_distances`: each tree level is processed once for every
-penalty level, on ``(ladder, width)`` arrays with n as a ``(ladder, 1)``
-column the value kernel broadcasts, so nothing is tiled per level.  The
-pass keeps only the sup distance and the monotonicity drop of each
-consecutive pair of penalty levels; the sweep's stopping rule reads them,
-and one ordinary :func:`solve_penalized` at the stopping level gives the
-final bundle.
-
 The penalized step is lower-side only.  Upper-side modes are solved by
 negation duality: (Y, M, K, A) solves the upper problem iff (-Y, -M, A, K)
-solves the lower problem for the negated data.  :func:`solve_penalized`
-negates once per call, :func:`penalization_sweep` once per sweep (not per
-penalty level).  Negation is exact, so the duality identities hold bit for
-bit.
+solves the lower problem for the negated data.  :func:`_lower_side`
+validates an instance and moves an upper-side mode to that frame;
+:func:`solve_penalized` and :func:`penalization_sweep` both start there, so
+a sweep negates once, not per penalty level.  Negation is exact, so the
+duality identities hold bit for bit.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,6 +56,7 @@ from .errors import (
 )
 from .lattice import AdaptedField, edge_increments, expect_level
 from .regulated import (
+    STABILITY_BOUND,
     ProblemInstance,
     RegulatedField,
     jump_masks,
@@ -93,7 +92,7 @@ class PenalizationMode(enum.Enum):
 
 
 def _check_stability(driver: Driver, dt: float) -> None:
-    if not driver.mu * dt < 0.5:
+    if not driver.mu * dt < STABILITY_BOUND:
         raise StabilityError(f"mu * dt = {driver.mu * dt} is not < 1/2; refusing the implicit step")
 
 
@@ -294,6 +293,38 @@ def _limits(side: RegulatedField | None, absent: float, count: int) -> tuple[np.
     return side.value.values, side.right_value.values
 
 
+def _value_levels(
+    instance: ProblemInstance, values: Callable[..., tuple], at_lower: np.ndarray, at_upper: np.ndarray, y: np.ndarray
+) -> Iterator[tuple]:
+    """The backward level loop from the level-N values ``y``: for k = N-1,
+    ..., 0 it yields ``(a, b, e, y_plus, first, second, y)``.
+
+    [a, b) is level k's flat node range and ``e`` the conditional
+    expectations of the level-(k+1) values.  The pure kernel ``values(e, t,
+    dt, L+, U+)`` gives the right-limit values Y+ and where its first and
+    second side acted; ``y`` is Y+ moved to the value at the instant by
+    :func:`corrected_value` on the levels holding a node of ``at_lower`` or
+    ``at_upper``, else Y+ itself.  The next level reads ``y``, so a consumer
+    may change it in place.  The barriers come from the instance, an absent
+    lower (upper) one as -inf (+inf); a leading (ladder) axis of ``y`` and
+    ``at_lower`` broadcasts through.
+    """
+    tree, instants, count = instance.tree, instance.grid.instants, instance.tree.node_count()
+    lower, lower_right = _limits(instance.lower, -np.inf, count)
+    upper, upper_right = _limits(instance.upper, np.inf, count)
+    bounds, t_k, dt_k = tree.node_start.tolist(), instants.tolist(), np.diff(instants).tolist()
+    acting = (at_lower | at_upper).reshape(-1, count).any(axis=0)
+    corrected = set(tree.locate(np.flatnonzero(acting))[0].tolist())
+    for k in range(tree.depth - 1, -1, -1):
+        a, b = bounds[k : k + 2]
+        e = expect_level(tree, k, y)
+        y_plus, first, second = values(e, t_k[k], dt_k[k], lower_right[a:b], upper_right[a:b])
+        y = y_plus
+        if k in corrected:
+            y = corrected_value(y_plus, lower[a:b], upper[a:b], at_lower[..., a:b], at_upper[a:b])
+        yield a, b, e, y_plus, first, second, y
+
+
 def backward_sweep(
     instance: ProblemInstance,
     values: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -303,44 +334,27 @@ def backward_sweep(
     method: str,
     n: int | None = None,
 ) -> tuple[SolutionBundle, np.ndarray, np.ndarray]:
-    """Backward induction from the terminal payoff, one level at a time:
-    (bundle, first, second).
+    """Backward induction from the terminal payoff: (bundle, first, second).
 
-    The barrier values L, U and right limits L+, U+ are read from the
-    instance, an absent lower (upper) barrier as -inf (+inf).  The level
-    loop carries values only.  At level k it takes the conditional
-    expectations ``e`` of the level-(k+1) values Y; the pure kernel
-    ``values(e, t, dt, L+, U+)`` returns the right-limit values Y+ and where
-    its first and its second side acted, kept in the flat masks ``first``
-    and ``second``.  On the levels that hold a node of ``at_lower`` or
-    ``at_upper``, :func:`corrected_value` moves Y+ to the value at the
-    instant.
-
-    The increments are then booked once, over all nodes in level order:
+    The levels of :func:`_value_levels` are stored in flat arrays: E, Y+, Y
+    and the masks ``first`` and ``second`` of where each side acted.  The
+    increments are then booked once, over all nodes in level order:
     ``increments(E, t, dt, L+, U+, Y+, first, second)`` gives dK* and dA*
     from the flat expectations, instants and steps; the corrections give
     jumpK and jumpA; dM is Y(child) - E(parent) on every edge; and the
     right-limit value is assembled as (Y - jumpK) + jumpA.
     """
     tree, instants, count = instance.tree, instance.grid.instants, instance.tree.node_count()
-    lower, lower_right = _limits(instance.lower, -np.inf, count)
-    upper, upper_right = _limits(instance.upper, np.inf, count)
-    bounds, sizes, dts = tree.node_start.tolist(), np.diff(tree.node_start), np.diff(instants)
-    t_k, dt_k = instants.tolist(), dts.tolist()
     y, y_plus, expected = np.zeros((3, count))
     first, second = np.zeros((2, count), dtype=bool)
-    y[bounds[-2] :] = y_plus[bounds[-2] :] = instance.terminal
-    corrected = set(tree.locate(np.flatnonzero(at_lower | at_upper))[0].tolist())
-    for k in range(tree.depth - 1, -1, -1):
-        a, b, c = bounds[k : k + 3]
-        e = expected[a:b] = expect_level(tree, k, y[b:c])
-        level, first[a:b], second[a:b] = values(e, t_k[k], dt_k[k], lower_right[a:b], upper_right[a:b])
-        y_plus[a:b] = level
-        if k in corrected:
-            level = corrected_value(level, lower[a:b], upper[a:b], at_lower[a:b], at_upper[a:b])
-        y[a:b] = level
+    y[tree.node_start[-2] :] = y_plus[tree.node_start[-2] :] = instance.terminal
+    for a, b, *level in _value_levels(instance, values, at_lower, at_upper, instance.terminal):
+        expected[a:b], y_plus[a:b], first[a:b], second[a:b], y[a:b] = level
     # with every node's instant and step; the leaves take no step
+    sizes, dts = np.diff(tree.node_start), np.diff(instants)
     times, steps = np.repeat(instants, sizes), np.repeat(np.append(dts, 0.0), sizes)
+    lower, lower_right = _limits(instance.lower, -np.inf, count)
+    upper, upper_right = _limits(instance.upper, np.inf, count)
     dk_star, da_star = increments(expected, times, steps, lower_right, upper_right, y_plus, first, second)
     jump_k, jump_a = jump_corrections(y_plus, lower, upper, at_lower, at_upper)[1:]
     value, right, dk_star, jump_k, da_star, jump_a = (
@@ -362,39 +376,38 @@ def _require_barriers(instance: ProblemInstance, mode: PenalizationMode) -> None
         raise PreconditionError(f"mode {mode.value} needs the {reflected} barrier to reflect on")
 
 
-def _penalized_lower_side(instance: ProblemInstance, n: int, mode: PenalizationMode) -> SolutionBundle:
-    """The penalized sweep of a lower-side mode on a validated instance.
-
-    The right-limit value is penalized toward L+ and, when reflecting,
-    clamped at U+; the value at the instant absorbs the nodes scheduled at
-    level n fully to L and, when reflecting, pulls declared upper jumps to U.
-    """
-    tree, driver = instance.tree, instance.driver
-    return backward_sweep(
-        instance,
-        partial(_penalized_values, n=n, clamp=mode.reflects, driver=driver),
-        partial(_penalized_increments, n=n, driver=driver),
-        instance.lower.jumps < -1.0 / n,  # the nodes regulated.jump_exhaustion_schedule lists at level n
-        jump_masks(instance.upper if mode.reflects else None, tree),
-        mode.value,
-        n,
-    )[0]
+def _lower_side(instance: ProblemInstance, mode: PenalizationMode) -> tuple[ProblemInstance, PenalizationMode]:
+    """Check the instance for ``mode``, then give the lower-side frame it is
+    solved in: (instance, mode), or for an upper-side mode its negation dual."""
+    require_valid(instance)
+    _require_barriers(instance, mode)
+    if mode.penalizes_lower:
+        return instance, mode
+    return negation_dual(instance), mode.dual
 
 
 def solve_penalized(instance: ProblemInstance, n: int, mode: PenalizationMode) -> SolutionBundle:
     """Full backward sweep of one penalization scheme at level n.
 
-    Lower-side modes run directly; upper-side modes run on the negated
-    problem and swap (K, A) back, which realizes the duality exactly.
+    In the lower-side frame the right-limit value is penalized toward L+
+    and, when reflecting, clamped at U+; the value at the instant absorbs
+    the nodes scheduled at level n fully to L and, when reflecting, pulls
+    declared upper jumps to U.  An upper-side mode runs on the negated
+    problem and swaps (K, A) back, which realizes the duality exactly.
     """
     if n < 1:
         raise PreconditionError("penalty level must be >= 1")
-    require_valid(instance)
-    _require_barriers(instance, mode)
-    if mode.penalizes_lower:
-        return _penalized_lower_side(instance, n, mode)
-    dual = _penalized_lower_side(negation_dual(instance), n, mode.dual)
-    return dual.negate_swap(method=mode.value)
+    frame, frame_mode = _lower_side(instance, mode)
+    bundle = backward_sweep(
+        frame,
+        partial(_penalized_values, n=n, clamp=mode.reflects, driver=frame.driver),
+        partial(_penalized_increments, n=n, driver=frame.driver),
+        frame.lower.jumps < -1.0 / n,  # the nodes regulated.jump_exhaustion_schedule lists at level n
+        jump_masks(frame.upper if mode.reflects else None, frame.tree),
+        frame_mode.value,
+        n,
+    )[0]
+    return bundle if mode.penalizes_lower else bundle.negate_swap(method=mode.value)
 
 
 @dataclass
@@ -426,41 +439,29 @@ def default_levels(n_max: int = DEFAULT_MAX_PENALTY) -> list[int]:
 def ladder_distances(
     instance: ProblemInstance, levels: list[int], mode: PenalizationMode
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One backward pass of a lower-side mode at every penalty level of
-    ``levels``: (distances, drops, failed).
+    """:func:`_value_levels` of a lower-side mode at every penalty level of
+    ``levels`` at once: (distances, drops, failed).
 
-    Row i of each level's ``(ladder, width)`` arrays holds the values Y of
-    :func:`solve_penalized` at ``levels[i]``, bit for bit: the level kernels
-    run entry by entry, here with ``n`` as a ``(ladder, 1)`` column and the
-    lower jump-exhaustion mask with the ladder as its leading axis, both
-    broadcast (nothing is tiled); only level k+1's rows are carried.  For
-    each consecutive pair (i-1, i), ``distances`` is the sup distance of the
-    two Y and ``drops`` the max of Y_{i-1} - Y_i, both from 0.0.  ``failed[i]``
+    Row i of each yielded ``(ladder, width)`` block holds the values Y of
+    :func:`solve_penalized` at ``levels[i]``, bit for bit: ``n`` is a
+    ``(ladder, 1)`` column and the lower jump-exhaustion mask carries the
+    ladder on its leading axis, both broadcast (nothing is tiled).  For each
+    consecutive pair (i-1, i), ``distances`` is the sup distance of the two
+    Y and ``drops`` the max of Y_{i-1} - Y_i, both from 0.0.  ``failed[i]``
     marks a level whose fixed point stalled or whose Y+ left the finite
-    numbers, where :func:`solve_penalized` raises; its pairs mean nothing.
-    The instance is not checked here.
+    numbers, where :func:`solve_penalized` raises; its rows are zeroed from
+    there on and its pairs mean nothing.  The instance is not checked here.
     """
-    tree, instants, driver = instance.tree, instance.grid.instants, instance.driver
-    lower, lower_right = _limits(instance.lower, -np.inf, tree.node_count())
-    upper, upper_right = _limits(instance.upper, np.inf, tree.node_count())
-    jumps, at_upper = instance.lower.jumps, jump_masks(instance.upper if mode.reflects else None, tree)
     ns = np.array(levels, dtype=float)[:, None]
-    thresholds = -1.0 / ns
-    # the highest penalty level schedules every node some level schedules
-    corrected = set(tree.locate(np.flatnonzero((jumps < -1.0 / ns.max()) | at_upper))[0].tolist())
-    bounds, t_k, dt_k = tree.node_start.tolist(), instants.tolist(), np.diff(instants).tolist()
+    values = partial(_penalized_values, n=ns, clamp=mode.reflects, driver=instance.driver)
+    at_upper = jump_masks(instance.upper if mode.reflects else None, instance.tree)
     y = np.broadcast_to(instance.terminal, (ns.size, instance.terminal.size))
     distances, lows = np.zeros((2, ns.size - 1))
     failed = np.zeros(ns.size, dtype=bool)
-    for k in range(tree.depth - 1, -1, -1):
-        a, b = bounds[k : k + 2]
-        e = expect_level(tree, k, y)
-        y = _penalized_values(e, t_k[k], dt_k[k], lower_right[a:b], upper_right[a:b], ns, mode.reflects, driver)[0]
-        if not np.isfinite(y).all():  # zeroing failed rows keeps the driver and the fixed point off them
-            failed |= ~np.isfinite(y).all(axis=1)
+    for *_, y_plus, _, _, y in _value_levels(instance, values, instance.lower.jumps < -1.0 / ns, at_upper, y):
+        if not np.isfinite(y_plus).all():  # zeroing failed rows keeps the driver and the fixed point off them
+            failed |= ~np.isfinite(y_plus).all(axis=1)
             y[failed] = 0.0
-        if k in corrected:
-            y = corrected_value(y, lower[a:b], upper[a:b], jumps[a:b] < thresholds, at_upper[a:b])
         diff = y[1:] - y[:-1]
         np.maximum(distances, np.abs(diff).max(axis=1), out=distances)
         np.minimum(lows, diff.min(axis=1), out=lows)
@@ -494,17 +495,10 @@ def penalization_sweep(
         levels = default_levels()
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise PreconditionError("penalty levels must be strictly increasing")
-    upper_side = not mode.penalizes_lower
-    if upper_side:
-        require_valid(instance)
-        _require_barriers(instance, mode)
-    frame = negation_dual(instance) if upper_side else instance
-    frame_mode = mode.dual if upper_side else mode
     if levels[0] < 1:
         raise PreconditionError("penalty level must be >= 1")
-    if not upper_side:
-        require_valid(instance)
-        _require_barriers(instance, mode)
+    frame, frame_mode = _lower_side(instance, mode)
+    upper_side = not mode.penalizes_lower
     distances, drops, failed = ladder_distances(frame, levels, frame_mode)
     trace: list[TraceRow] = []
     worst_mono = 0.0

@@ -345,6 +345,21 @@ def test_upper_side_sweep_validates_the_callers_instance():
     assert "terminal_above_upper" not in str(info.value)
 
 
+@pytest.mark.parametrize("mode", list(PenalizationMode))
+def test_every_sweep_mode_checks_its_levels_before_the_instance(mode):
+    """A ladder starting below 1 is refused before validation and the barrier check, in either frame."""
+    from rbsde_lab.io_formats import load_instance
+    from rbsde_lab.oracle import InstanceRecipe, random_instance
+
+    good = random_instance(InstanceRecipe(seed=3, steps=(4, 5)))
+    terminal = good.terminal.copy()
+    terminal[0] = good.lower.value.level(good.tree.depth)[0] - 0.5
+    invalid = ProblemInstance(good.tree, good.grid, terminal, good.driver, good.barriers)
+    for instance in (invalid, load_instance(INSTANCES / "lower_only.json")):
+        with pytest.raises(PreconditionError, match="^penalty level must be >= 1$"):
+            penalization_sweep(instance, mode, levels=[0, 1])
+
+
 def test_kernels_reject_upper_side_modes():
     with pytest.raises(PreconditionError):
         penalized_step(

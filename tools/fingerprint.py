@@ -11,10 +11,13 @@ benchmark's ``deep_tree`` trees for seed 1 (built by
 driver, a sine rule, whose sweeps run on a ladder that does not double.  Outputs per input: the projection bundle and
 its ``lu4_residual``, ``solve_penalized`` in every mode at a few penalty
 levels, and the four-mode sweeps (levels run, convergence, trace rows and
-final bundle; residual rows at depth <= 16).  On two-sided inputs of depth
-<= 16, also the path oracle on the projection bundle: the alternating
-sequence's levels, every local solution's matrices and report fields, and
-the patched bundle.  A refusal is fingerprinted by its exception type and
+final bundle; residual rows at depth <= 16).  After each sweep line, a
+``ladder`` line digests the stacked pass of that sweep's whole ladder
+(``engine.ladder_distances`` on the lower-side frame: distances, drops and
+failed levels), pairs past the stopping level included.  On two-sided
+inputs of depth <= 16, also the path oracle on the projection bundle: the
+alternating sequence's levels, every local solution's matrices and report
+fields, and the patched bundle.  A refusal is fingerprinted by its exception type and
 message.
 
 After those lines, one line per instance file digests what ``rbsde-lab
@@ -44,11 +47,18 @@ import numpy as np
 from rbsde_lab.bundles import lu4_residual
 from rbsde_lab.cli import _solve_projection, main as cli_main
 from rbsde_lab.drivers import custom_driver
-from rbsde_lab.engine import PenalizationMode, penalization_sweep, solve_penalized
+from rbsde_lab.engine import (
+    PenalizationMode,
+    _require_barriers,
+    default_levels,
+    ladder_distances,
+    penalization_sweep,
+    solve_penalized,
+)
 from rbsde_lab.errors import RBSDELabError
 from rbsde_lab.io_formats import load_instance, parse_instance
 from rbsde_lab.lattice import martingale_increments
-from rbsde_lab.regulated import ProblemInstance
+from rbsde_lab.regulated import ProblemInstance, negation_dual, require_valid
 from rbsde_lab.stopping import PathContext, alternating_sequence, local_solution, patch_global
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -123,6 +133,19 @@ def piece_parts(piece) -> tuple:
     return matrices + tuple(getattr(piece.report, f.name).hex() for f in dataclasses.fields(piece.report))
 
 
+def ladder_parts(instance, mode, levels) -> tuple:
+    """The stacked pass over the whole ladder, in the lower-side frame the sweep runs it in.
+
+    The checks and the frame are spelled out, not taken from ``engine``, so
+    that two versions of the package are fingerprinted by the same code.
+    """
+    require_valid(instance)
+    _require_barriers(instance, mode)
+    if not mode.penalizes_lower:
+        instance, mode = negation_dual(instance), mode.dual
+    return ladder_distances(instance, levels, mode)
+
+
 def outputs(instance, sweep_kwargs):
     """(output name, thunk returning the parts to hash) for one input."""
     yield "projection", lambda: bundle_parts(_solve_projection(instance))
@@ -134,6 +157,8 @@ def outputs(instance, sweep_kwargs):
         residuals = instance.tree.depth <= RESIDUAL_DEPTH
         yield f"sweep.{mode.value}", lambda mode=mode: sweep_parts(
             penalization_sweep(instance, mode, compute_residuals=residuals, **sweep_kwargs))
+        yield f"ladder.{mode.value}", lambda mode=mode: ladder_parts(
+            instance, mode, sweep_kwargs.get("levels", default_levels()))
     if instance.lower is None or instance.upper is None or instance.tree.depth > RESIDUAL_DEPTH:
         return
     yield "path.alternating", lambda: alternating_parts(instance)
