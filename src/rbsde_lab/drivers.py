@@ -8,7 +8,7 @@ between lower- and upper-reflected problems.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -88,17 +88,5 @@ def negate_driver(driver: Driver) -> Driver:
     if isinstance(driver.fn, _NegatedRule):
         return driver.fn.base
     if driver.affine:
-        # -(a + b * (-y)) = -a + b * y
-        return Driver(
-            driver.family,
-            intercept=-driver.intercept,
-            slope=driver.slope,
-            mu=driver.mu,
-            y_independent=driver.y_independent,
-        )
-    return Driver(
-        "negated",
-        mu=driver.mu,
-        y_independent=driver.y_independent,
-        fn=_NegatedRule(driver),
-    )
+        return replace(driver, intercept=-driver.intercept)  # -(a + b * (-y)) = -a + b * y
+    return replace(driver, family="negated", fn=_NegatedRule(driver))

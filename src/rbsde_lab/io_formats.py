@@ -53,10 +53,18 @@ def _levels(lists: Any, where: str) -> list[np.ndarray]:
     return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+_FAMILIES = {  # family: (its coefficients, its value at states x and instants t)
+    "constant": (("c",), lambda x, t, c: np.full(x.size, c)),
+    "affine_state": (("a", "b"), lambda x, t, a, b: a * x + b),
+    "affine_time_state": (("a", "b", "c"), lambda x, t, a, b, c: a * x + b * t + c),
+}
+
+
 def _evaluate_function_spec(
     spec: dict, where: str, tree: FiltrationTree, grid: TimeGrid, leaves_only: bool
 ):
-    """Named function families or explicit tables, evaluated on the tree."""
+    """Named function families or explicit tables, evaluated on the tree: the
+    leaves' values, or one array per level."""
     _take(spec, where, ["family"], ["a", "b", "c", "values"])
     family = spec["family"]
     if family == "table":
@@ -65,27 +73,15 @@ def _evaluate_function_spec(
         if leaves_only:
             return _levels([values], f"{where}.values")[0]
         return _levels(values, f"{where}.values")
-
-    def coef(name: str) -> float:
-        return _number(spec[name], f"{where}.{name}")
-
-    def apply(k: int) -> np.ndarray:
-        x = tree.states[k]
-        t = float(grid.instants[k])
-        if family == "constant":
-            _take(spec, where, ["family", "c"])
-            return np.full(x.size, coef("c"))
-        if family == "affine_state":
-            _take(spec, where, ["family", "a", "b"])
-            return coef("a") * x + coef("b")
-        if family == "affine_time_state":
-            _take(spec, where, ["family", "a", "b", "c"])
-            return coef("a") * x + coef("b") * t + coef("c")
+    if family not in _FAMILIES:
         raise InvalidInstanceError(f"{where}: unknown function family {family!r}")
-
+    names, rule = _FAMILIES[family]
+    _take(spec, where, ["family", *names])
+    coefs = [_number(spec[name], f"{where}.{name}") for name in names]
     if leaves_only:
-        return apply(tree.depth)
-    return [apply(k) for k in range(tree.levels)]
+        return rule(tree.states[-1], grid.instants[-1], *coefs)
+    instants = np.repeat(grid.instants, np.diff(tree.node_start))  # each node's instant
+    return tree.split_levels(rule(np.concatenate(tree.states), instants, *coefs))
 
 
 def _parse_driver(spec: dict) -> Driver:

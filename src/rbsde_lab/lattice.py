@@ -78,15 +78,8 @@ def flatten_node_lists(lists: Sequence, what: str) -> tuple[np.ndarray, np.ndarr
     """One level's per-node lists as (each node's length, one flat numeric array);
     a boolean is refused, though numpy reads one among numbers as 0 or 1."""
     try:
-        rect = np.asarray(lists)
-    except ValueError:  # ragged: the nodes differ in fan-out
-        rect = None
-    try:
-        if rect is not None and rect.ndim == 2:
-            counts, flat = np.full(rect.shape[0], rect.shape[1]), rect.ravel()
-        else:
-            counts = np.fromiter(map(len, lists), np.int64, len(lists))
-            flat = np.asarray(list(chain.from_iterable(lists)))
+        counts = np.fromiter(map(len, lists), np.int64, len(lists))
+        flat = np.asarray(list(chain.from_iterable(lists)))
     except (TypeError, ValueError):
         flat = None
     if flat is None or flat.ndim != 1 or flat.dtype.kind not in "iuf" or (
@@ -399,38 +392,65 @@ def build_binomial(steps: int, x0: float, up: float, down: float, p_up: float) -
     return tree._lay_out(x0 + j * up + (k - j) * down, sizes, two, child, two, prob)
 
 
-class AdaptedField:
+class _FlatField:
+    """One real value per slot of a tree layout: ``values``, frozen, flat in level order.
+
+    The body :class:`AdaptedField` (slots: nodes) and :class:`EdgeField`
+    (slots: edges) share; a subclass names its layout, its ``path_gather()``
+    index and its messages.
+    """
+
+    _layout: str  # the tree's level bounds over the slots: "node_start" or "edge_start"
+    _gathered: int  # the entry of ``path_gather()`` that indexes the slots
+    _texts: tuple[str, str, str]  # a level count mismatch, the unit and the value named by the checks
+
+    def __init__(self, tree: FiltrationTree, levels: Sequence[np.ndarray]):
+        starts = getattr(tree, self._layout)
+        missing, unit, what = self._texts
+        if len(levels) != starts.size - 1:
+            raise InvalidInstanceError(missing)
+        self.tree = tree
+        self.values = _joined(levels, starts, unit, what)
+
+    @classmethod
+    def from_flat(cls, tree: FiltrationTree, values: np.ndarray) -> "_FlatField":
+        """A field from a copy of its flat values, level by level in slot order."""
+        field = cls.__new__(cls)
+        field.tree = tree
+        field.values = _flat(values, getattr(tree, cls._layout), cls._texts[2])
+        return field
+
+    @classmethod
+    def zeros(cls, tree: FiltrationTree) -> "_FlatField":
+        return cls.from_flat(tree, np.zeros(int(getattr(tree, cls._layout)[-1])))
+
+    def level(self, k: int) -> np.ndarray:
+        """Level k's values, a read-only view of ``values``."""
+        starts = getattr(self.tree, self._layout)
+        return self.values[starts[k] : starts[k + 1]]
+
+    def negate(self) -> "_FlatField":
+        return type(self).from_flat(self.tree, -self.values)
+
+    def path_matrix(self) -> np.ndarray:
+        """Values gathered along every enumerated path: shape (P, N+1) for nodes,
+        (P, N) for edges, where entry k is the k -> k+1 increment."""
+        return self.values[self.tree.path_gather()[self._gathered]]
+
+
+class AdaptedField(_FlatField):
     """One real value per tree node: ``values``, frozen, flat in level order.
 
     Built from one array per level (each checked, the failing level named)
     or, with :meth:`from_flat`, from the flat array itself.
     """
 
-    def __init__(self, tree: FiltrationTree, levels: Sequence[np.ndarray]):
-        if len(levels) != tree.levels:
-            raise InvalidInstanceError("field must define a value at every level")
-        self.tree = tree
-        self.values = _joined(levels, tree.node_start, "values", "field value")
-
-    @classmethod
-    def from_flat(cls, tree: FiltrationTree, values: np.ndarray) -> "AdaptedField":
-        """A field from a copy of its flat values, level by level in node order."""
-        field = cls.__new__(cls)
-        field.tree = tree
-        field.values = _flat(values, tree.node_start, "field value")
-        return field
+    _layout, _gathered = "node_start", 0
+    _texts = ("field must define a value at every level", "values", "field value")
 
     @classmethod
     def constant(cls, tree: FiltrationTree, value: float) -> "AdaptedField":
         return cls.from_flat(tree, np.full(tree.node_count(), float(value)))
-
-    @classmethod
-    def zeros(cls, tree: FiltrationTree) -> "AdaptedField":
-        return cls.constant(tree, 0.0)
-
-    def level(self, k: int) -> np.ndarray:
-        """Level k's values, a read-only view of ``values``."""
-        return self.values[self.tree.node_start[k] : self.tree.node_start[k + 1]]
 
     def __getitem__(self, node: tuple[int, int]) -> float:
         k, j = node
@@ -439,13 +459,6 @@ class AdaptedField:
     def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "AdaptedField":
         """The field of ``fn`` applied to the flat values; ``fn`` acts entry by entry."""
         return AdaptedField.from_flat(self.tree, fn(self.values))
-
-    def negate(self) -> "AdaptedField":
-        return self.map(np.negative)
-
-    def path_matrix(self) -> np.ndarray:
-        """Field values gathered along every enumerated path: shape (P, N+1)."""
-        return self.values[self.tree.path_gather()[0]]
 
 
 @dataclass(frozen=True)
@@ -506,50 +519,25 @@ def expect_level(tree: FiltrationTree, k: int, values_next: np.ndarray) -> np.nd
     return _slot_sums(tree.slot_plans[k], tree.edge_prob[k] * values_next[..., tree.edge_child[k]])
 
 
-class EdgeField:
+class EdgeField(_FlatField):
     """One real value per tree edge: ``values``, frozen, flat in the tree's edge order.
 
     Martingale increments live here: on a recombining tree a node can have
     several parents, so the increment over a transition is a function of the
-    edge taken, not of the arrival node alone.
+    edge taken, not of the arrival node alone.  ``level(k)`` holds the values
+    on the edges out of level k.
     """
 
-    def __init__(self, tree: FiltrationTree, levels: Sequence[np.ndarray]):
-        if len(levels) != tree.depth:
-            raise InvalidInstanceError("edge field must cover every transition level")
-        self.tree = tree
-        self.values = _joined(levels, tree.edge_start, "edge values", "edge value")
-
-    @classmethod
-    def from_flat(cls, tree: FiltrationTree, values: np.ndarray) -> "EdgeField":
-        """An edge field from a copy of its flat values, in the tree's edge order."""
-        field = cls.__new__(cls)
-        field.tree = tree
-        field.values = _flat(values, tree.edge_start, "edge value")
-        return field
-
-    @classmethod
-    def zeros(cls, tree: FiltrationTree) -> "EdgeField":
-        return cls.from_flat(tree, np.zeros(int(tree.edge_start[-1])))
-
-    def level(self, k: int) -> np.ndarray:
-        """The values on the edges out of level k, a read-only view of ``values``."""
-        return self.values[self.tree.edge_start[k] : self.tree.edge_start[k + 1]]
+    _layout, _gathered = "edge_start", 1
+    _texts = ("edge field must cover every transition level", "edge values", "edge value")
 
     def edges(self, k: int, j: int) -> np.ndarray:
         offsets = self.tree.offsets[k]
         return self.level(k)[offsets[j] : offsets[j + 1]]
 
-    def negate(self) -> "EdgeField":
-        return EdgeField.from_flat(self.tree, -self.values)
-
     def conditional_mean_deviation(self) -> float:
         """Max over nodes of |sum_children p * value|; zero for centered fields."""
         return float(np.max(np.abs(_slot_sums(self.tree._plan, self.tree._prob * self.values))))
-
-    def path_matrix(self) -> np.ndarray:
-        """Edge values along every path: shape (P, N), entry k is the k -> k+1 increment."""
-        return self.values[self.tree.path_gather()[1]]
 
 
 def running_sum_maxima(tree: FiltrationTree, increments: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -8,7 +8,7 @@ kernel, so agreement is exact rather than approximate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -312,20 +312,22 @@ def uniqueness_probe(
 class InstanceRecipe:
     """Seeded construction knobs for random admissible instances.
 
-    ``gap`` is the separation floor kept between the barriers (and their
-    right limits); generated instances always pass validation.
+    Every instance lives on a binomial tree over [0, 1] with a number of
+    steps drawn from ``steps``.  Its barriers are drawn constant, affine in
+    the state or affine plus tabulated noise; a symmetric recipe draws that
+    family too, then uses constant barriers.  A linear driver's slope stays
+    within 2.0 (and 0.45 / dt).  ``gap`` is the separation floor kept
+    between the barriers (and their right limits); generated instances
+    always pass validation.
     """
 
     seed: int
     steps: tuple[int, int] = (10, 15)
-    horizon: float = 1.0
     driver_family: str = "mixed"  # zero | constant | linear | mixed
-    barrier_family: str = "mixed"  # constant | affine | tabulated | mixed
     gap: float = 0.3
     right_jumps: int = 0
     one_sided: str | None = None  # None | "lower" | "upper"
     symmetric: bool = False
-    mu_max: float = 2.0
 
 
 def _pick_driver(recipe: InstanceRecipe, rng: np.random.Generator, dt: float) -> Driver:
@@ -337,7 +339,7 @@ def _pick_driver(recipe: InstanceRecipe, rng: np.random.Generator, dt: float) ->
     if family == "constant":
         return constant_driver(float(rng.uniform(-1.0, 1.0)))
     if family == "linear":
-        cap = min(recipe.mu_max, 0.45 / dt)
+        cap = min(2.0, 0.45 / dt)
         slope = float(rng.uniform(-cap, cap))
         intercept = 0.0 if recipe.symmetric else float(rng.uniform(-1.0, 1.0))
         return linear_driver(intercept, slope)
@@ -355,14 +357,22 @@ def _jump_sites(
     return sorted(set(sites))
 
 
+def _admissible(instance: ProblemInstance) -> ProblemInstance:
+    """The generated instance, refused if it fails validation."""
+    report = validate_instance(instance)
+    if not report.ok:
+        raise InvalidInstanceError(f"recipe produced an invalid instance: {report.violations[0]}")
+    return instance
+
+
 def random_instance(recipe: InstanceRecipe) -> ProblemInstance:
     """Deterministic-in-seed admissible instance from the recipe."""
     if recipe.gap <= 0.0:
         raise InvalidInstanceError("separation floor must be positive")
     rng = np.random.default_rng(recipe.seed)
     steps = int(rng.integers(recipe.steps[0], recipe.steps[1] + 1))
-    grid = TimeGrid.uniform(recipe.horizon, steps)
-    dt = recipe.horizon / steps
+    grid = TimeGrid.uniform(1.0, steps)
+    dt = 1.0 / steps
     vol = float(rng.uniform(0.5, 1.5))
     move = vol * float(np.sqrt(dt))
     x0 = 0.0 if recipe.symmetric else float(rng.uniform(-1.0, 1.0))
@@ -370,9 +380,7 @@ def random_instance(recipe: InstanceRecipe) -> ProblemInstance:
     tree = build_binomial(steps, x0, move, -move, p_up)
     driver = _pick_driver(recipe, rng, dt)
 
-    family = recipe.barrier_family
-    if family == "mixed":
-        family = ("constant", "affine", "tabulated")[int(rng.integers(0, 3))]
+    family = ("constant", "affine", "tabulated")[int(rng.integers(0, 3))]  # of the barriers
 
     if recipe.symmetric:
         u_base = recipe.gap / 2.0 + float(rng.uniform(0.3, 1.5))
@@ -389,24 +397,13 @@ def random_instance(recipe: InstanceRecipe) -> ProblemInstance:
             )
         x_leaf = tree.states[tree.depth]
         scale = 0.9 * u_base / float(np.max(np.abs(x_leaf))) if np.max(np.abs(x_leaf)) > 0 else 0.0
-        terminal = scale * x_leaf
-        barriers = BarrierPair(lower, upper)
-        instance = ProblemInstance(tree, grid, terminal, driver, barriers)
-        report = validate_instance(instance)
-        if not report.ok:
-            raise InvalidInstanceError(f"recipe produced an invalid instance: {report.violations[0]}")
-        return instance
+        return _admissible(ProblemInstance(tree, grid, scale * x_leaf, driver, BarrierPair(lower, upper)))
 
     l_base = float(rng.uniform(-1.5, -0.2))
     spread = recipe.gap + 0.05 + float(rng.uniform(0.0, 0.75))
     u_base = l_base + spread
     slope = 0.0 if family == "constant" else float(rng.uniform(-0.6, 0.6))
-
-    def affine(base: float) -> list[np.ndarray]:
-        return [base + slope * tree.states[k] for k in range(tree.levels)]
-
-    l_levels = affine(l_base)
-    u_levels = affine(u_base)
+    l_levels, u_levels = ([base + slope * x for x in tree.states] for base in (l_base, u_base))
     if family == "tabulated":
         noise = min(0.2, (spread - recipe.gap) / 2.0 * 0.9)
         for k in range(tree.levels):
@@ -442,11 +439,7 @@ def random_instance(recipe: InstanceRecipe) -> ProblemInstance:
         barriers = BarrierPair(None, upper)
     else:
         barriers = BarrierPair(lower, upper)
-    instance = ProblemInstance(tree, grid, terminal, driver, barriers)
-    report = validate_instance(instance)
-    if not report.ok:
-        raise InvalidInstanceError(f"recipe produced an invalid instance: {report.violations[0]}")
-    return instance
+    return _admissible(ProblemInstance(tree, grid, terminal, driver, barriers))
 
 
 def ordered_widening(
@@ -465,21 +458,9 @@ def ordered_widening(
     d = float(rng.uniform(0.0, 0.5))
     driver = instance.driver
     if driver.affine:
-        shifted = Driver(
-            driver.family,
-            intercept=driver.intercept + d,
-            slope=driver.slope,
-            mu=driver.mu,
-            y_independent=driver.y_independent,
-        )
+        shifted = replace(driver, intercept=driver.intercept + d)
     else:
-        base = driver
-        shifted = Driver(
-            "custom",
-            mu=base.mu,
-            y_independent=base.y_independent,
-            fn=lambda t, y: base(t, y) + d,
-        )
+        shifted = replace(driver, family="custom", fn=lambda t, y: driver(t, y) + d)
 
     def raised(side: RegulatedField, by: float) -> RegulatedField:
         return RegulatedField(side.value.map(lambda v: v + by), side.right_value.map(lambda v: v + by))

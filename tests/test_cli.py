@@ -10,7 +10,7 @@ import pytest
 from rbsde_lab import cli
 from rbsde_lab.bundles import lu4_residual, skorokhod_residual
 from rbsde_lab.cli import main
-from rbsde_lab.io_formats import load_instance, load_solution
+from rbsde_lab.io_formats import load_instance, load_solution, parse_instance
 from rbsde_lab.errors import InvalidInstanceError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -473,6 +473,10 @@ def test_grid_must_be_numeric(tmp_path, capsys, key, value, message):
         (("terminal",), {"family": "table", "values": [True] + [0.0] * 10}, "terminal.values"),
         (("barriers", "L"), {"family": "table", "values": [[-9.0] * k for k in range(1, 11)] + [[-9.0] * 10 + [False]]},
          "barriers.L.values"),
+        (("barriers", "U"), {"family": "quadratic", "a": 1.0}, "barriers.U: unknown function family 'quadratic'"),
+        (("barriers", "L"), {"family": "affine_state", "a": 0.5}, "barriers.L: missing keys"),
+        (("terminal",), {"family": "constant", "c": 0.1, "a": 2.0}, "terminal: unknown keys"),
+        (("barriers", "U"), {"family": "affine_time_state", "a": 0.5, "b": "0.1", "c": None}, "barriers.U.b"),
     ],
 )
 def test_instance_numbers_are_checked_and_named(tmp_path, capsys, keys, value, field):
@@ -490,6 +494,61 @@ def test_instance_numbers_are_checked_and_named(tmp_path, capsys, keys, value, f
     assert run("solve", path) == 1
     err = capsys.readouterr().err
     assert f"invalid input: {field}" in err and "Traceback" not in err
+
+
+EXPLICIT_TREE = {  # ragged: fan-out 1 to 3, a shared child
+    "kind": "explicit",
+    "states": [[0.1], [-0.7, 0.4, 1.3], [-1.1, 0.2], [-0.9, 0.35, 0.8, 2.05]],
+    "children": [[[0, 1, 2]], [[0], [0, 1], [1]], [[0, 1], [2, 3]]],
+    "probs": [[[0.2, 0.5, 0.3]], [[1.0], [0.4, 0.6], [1.0]], [[0.5, 0.5], [0.25, 0.75]]],
+}
+FAMILY_SPECS = {  # family: (spec, its value at a state x and an instant t)
+    "constant": ({"c": -0.83}, lambda s, x, t: s["c"]),
+    "affine_state": ({"a": 0.37, "b": -1.13}, lambda s, x, t: s["a"] * x + s["b"]),
+    "affine_time_state": ({"a": -0.61, "b": 1.7, "c": 0.21}, lambda s, x, t: s["a"] * x + s["b"] * t + s["c"]),
+}
+
+
+def _family_doc(tree: dict, steps: int, terminal: dict, lower: dict, upper: dict) -> dict:
+    return {
+        "grid": {"T": 1.3, "steps": steps},
+        "tree": tree,
+        "terminal": terminal,
+        "driver": {"family": "zero"},
+        "barriers": {"L": lower, "U": upper},
+    }
+
+
+@pytest.mark.parametrize("tree, steps", [
+    ({"kind": "binomial", "x0": 0.1, "up": 0.3, "down": -0.2, "p_up": 0.45}, 7),
+    (EXPLICIT_TREE, 3),
+])
+@pytest.mark.parametrize("family", sorted(FAMILY_SPECS))
+def test_function_families_match_the_per_level_reference(tree, steps, family):
+    coefs, rule = FAMILY_SPECS[family]
+    terminal = {"family": family, **coefs}
+    lower = {"family": family, **{name: value - 3.0 for name, value in coefs.items()}}
+    upper = {"family": family, **{name: 1.5 * value + 0.25 for name, value in coefs.items()}}
+    inst = parse_instance(_family_doc(tree, steps, terminal, lower, upper))
+    t = inst.grid.instants.tolist()
+
+    def reference(spec: dict, k: int) -> list[str]:
+        return [float(rule(spec, x, t[k])).hex() for x in inst.tree.states[k].tolist()]
+
+    assert [v.hex() for v in inst.terminal.tolist()] == reference(terminal, steps)
+    for side, spec in ((inst.lower, lower), (inst.upper, upper)):
+        for field in (side.value, side.right_value):
+            for k in range(inst.tree.levels):
+                assert [v.hex() for v in field.level(k).tolist()] == reference(spec, k)
+
+
+def test_overflowing_barrier_family_names_the_first_level():
+    # |x| reaches 1.5 at level 3 of this tree, where 1.2e308 * x overflows to inf
+    tree = {"kind": "binomial", "x0": 0.0, "up": 0.5, "down": -0.5, "p_up": 0.5}
+    lower = {"family": "affine_time_state", "a": 1.2e308, "b": 0.5, "c": -1.0}
+    doc = _family_doc(tree, 6, {"family": "constant", "c": 0.0}, lower, {"family": "constant", "c": 1.0})
+    with np.errstate(over="ignore"), pytest.raises(InvalidInstanceError, match="^level 3: non-finite field value$"):
+        parse_instance(doc)
 
 
 def test_integral_grid_and_jump_numbers_still_load(tmp_path):

@@ -514,31 +514,6 @@ def test_chain_report_matches_local_solutions_and_patching(name):
     assert chain.ka_gap <= 1e-12 and ka_oracle <= 1e-12
 
 
-@pytest.mark.parametrize("name", TWO_SIDED)
-def test_stall_diagnostic_matches_path_oracle_on_touching_barriers(name):
-    inst = CASES[name]()
-    tree = inst.tree
-    rng = np.random.default_rng(tree.depth)
-    k = int(rng.integers(1, tree.depth))
-    touch = rng.random(tree.level_size(k)) < 0.5
-    touch[int(rng.integers(tree.level_size(k)))] = True
-    low = [np.array(inst.lower.value.level(i)) for i in range(tree.levels)]
-    up = [np.array(inst.upper.value.level(i)) for i in range(tree.levels)]
-    low[k][touch] = up[k][touch] = 0.5 * (low[k][touch] + up[k][touch])
-    touching = ProblemInstance(
-        tree, inst.grid, inst.terminal, inst.driver,
-        BarrierPair(RegulatedField.from_values(tree, low), RegulatedField.from_values(tree, up)),
-    )
-    sol = solve_doubly_reflected(touching)
-    with pytest.raises(AlternationStuckError) as path_err:
-        alternating_sequence(sol.y, touching.barriers)
-    with pytest.raises(AlternationStuckError) as node_err:
-        chain_report(touching, sol)
-    assert node_err.value.level == path_err.value.level == k
-    assert node_err.value.gap == path_err.value.gap == 0.0
-    assert node_err.value.where.startswith("node ")
-
-
 def touching_instance(name: str) -> tuple[ProblemInstance, int]:
     """The case with its barriers set to their midpoint at some nodes of one level, and that level."""
     inst = CASES[name]()
@@ -552,6 +527,19 @@ def touching_instance(name: str) -> tuple[ProblemInstance, int]:
     low[k][touch] = up[k][touch] = 0.5 * (low[k][touch] + up[k][touch])
     barriers = BarrierPair(RegulatedField.from_values(tree, low), RegulatedField.from_values(tree, up))
     return ProblemInstance(tree, inst.grid, inst.terminal, inst.driver, barriers), k
+
+
+@pytest.mark.parametrize("name", TWO_SIDED)
+def test_stall_diagnostic_matches_path_oracle_on_touching_barriers(name):
+    touching, k = touching_instance(name)
+    sol = solve_doubly_reflected(touching)
+    with pytest.raises(AlternationStuckError) as path_err:
+        alternating_sequence(sol.y, touching.barriers)
+    with pytest.raises(AlternationStuckError) as node_err:
+        chain_report(touching, sol)
+    assert node_err.value.level == path_err.value.level == k
+    assert node_err.value.gap == path_err.value.gap == 0.0
+    assert node_err.value.where.startswith("node ")
 
 
 @pytest.mark.parametrize("name", TWO_SIDED)

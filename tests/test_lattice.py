@@ -13,6 +13,7 @@ from rbsde_lab.lattice import (
     conditional_expectation,
     enumerate_paths,
     expect_level,
+    flatten_node_lists,
     martingale_increments,
     sup_distance,
 )
@@ -358,3 +359,34 @@ def test_flat_fields_refuse_the_wrong_size():
         EdgeField.from_flat(tree, np.zeros((2, int(tree.edge_start[-1]))))
     with pytest.raises(InvalidInstanceError, match="values in level order"):
         AdaptedField(tree, nodes).map(lambda v: v[:-1])
+
+
+@pytest.mark.parametrize(
+    "lists, counts, values, kind",
+    [
+        ([[0, 1], [1, 2]], [2, 2], [0, 1, 1, 2], "i"),
+        ([[0.5, 0.5], [0.25, 0.75]], [2, 2], [0.5, 0.5, 0.25, 0.75], "f"),
+        ([[0], [0, 1], [1]], [1, 2, 1], [0, 0, 1, 1], "i"),
+        ([[1.0], [0.4, 0.6]], [1, 2], [1.0, 0.4, 0.6], "f"),
+        ([[1], [0.4, 0.6]], [1, 2], [1.0, 0.4, 0.6], "f"),
+        ([np.array([0, 1]), np.array([2])], [2, 1], [0, 1, 2], "i"),
+        ([np.array([0.5, 0.5]), np.array([0.1, 0.9])], [2, 2], [0.5, 0.5, 0.1, 0.9], "f"),
+        (np.array([[0, 1], [1, 2], [2, 3]]), [2, 2, 2], [0, 1, 1, 2, 2, 3], "i"),
+        ([[]], [0], [], "f"),
+        ([], [], [], "f"),
+    ],
+)
+def test_flatten_node_lists_counts_values_and_dtype(lists, counts, values, kind):
+    got_counts, flat = flatten_node_lists(lists, "level 0: child ids")
+    assert got_counts.dtype == np.int64 and got_counts.tolist() == counts
+    assert flat.ndim == 1 and flat.dtype.kind == kind and flat.tolist() == values
+
+
+def test_tree_from_numpy_levels_has_the_list_layout():
+    states = [[0.0], [-1.0, 1.0], [-2.0, 0.0, 2.0], [-3.0, -1.0, 1.0, 3.0]]
+    children = [[[0, 1]], [[0, 1], [1, 2]], [[0, 1], [1, 2], [2, 3]]]
+    probs = [[[0.3, 0.7]], [[0.5, 0.5], [0.25, 0.75]], [[0.1, 0.9], [0.6, 0.4], [0.5, 0.5]]]
+    lists = FiltrationTree(states, children, probs)
+    arrays = FiltrationTree([np.array(s) for s in states], [np.array(c) for c in children], [np.array(p) for p in probs])
+    assert arrays.same_shape(lists)
+    assert all(c.dtype == np.int64 for c in arrays.edge_child)

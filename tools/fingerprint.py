@@ -5,6 +5,14 @@ Run it on two versions of the package and compare the lists:
 
     PYTHONPATH=src python3 tools/fingerprint.py > after.txt
 
+or in one command, against the package at a git revision:
+
+    python3 tools/fingerprint.py --against HEAD
+
+which extracts ``src/`` at that revision into a temporary directory, runs
+this tool once on that copy and once on the working tree, prints the name
+of each line that differs and exits 1 if any does.
+
 Inputs: the shipped instances, the files in ``tests/data/``, the
 benchmark's ``deep_tree`` trees for seed 1 (built by
 ``bench/gen_instances.py``) and ``two_sided_affine.json`` with a non-affine
@@ -31,6 +39,7 @@ slice written out as the indices it takes), ``path_gather()`` at depth
 <= 16, and the martingale increments of the projection's Y with their
 conditional mean deviation.
 """
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -39,10 +48,14 @@ import math
 import os
 import pathlib
 import random
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "src"))  # the package of this checkout, unless PYTHONPATH names another
 
 from rbsde_lab.bundles import lu4_residual
 from rbsde_lab.cli import _solve_projection, main as cli_main
@@ -61,7 +74,6 @@ from rbsde_lab.lattice import martingale_increments
 from rbsde_lab.regulated import ProblemInstance, negation_dual, require_valid
 from rbsde_lab.stopping import PathContext, alternating_sequence, local_solution, patch_global
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
 from deep_tree import EPS as DEEP_EPS, LEVELS as DEEP_LEVELS, SPECS as DEEP_SPECS  # noqa: E402
@@ -195,6 +207,28 @@ def verify_parts(path: pathlib.Path, report: pathlib.Path) -> tuple:
     return code, report.read_bytes() if report.exists() else b"", printed.getvalue()
 
 
+def fingerprint_lines(package: pathlib.Path) -> dict[str, str]:
+    """This tool's lines, run on the package under ``package``, keyed by their name (all but the digest)."""
+    env = {**os.environ, "PYTHONPATH": str(package), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, __file__], env=env, check=True, capture_output=True, text=True).stdout
+    return {" ".join(line.split(" ")[:2]): line for line in out.splitlines()}
+
+
+def against(rev: str) -> int:
+    """Compare the lines of the package at ``rev`` with those of the working tree; 1 if any differs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], check=True, capture_output=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        before = fingerprint_lines(pathlib.Path(tmp) / "src")
+    after = fingerprint_lines(ROOT / "src")
+    names = before | after
+    differ = [name for name in names if before.get(name) != after.get(name)]
+    for name in differ:
+        print(name)
+    print(f"{len(differ)} of {len(names)} lines differ" if differ else f"{len(names)} equal lines")
+    return 1 if differ else 0
+
+
 def main() -> None:
     for name, instance, sweep_kwargs in inputs():
         for what, thunk in outputs(instance, sweep_kwargs):
@@ -213,4 +247,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description="Print one SHA-256 per solver output.")
+    parser.add_argument("--against", metavar="REV", help="compare with the package at this git revision")
+    args = parser.parse_args()
+    if args.against is None:
+        main()
+    else:
+        sys.exit(against(args.against))
