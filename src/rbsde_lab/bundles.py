@@ -9,7 +9,7 @@ budget identity and the minimality sums from stored data alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -37,9 +37,8 @@ class SolutionBundle:
 
     def negate_swap(self, method: str | None = None) -> "SolutionBundle":
         """The bundle of the negated problem: Y, M flip sign; K and A swap roles."""
-        return SolutionBundle(
-            tree=self.tree,
-            grid=self.grid,
+        return replace(
+            self,
             y=self.y.negate(),
             dm=self.dm.negate(),
             dk_star=self.da_star,
@@ -47,8 +46,6 @@ class SolutionBundle:
             da_star=self.dk_star,
             jump_a=self.jump_k,
             method=self.method if method is None else method,
-            n=self.n,
-            degenerate_nodes=self.degenerate_nodes,
         )
 
     def cumulative_k_paths(self) -> np.ndarray:

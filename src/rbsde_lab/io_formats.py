@@ -64,7 +64,7 @@ def _evaluate_function_spec(
     spec: dict, where: str, tree: FiltrationTree, grid: TimeGrid, leaves_only: bool
 ):
     """Named function families or explicit tables, evaluated on the tree: the
-    leaves' values, or one array per level."""
+    leaves' values, or the field over the whole tree (a family's built flat)."""
     _take(spec, where, ["family"], ["a", "b", "c", "values"])
     family = spec["family"]
     if family == "table":
@@ -72,7 +72,7 @@ def _evaluate_function_spec(
         values = spec["values"]
         if leaves_only:
             return _levels([values], f"{where}.values")[0]
-        return _levels(values, f"{where}.values")
+        return AdaptedField(tree, _levels(values, f"{where}.values"))
     if family not in _FAMILIES:
         raise InvalidInstanceError(f"{where}: unknown function family {family!r}")
     names, rule = _FAMILIES[family]
@@ -81,7 +81,7 @@ def _evaluate_function_spec(
     if leaves_only:
         return rule(tree.states[-1], grid.instants[-1], *coefs)
     instants = np.repeat(grid.instants, np.diff(tree.node_start))  # each node's instant
-    return tree.split_levels(rule(np.concatenate(tree.states), instants, *coefs))
+    return AdaptedField.from_flat(tree, rule(np.concatenate(tree.states), instants, *coefs))
 
 
 def _parse_driver(spec: dict) -> Driver:
@@ -138,11 +138,9 @@ def parse_instance(doc: dict) -> ProblemInstance:
     def parse_barrier(spec, name: str) -> RegulatedField | None:
         if spec is None:
             return None
-        levels = _evaluate_function_spec(spec, name, tree, grid, leaves_only=False)
-        return RegulatedField.from_values(tree, levels)
+        return RegulatedField(_evaluate_function_spec(spec, name, tree, grid, leaves_only=False))
 
-    lower = parse_barrier(barriers_spec["L"], "barriers.L")
-    upper = parse_barrier(barriers_spec["U"], "barriers.U")
+    barriers = {side: parse_barrier(barriers_spec[side], f"barriers.{side}") for side in ("L", "U")}
     jump_entries = barriers_spec.get("right_jumps", [])
     if jump_entries:
         by_side: dict[str, list[tuple[int, int, float]]] = {"L": [], "U": []}
@@ -153,15 +151,12 @@ def parse_instance(doc: dict) -> ProblemInstance:
                 raise InvalidInstanceError(f"right_jumps[{i}]: barrier must be 'L' or 'U'")
             new_value = _number(e["new_value"], f"right_jumps[{i}].new_value")
             by_side[side].append((e["level"], e["node"], new_value))
-        if by_side["L"]:
-            if lower is None:
-                raise InvalidInstanceError("right_jumps: lower barrier is absent")
-            lower = lower.with_right_jumps(by_side["L"])
-        if by_side["U"]:
-            if upper is None:
-                raise InvalidInstanceError("right_jumps: upper barrier is absent")
-            upper = upper.with_right_jumps(by_side["U"])
-    return ProblemInstance(tree, grid, terminal, driver, BarrierPair(lower, upper))
+        for side, name in (("L", "lower"), ("U", "upper")):
+            if by_side[side]:
+                if barriers[side] is None:
+                    raise InvalidInstanceError(f"right_jumps: {name} barrier is absent")
+                barriers[side] = barriers[side].with_right_jumps(by_side[side])
+    return ProblemInstance(tree, grid, terminal, driver, BarrierPair(barriers["L"], barriers["U"]))
 
 
 def load_instance(path: str | Path) -> ProblemInstance:

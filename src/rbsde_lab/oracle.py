@@ -411,20 +411,15 @@ def random_instance(recipe: InstanceRecipe) -> ProblemInstance:
             u_levels[k] = u_levels[k] + rng.uniform(-noise, noise, size=u_levels[k].size)
     lower = RegulatedField.from_values(tree, l_levels)
     upper = RegulatedField.from_values(tree, u_levels)
-    if recipe.right_jumps:
-        sites = _jump_sites(rng, tree, recipe.right_jumps)
-        lower = lower.with_right_jumps(
-            [
-                (k, j, float(lower.value.level(k)[j]) - float(rng.uniform(0.02, 0.5)))
-                for k, j in sites
-            ]
-        )
-        sites_u = _jump_sites(rng, tree, recipe.right_jumps)
-        upper = upper.with_right_jumps(
-            [
-                (k, j, float(upper.value.level(k)[j]) + float(rng.uniform(0.02, 0.5)))
-                for k, j in sites_u
-            ]
+    if recipe.right_jumps:  # lower jumps go down, upper ones up; the lower side draws first
+        lower, upper = (
+            side.with_right_jumps(
+                [
+                    (k, j, float(side.value.level(k)[j]) + sign * float(rng.uniform(0.02, 0.5)))
+                    for k, j in _jump_sites(rng, tree, recipe.right_jumps)
+                ]
+            )
+            for side, sign in ((lower, -1.0), (upper, 1.0))
         )
 
     leaf_lo = lower.value.level(tree.depth)
@@ -465,9 +460,8 @@ def ordered_widening(
     def raised(side: RegulatedField, by: float) -> RegulatedField:
         return RegulatedField(side.value.map(lambda v: v + by), side.right_value.map(lambda v: v + by))
 
-    return ProblemInstance(
-        tree=instance.tree,
-        grid=instance.grid,
+    return replace(
+        instance,
         terminal=instance.terminal + a,
         driver=shifted,
         barriers=BarrierPair(raised(instance.lower, b), raised(instance.upper, c)),

@@ -7,7 +7,8 @@ instant, the only discrete reading consistent with regulated trajectories.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -140,14 +141,16 @@ def jump_exhaustion_schedule(barrier: RegulatedField, n: int, side: str = "lower
     return JumpExhaustionSchedule(n, side, tuple(ScheduleEvent(k, j, v) for k, j, v in events))
 
 
+@dataclass(frozen=True, eq=False)
 class BarrierPair:
     """Lower/upper barrier pair; ``None`` encodes an absent (infinite) barrier."""
 
-    def __init__(self, lower: RegulatedField | None, upper: RegulatedField | None):
-        if lower is not None and upper is not None and lower.tree is not upper.tree:
+    lower: RegulatedField | None
+    upper: RegulatedField | None
+
+    def __post_init__(self):
+        if self.lower is not None and self.upper is not None and self.lower.tree is not self.upper.tree:
             raise InvalidInstanceError("barriers must live on the same tree")
-        self.lower = lower
-        self.upper = upper
 
     def negate_swap(self) -> "BarrierPair":
         """The pair for the negated problem: (L, U) -> (-U, -L)."""
@@ -223,37 +226,35 @@ class ValidationReport:
         return not self.violations
 
 
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Full datum of a doubly reflected backward equation on a tree.
 
     Terminal payoff on the leaves, Lipschitz driver, and a barrier pair;
-    either barrier may be absent.
+    either barrier may be absent.  Frozen: a variant is made with
+    :func:`dataclasses.replace`, and :attr:`validation` is computed once.
     """
 
-    def __init__(
-        self,
-        tree: FiltrationTree,
-        grid: TimeGrid,
-        terminal: np.ndarray,
-        driver: Driver,
-        barriers: BarrierPair,
-    ):
-        if grid.steps != tree.depth:
+    tree: FiltrationTree
+    grid: TimeGrid
+    terminal: np.ndarray
+    driver: Driver
+    barriers: BarrierPair
+
+    def __post_init__(self):
+        tree = self.tree
+        if self.grid.steps != tree.depth:
             raise InvalidInstanceError("time grid and tree must agree on the number of steps")
-        terminal = np.asarray(terminal, dtype=float)
+        terminal = np.asarray(self.terminal, dtype=float)
         if terminal.shape != (tree.level_size(tree.depth),):
             raise InvalidInstanceError("terminal payoff must give one value per leaf")
         if not np.all(np.isfinite(terminal)):
             raise InvalidInstanceError("terminal payoff must be finite")
-        for side in (barriers.lower, barriers.upper):
+        for side in (self.barriers.lower, self.barriers.upper):
             if side is not None and side.tree is not tree:
                 raise InvalidInstanceError("barriers must live on the instance tree")
         terminal.setflags(write=False)
-        self.tree = tree
-        self.grid = grid
-        self.terminal = terminal
-        self.driver = driver
-        self.barriers = barriers
+        object.__setattr__(self, "terminal", terminal)
 
     @property
     def lower(self) -> RegulatedField | None:
@@ -263,15 +264,19 @@ class ProblemInstance:
     def upper(self) -> RegulatedField | None:
         return self.barriers.upper
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The :func:`validate_instance` report, computed on first read."""
+        return _validation_report(self)
+
 
 def negation_dual(instance: ProblemInstance) -> ProblemInstance:
     """The negated problem: (xi, f, L, U) -> (-xi, -f(t, -y), -U, -L).
 
     An exact involution; solutions map by (Y, M, K, A) -> (-Y, -M, A, K).
     """
-    return ProblemInstance(
-        tree=instance.tree,
-        grid=instance.grid,
+    return replace(
+        instance,
         terminal=-instance.terminal,
         driver=negate_driver(instance.driver),
         barriers=instance.barriers.negate_swap(),
@@ -279,7 +284,16 @@ def negation_dual(instance: ProblemInstance) -> ProblemInstance:
 
 
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
-    """Terminal sandwich, weak barrier ordering, and step-stability checks."""
+    """Terminal sandwich, weak barrier ordering, and step-stability checks.
+
+    The instance's cached :attr:`ProblemInstance.validation`: one report per
+    instance, the same object at every call.
+    """
+    return instance.validation
+
+
+def _validation_report(instance: ProblemInstance) -> ValidationReport:
+    """The checks behind :func:`validate_instance`, run on the instance's first read."""
     v: list[InstanceViolation] = []
     tree = instance.tree
     lower, upper = instance.lower, instance.upper
@@ -301,7 +315,7 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
 
 def require_valid(instance: ProblemInstance) -> None:
     """Raise :class:`InvalidInstanceError` naming the first violations, if any."""
-    report = validate_instance(instance)
+    report = instance.validation
     if not report.ok:
         heads = "; ".join(f"{v.kind} at {v.location}" for v in report.violations[:4])
         raise InvalidInstanceError(f"instance fails validation: {heads}")

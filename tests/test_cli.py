@@ -551,6 +551,21 @@ def test_overflowing_barrier_family_names_the_first_level():
         parse_instance(doc)
 
 
+@pytest.mark.parametrize("tree, steps", [
+    ({"kind": "binomial", "x0": 0.1, "up": 0.3, "down": -0.2, "p_up": 0.45}, 7),
+    (EXPLICIT_TREE, 3),
+])
+def test_family_barrier_and_its_table_copy_parse_to_the_same_bytes(tree, steps):
+    a, b = 0.37, -1.13
+    family = {"family": "affine_state", "a": a, "b": b}
+    upper = {"family": "constant", "c": 9.0}
+    built = parse_instance(_family_doc(tree, steps, {"family": "constant", "c": 0.0}, family, upper))
+    table = {"family": "table", "values": [[a * x + b for x in level.tolist()] for level in built.tree.states]}
+    tabled = parse_instance(_family_doc(tree, steps, {"family": "constant", "c": 0.0}, table, upper))
+    for got, want in ((built.lower.value, tabled.lower.value), (built.lower.right_value, tabled.lower.right_value)):
+        assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_integral_grid_and_jump_numbers_still_load(tmp_path):
     def edit(doc):
         doc["grid"].update(T=1, steps=8.0)
@@ -675,3 +690,16 @@ def test_benchmark_hook_names_are_cli_attributes():
     names = [ast.literal_eval(key) for key in spanned[0].keys]
     assert names
     assert [name for name in names if not hasattr(cli, name)] == []
+
+
+def test_each_command_computes_the_validation_report_at_most_once_per_instance(monkeypatch):
+    from rbsde_lab import regulated
+
+    calls = []
+    compute = regulated._validation_report
+    monkeypatch.setattr(regulated, "_validation_report", lambda inst: calls.append(inst) or compute(inst))
+    path = INSTANCES / "two_sided_affine.json"
+    for argv, expected in ((["verify", path], 2), (["solve", path], 1), (["converge", path, "--mode", "dec-pen"], 2)):
+        calls.clear()
+        assert run(*argv) == 0
+        assert len(calls) == expected, argv  # the instance, and for a decreasing sweep its negation dual

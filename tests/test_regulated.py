@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from rbsde_lab.regulated import (
     RegulatedField,
     check_separation,
     jump_exhaustion_schedule,
+    negation_dual,
     right_jump,
     validate_instance,
 )
@@ -251,3 +254,32 @@ def test_driver_lipschitz_spot_check():
         t = float(rng.uniform(0, 1))
         y1, y2 = rng.normal(size=2)
         assert abs(f(t, y1) - f(t, y2)) <= f.mu * abs(y1 - y2) + 1e-12
+
+
+def test_validation_report_is_computed_once_per_instance(tree):
+    inst = _instance(tree, lower=RegulatedField.constant(tree, -1.0), upper=RegulatedField.constant(tree, 1.0))
+    assert validate_instance(inst) is validate_instance(inst)
+    assert inst.validation is validate_instance(inst)
+
+
+def test_instances_and_barrier_pairs_are_frozen(tree):
+    pair = BarrierPair(RegulatedField.constant(tree, -1.0), RegulatedField.constant(tree, 1.0))
+    inst = _instance(tree, lower=pair.lower, upper=pair.upper)
+    for value in (pair, inst):
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+
+
+def test_negation_dual_gets_its_own_validation_report(tree):
+    terminal = np.zeros(tree.level_size(tree.depth))
+    terminal[3] = -3.0  # below L = -1 at leaf 3
+    inst = _instance(
+        tree,
+        lower=RegulatedField.constant(tree, -1.0),
+        upper=RegulatedField.constant(tree, 1.0),
+        terminal=terminal,
+    )
+    assert [(v.kind, v.location) for v in validate_instance(inst).violations] == [("terminal_below_lower", "leaf 3")]
+    dual = validate_instance(negation_dual(inst))
+    assert [(v.kind, v.location, v.detail) for v in dual.violations] == [("terminal_above_upper", "leaf 3", 2.0)]

@@ -33,6 +33,13 @@ verify --json`` gives on it: the exit code, the JSON report and the printed
 report.  The file is named relative to the repository root, so the report's
 ``instance`` entry does not depend on where the checkout lives.
 
+Then one ``check`` line per input digests the verdicts on its data:
+``validate_instance`` (each violation's kind, location and detail, in
+order) and ``check_separation`` (margin and violations, or its refusal) on
+the input, its negation dual, a copy whose terminal sits 1.0 below L at
+leaf 0 and a copy with a custom driver whose mu * dt is 0.6.  The copies are
+built with the ``ProblemInstance`` constructor.
+
 Last, one ``tree`` line per input digests the tree layout: the node and edge
 numbering, the states, every level's offsets, edge arrays and slot plan (a
 slice written out as the indices it takes), ``path_gather()`` at depth
@@ -71,7 +78,7 @@ from rbsde_lab.engine import (
 from rbsde_lab.errors import RBSDELabError
 from rbsde_lab.io_formats import load_instance, parse_instance
 from rbsde_lab.lattice import martingale_increments
-from rbsde_lab.regulated import ProblemInstance, negation_dual, require_valid
+from rbsde_lab.regulated import ProblemInstance, check_separation, negation_dual, require_valid, validate_instance
 from rbsde_lab.stopping import PathContext, alternating_sequence, local_solution, patch_global
 
 sys.path.insert(0, str(ROOT / "bench"))
@@ -179,6 +186,31 @@ def outputs(instance, sweep_kwargs):
     yield "path.patched", lambda: bundle_parts(patch_global(instance, local_solutions(instance)))
 
 
+def verdict_parts(instance) -> tuple:
+    """``validate_instance`` and ``check_separation`` on one instance, floats as hex."""
+    report = tuple((v.kind, v.location, v.detail.hex()) for v in validate_instance(instance).violations)
+    try:
+        sep = check_separation(instance.barriers)
+        separation = (sep.satisfied, sep.margin.hex(), *((v.which, v.level, v.node, v.gap.hex()) for v in sep.violations))
+    except RBSDELabError as exc:
+        separation = ("error", type(exc).__name__, str(exc))
+    return report, separation
+
+
+def check_parts(instance) -> tuple:
+    """The verdicts on the input, its negation dual, a copy with the terminal
+    1.0 below L at leaf 0 and a copy with a custom driver of mu * dt = 0.6."""
+    terminal = np.array(instance.terminal)
+    below = terminal if instance.lower is None else instance.lower.value.level(instance.tree.depth)
+    terminal[0] = below[0] - 1.0
+    stiff = custom_driver(sine_rule, 0.6 / instance.grid.max_dt)
+    copies = (
+        ProblemInstance(instance.tree, instance.grid, terminal, instance.driver, instance.barriers),
+        ProblemInstance(instance.tree, instance.grid, instance.terminal, stiff, instance.barriers),
+    )
+    return tuple(verdict_parts(i) for i in (instance, negation_dual(instance), *copies))
+
+
 def slot_indices(tree, k: int) -> list:
     """Level k's slot plan, each slice written out as the indices it takes."""
     sizes = (tree.level_size(k), tree.edge_child[k].size)  # of the nodes and of the edges
@@ -242,6 +274,8 @@ def main() -> None:
         for path in instance_files():
             code, *parts = verify_parts(path, pathlib.Path(tmp) / "report.json")
             print(f"{path.stem} verify {digest(code, *parts)} (exit {code})", flush=True)
+    for name, instance, _ in inputs():
+        print(f"{name} check {digest(*check_parts(instance))}", flush=True)
     for name, instance, _ in inputs():
         print(f"{name} tree {digest(*tree_parts(instance))}", flush=True)
 
