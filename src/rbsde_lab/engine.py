@@ -12,13 +12,17 @@ correction).  Two consumers read it:
   and dA* by an increment kernel, jumpK and jumpA by
   :func:`jump_corrections`, and dM as Y(child) - E(parent) on every edge.
   A solver hands it its two kernels and jump masks; the penalized kernels
-  live here, the projection kernels in :mod:`rbsde_lab.solvers`.
-- :func:`ladder_distances` runs a penalization sweep's whole ladder through
-  the same loop, on ``(ladder, width)`` blocks with n as a ``(ladder, 1)``
-  column the value kernel broadcasts, and keeps only the sup distance and
-  the monotonicity drop of each consecutive pair of penalty levels.  The
-  sweep's stopping rule reads them, and one ordinary :func:`solve_penalized`
-  at the stopping level gives the final bundle.
+  live here, the projection kernels in :mod:`rbsde_lab.solvers`.  Given
+  the values Y of every level, it skips the loop and books the same
+  quantities from them over all nodes at once.
+- :func:`_ladder_pass` runs a penalization sweep's whole ladder through the
+  same loop, on ``(ladder, width)`` blocks with n as a ``(ladder, 1)``
+  column the value kernel broadcasts.  It keeps the sup distance and the
+  monotonicity drop of each consecutive pair of penalty levels, and the
+  rows that can still be the stop row (:func:`_stop_index`).  The sweep's
+  stopping rule reads the pairs, and :func:`solve_penalized` books the
+  final bundle from the stop row: one backward pass per sweep.
+  :func:`ladder_distances` is the pass without the row.
 
 The driver integral is treated implicitly (solve y = e + f(t, y) dt) and so
 is the penalty term n (y - L+)^- dt: the piecewise-linear equation is solved
@@ -54,7 +58,7 @@ from .errors import (
     SchemeMonotonicityError,
     StabilityError,
 )
-from .lattice import AdaptedField, edge_increments, expect_level
+from .lattice import AdaptedField, edge_increments, expect_level, expect_tree
 from .regulated import (
     STABILITY_BOUND,
     ProblemInstance,
@@ -101,9 +105,10 @@ def positive_part(x: np.ndarray) -> np.ndarray:
     return np.where(0.0 > x, 0.0, x)
 
 
-def _fixed_point(e: np.ndarray, t: float, dt: float, driver: Driver, settle, failure: str | None):
+def _fixed_point(e: np.ndarray, t, dt, driver: Driver, settle, failure: str | None):
     """Level-wide solve of y = settle(e + f(t, y) dt) for an implicit step.
 
+    ``t`` and ``dt`` are one instant and step, or one per entry of ``e``.
     ``settle(c, scale, at)`` returns, at the entries ``at``, the y with
     scale*y = c plus the step's own terms.  Affine drivers move b*y to the
     left: one call with c = e + a dt and scale = 1 - b dt.  Other drivers
@@ -117,10 +122,11 @@ def _fixed_point(e: np.ndarray, t: float, dt: float, driver: Driver, settle, fai
     if driver.affine:
         c, scale = e + driver.intercept * dt, 1.0 - driver.slope * dt
         return settle(c, scale, slice(None)), c, scale
+    t, dt = np.broadcast_to(t, e.shape), np.broadcast_to(dt, e.shape)
     y, c = e.copy(), np.empty_like(e)
     live = np.arange(e.size)
     for _ in range(FIXED_POINT_MAX_ITER):
-        c[live] = e[live] + driver.level(t, y[live]) * dt
+        c[live] = e[live] + driver.level(t[live], y[live]) * dt[live]
         nxt = settle(c[live], 1.0, live)
         done = np.abs(nxt - y[live]) <= FIXED_POINT_TOL
         y[live] = nxt
@@ -130,7 +136,8 @@ def _fixed_point(e: np.ndarray, t: float, dt: float, driver: Driver, settle, fai
     if failure is None:
         y[live] = np.nan
         return y, c, 1.0
-    raise NumericalError(failure.format(e=float(e[live[0]]), t=t, dt=dt, z=float(y[live[0]])))
+    at = live[0]
+    raise NumericalError(failure.format(e=float(e[at]), t=t[at].item(), dt=dt[at].item(), z=float(y[at])))
 
 
 def implicit_level(e: np.ndarray, t: float, dt: float, driver: Driver) -> np.ndarray:
@@ -153,9 +160,10 @@ def _penalized_values(
 
     ``pushed`` marks the entries whose implicit solve met the penalty,
     ``clamped`` those of ``clamp`` then moved down to ``upper`` (False when
-    ``clamp`` is).  ``n`` is one penalty level, or a ``(ladder, 1)`` column
-    against a ``(ladder, width)`` block ``e``; there a stalled fixed point
-    leaves its entries NaN, since only the caller knows what it will read.
+    ``clamp`` is).  ``t`` and ``dt`` are one instant and step, or one per
+    entry.  ``n`` is one penalty level, or a ``(ladder, 1)`` column against a
+    ``(ladder, width)`` block ``e``; there a stalled fixed point leaves its
+    entries NaN, since only the caller knows what it will read.
     """
     ndt = n * dt
     if driver.affine:
@@ -167,7 +175,7 @@ def _penalized_values(
         y, pushed = y.reshape(e.shape), c.reshape(e.shape) < lower
     if clamp is False:
         return y, pushed, False
-    clamped = clamp & (y > upper)
+    clamped = y > upper if clamp is True else clamp & (y > upper)  # True & array is one more array op
     np.copyto(y, upper, where=clamped)
     return y, pushed, clamped
 
@@ -333,6 +341,7 @@ def backward_sweep(
     at_upper: np.ndarray,
     method: str,
     n: int | None = None,
+    booked: np.ndarray | None = None,
 ) -> tuple[SolutionBundle, np.ndarray, np.ndarray]:
     """Backward induction from the terminal payoff: (bundle, first, second).
 
@@ -343,20 +352,36 @@ def backward_sweep(
     from the flat expectations, instants and steps; the corrections give
     jumpK and jumpA; dM is Y(child) - E(parent) on every edge; and the
     right-limit value is assembled as (Y - jumpK) + jumpA.
+
+    Given ``booked``, the flat values Y of every level already computed,
+    the loop is skipped: E is one whole-tree slot sum of them
+    (:func:`expect_tree`), and one call of the value kernel over all nodes
+    before the last level, with each node's instant and step, gives Y+ and
+    the masks.  Y is then Y+ corrected (:func:`jump_corrections`), which
+    the caller compares with ``booked``.
     """
     tree, instants, count = instance.tree, instance.grid.instants, instance.tree.node_count()
-    y, y_plus, expected = np.zeros((3, count))
-    first, second = np.zeros((2, count), dtype=bool)
-    y[tree.node_start[-2] :] = y_plus[tree.node_start[-2] :] = instance.terminal
-    for a, b, *level in _value_levels(instance, values, at_lower, at_upper, instance.terminal):
-        expected[a:b], y_plus[a:b], first[a:b], second[a:b], y[a:b] = level
-    # with every node's instant and step; the leaves take no step
+    inner = tree.node_start[-2]
+    # every node's instant and step; the leaves take no step
     sizes, dts = np.diff(tree.node_start), np.diff(instants)
     times, steps = np.repeat(instants, sizes), np.repeat(np.append(dts, 0.0), sizes)
     lower, lower_right = _limits(instance.lower, -np.inf, count)
     upper, upper_right = _limits(instance.upper, np.inf, count)
+    y, y_plus, expected = np.zeros((3, count))
+    first, second = np.zeros((2, count), dtype=bool)
+    y[inner:] = y_plus[inner:] = instance.terminal
+    if booked is None:
+        for a, b, *level in _value_levels(instance, values, at_lower, at_upper, instance.terminal):
+            expected[a:b], y_plus[a:b], first[a:b], second[a:b], y[a:b] = level
+    else:
+        expected[:inner] = expect_tree(tree, booked)
+        y_plus[:inner], first[:inner], second[:inner] = values(
+            expected[:inner], times[:inner], steps[:inner], lower_right[:inner], upper_right[:inner]
+        )
     dk_star, da_star = increments(expected, times, steps, lower_right, upper_right, y_plus, first, second)
-    jump_k, jump_a = jump_corrections(y_plus, lower, upper, at_lower, at_upper)[1:]
+    corrected, jump_k, jump_a = jump_corrections(y_plus, lower, upper, at_lower, at_upper)
+    if booked is not None:
+        y = corrected
     value, right, dk_star, jump_k, da_star, jump_a = (
         AdaptedField.from_flat(tree, v) for v in (y, (y - jump_k) + jump_a, dk_star, jump_k, da_star, jump_a)
     )
@@ -386,7 +411,9 @@ def _lower_side(instance: ProblemInstance, mode: PenalizationMode) -> tuple[Prob
     return negation_dual(instance), mode.dual
 
 
-def solve_penalized(instance: ProblemInstance, n: int, mode: PenalizationMode) -> SolutionBundle:
+def solve_penalized(
+    instance: ProblemInstance, n: int, mode: PenalizationMode, values: np.ndarray | None = None
+) -> SolutionBundle:
     """Full backward sweep of one penalization scheme at level n.
 
     In the lower-side frame the right-limit value is penalized toward L+
@@ -394,10 +421,21 @@ def solve_penalized(instance: ProblemInstance, n: int, mode: PenalizationMode) -
     the nodes scheduled at level n fully to L and, when reflecting, pulls
     declared upper jumps to U.  An upper-side mode runs on the negated
     problem and swaps (K, A) back, which realizes the duality exactly.
+
+    ``values``, when given, are the level's flat values Y in the frame of
+    ``instance`` (a sweep's stop row, say): the bundle is booked from them
+    without the level loop (:func:`backward_sweep`), and values whose
+    corrected Y is not bit for bit themselves are refused.
     """
     if n < 1:
         raise PreconditionError("penalty level must be >= 1")
     frame, frame_mode = _lower_side(instance, mode)
+    if values is not None:
+        values = np.asarray(values, dtype=float)
+        count = frame.tree.node_count()
+        if values.shape != (count,):
+            raise PreconditionError(f"penalty level {n}: values of shape {values.shape} for {count} nodes")
+        values = values if mode.penalizes_lower else -values
     bundle = backward_sweep(
         frame,
         partial(_penalized_values, n=n, clamp=mode.reflects, driver=frame.driver),
@@ -406,7 +444,10 @@ def solve_penalized(instance: ProblemInstance, n: int, mode: PenalizationMode) -
         jump_masks(frame.upper if mode.reflects else None, frame.tree),
         frame_mode.value,
         n,
+        values,
     )[0]
+    if values is not None and bundle.y.value.values.tobytes() != values.tobytes():
+        raise PreconditionError(f"penalty level {n}: the values given are not the level's solution")
     return bundle if mode.penalizes_lower else bundle.negate_swap(method=mode.value)
 
 
@@ -436,6 +477,48 @@ def default_levels(n_max: int = DEFAULT_MAX_PENALTY) -> list[int]:
     return out
 
 
+def _stop_index(distances: np.ndarray, eps: float, row: int = 1) -> int:
+    """The sweep's stopping rule: the row closing the first consecutive pair
+    of penalty levels with a sup distance below ``eps``, else the last row.
+    The search starts at ``row``: the pairs before it are known not to be close."""
+    while row < distances.size and not distances[row - 1] < eps:
+        row += 1
+    return min(row, distances.size)
+
+
+def _ladder_pass(
+    instance: ProblemInstance, levels: list[int], mode: PenalizationMode, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`ladder_distances`, and the stop row: (distances, drops, failed, y).
+
+    ``y`` is row :func:`_stop_index` of the block, flat over the tree.  The
+    running distances only grow as the pass climbs, so the stopping rule
+    applied to them gives an index that only rises and never passes the
+    final stop.  Each tree level copies its rows from that index on (the
+    last row always) into one ``(ladder, nodes before level N)`` buffer
+    made with ``np.empty``; the rows below it are never written, so only
+    the pages of written rows are touched.
+    """
+    ns = np.array(levels, dtype=float)[:, None]
+    values = partial(_penalized_values, n=ns, clamp=mode.reflects, driver=instance.driver)
+    at_upper = jump_masks(instance.upper if mode.reflects else None, instance.tree)
+    y = np.broadcast_to(instance.terminal, (ns.size, instance.terminal.size))
+    distances, lows = np.zeros((2, ns.size - 1))
+    failed = np.zeros(ns.size, dtype=bool)
+    kept, low = np.empty((ns.size, instance.tree.node_start[-2])), 1
+    for a, b, _, y_plus, _, _, y in _value_levels(instance, values, instance.lower.jumps < -1.0 / ns, at_upper, y):
+        if not np.isfinite(y_plus).all():  # zeroing failed rows keeps the driver and the fixed point off them
+            failed |= ~np.isfinite(y_plus).all(axis=1)
+            y[failed] = 0.0
+        diff = y[1:] - y[:-1]
+        np.maximum(distances, np.abs(diff).max(axis=1), out=distances)
+        np.minimum(lows, diff.min(axis=1), out=lows)
+        low = _stop_index(distances, eps, low)
+        kept[low:, a:b] = y[low:]
+    row = np.concatenate((kept[_stop_index(distances, eps, low)], instance.terminal))
+    return distances, 0.0 - lows, failed, row  # max of Y_{i-1} - Y_i = -(min of Y_i - Y_{i-1})
+
+
 def ladder_distances(
     instance: ProblemInstance, levels: list[int], mode: PenalizationMode
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -451,21 +534,9 @@ def ladder_distances(
     marks a level whose fixed point stalled or whose Y+ left the finite
     numbers, where :func:`solve_penalized` raises; its rows are zeroed from
     there on and its pairs mean nothing.  The instance is not checked here.
+    This is :func:`_ladder_pass` keeping only the last row.
     """
-    ns = np.array(levels, dtype=float)[:, None]
-    values = partial(_penalized_values, n=ns, clamp=mode.reflects, driver=instance.driver)
-    at_upper = jump_masks(instance.upper if mode.reflects else None, instance.tree)
-    y = np.broadcast_to(instance.terminal, (ns.size, instance.terminal.size))
-    distances, lows = np.zeros((2, ns.size - 1))
-    failed = np.zeros(ns.size, dtype=bool)
-    for *_, y_plus, _, _, y in _value_levels(instance, values, instance.lower.jumps < -1.0 / ns, at_upper, y):
-        if not np.isfinite(y_plus).all():  # zeroing failed rows keeps the driver and the fixed point off them
-            failed |= ~np.isfinite(y_plus).all(axis=1)
-            y[failed] = 0.0
-        diff = y[1:] - y[:-1]
-        np.maximum(distances, np.abs(diff).max(axis=1), out=distances)
-        np.minimum(lows, diff.min(axis=1), out=lows)
-    return distances, 0.0 - lows, failed  # max of Y_{i-1} - Y_i = -(min of Y_i - Y_{i-1})
+    return _ladder_pass(instance, levels, mode, 0.0)[:3]
 
 
 def penalization_sweep(
@@ -483,13 +554,15 @@ def penalization_sweep(
     raises when it fails beyond 1e-10.  Non-convergence within the schedule
     is reported in the result, not raised.
 
-    One stacked pass, :func:`ladder_distances`, gives the distances of
-    every consecutive pair of the whole schedule; the stopping rule then
-    reads them in order, and one ordinary :func:`solve_penalized` at the
-    stopping level gives the final bundle (also at each traced level when
-    residuals are asked for).  An upper-side mode sweeps the negation dual
-    of the validated instance and maps back only the bundles it solves.
-    Negation is exact: distances and monotonicity carry over.
+    One stacked pass, :func:`_ladder_pass`, gives the distances of every
+    consecutive pair of the whole schedule and the values Y at the stopping
+    level (:func:`_stop_index`).  The pairs up to the stop are then read in
+    order, and :func:`solve_penalized` books the final bundle from those
+    values, without a second backward pass.  When residuals are asked for,
+    each traced level is solved in full instead, and the last of them is the
+    final bundle.  An upper-side mode sweeps the negation dual of the
+    validated instance and maps back only the bundles it solves.  Negation
+    is exact: distances and monotonicity carry over.
     """
     if levels is None:
         levels = default_levels()
@@ -499,12 +572,12 @@ def penalization_sweep(
         raise PreconditionError("penalty level must be >= 1")
     frame, frame_mode = _lower_side(instance, mode)
     upper_side = not mode.penalizes_lower
-    distances, drops, failed = ladder_distances(frame, levels, frame_mode)
+    distances, drops, failed, stop_row = _ladder_pass(frame, levels, frame_mode, eps)
+    ran = list(levels[: _stop_index(distances, eps) + 1])
     trace: list[TraceRow] = []
     worst_mono = 0.0
-    converged = False
     sol: SolutionBundle | None = None
-    for i, n in enumerate(levels):
+    for i, n in enumerate(ran):
         if failed[i]:
             solve_penalized(frame, n, frame_mode)  # raises what stopped the level
             raise NumericalError(f"penalty level {n} failed in the stacked pass only")
@@ -524,16 +597,12 @@ def penalization_sweep(
             raise SchemeMonotonicityError(
                 f"{mode.value} sweep lost monotonicity by {worst_mono} at level {n}"
             )
-        if row.sup_distance < eps:
-            converged = True
-            break
-    ran = list(levels[: i + 1])
     if sol is None:
-        sol = solve_penalized(frame, ran[-1], frame_mode)
+        sol = solve_penalized(frame, ran[-1], frame_mode, stop_row)
     label = "decreasing-penalization" if upper_side else "increasing-penalization"
     final = sol.negate_swap(label) if upper_side else replace(sol, method=label)
     return SweepResult(
-        converged=converged,
+        converged=bool(trace) and trace[-1].sup_distance < eps,
         levels=ran,
         final=final,
         trace=trace,

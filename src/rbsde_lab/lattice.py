@@ -567,6 +567,16 @@ def edge_increments(tree: FiltrationTree, values: np.ndarray, expected: np.ndarr
     return EdgeField.from_flat(tree, values[tree.edge_target] - expected[tree.edge_source])
 
 
+def expect_tree(tree: FiltrationTree, values: np.ndarray) -> np.ndarray:
+    """:func:`expect_level` of every level at once, by one whole-tree slot sum.
+
+    ``values`` holds one value per node, flat in level order; the result
+    holds the conditional expectation at each node before the last level,
+    bit for bit the per-level one.
+    """
+    return _slot_sums(tree._plan, tree._prob * values[tree.edge_target])
+
+
 def martingale_increments(y: AdaptedField) -> EdgeField:
     """Innovation increments of an adapted field, per edge.
 
@@ -574,9 +584,7 @@ def martingale_increments(y: AdaptedField) -> EdgeField:
     minus the conditional expectation at (k, j), so increments are
     conditionally centered at every node.
     """
-    tree = y.tree
-    expected = _slot_sums(tree._plan, tree._prob * y.values[tree.edge_target])
-    return edge_increments(tree, y.values, expected)
+    return edge_increments(y.tree, y.values, expect_tree(y.tree, y.values))
 
 
 def sup_distance(a: AdaptedField, b: AdaptedField) -> float:

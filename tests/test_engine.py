@@ -404,9 +404,9 @@ def test_sweep_raises_when_a_level_loses_monotonicity(monkeypatch):
     """A lower-penalty sweep whose levels solve ever smaller penalties: Y decreases."""
     from rbsde_lab.errors import SchemeMonotonicityError
 
-    ladder = engine.ladder_distances
+    ladder = engine._ladder_pass
     monkeypatch.setattr(
-        engine, "ladder_distances", lambda inst, levels, mode: ladder(inst, [2 ** 10 // n for n in levels], mode)
+        engine, "_ladder_pass", lambda inst, levels, mode, eps: ladder(inst, [2 ** 10 // n for n in levels], mode, eps)
     )
     with pytest.raises(SchemeMonotonicityError, match="pure-lower sweep lost monotonicity by .* at level 2"):
         penalization_sweep(_one_step_instance(), PenalizationMode.PURE_LOWER, levels=[1, 2, 4])

@@ -5,7 +5,9 @@ level, with the same stopping rule: it stops at the first eps-close pair,
 reports the largest monotonicity drop over the pairs it read and raises
 when that drop exceeds the tolerance.  ``penalization_sweep`` runs the
 whole ladder in one stacked pass and must give the same result bit for
-bit, or raise the same error.
+bit, or raise the same error.  Its final bundle is booked from the stop row
+the pass keeps, so a bundle booked from a level's values is also checked
+against the level loop, field by field.
 """
 import math
 from dataclasses import replace
@@ -70,6 +72,13 @@ def reference_sweep(instance, mode, levels, eps, compute_residuals):
     return SweepResult(converged, ran, final, trace, worst_mono)
 
 
+def bundle_bits(bundle) -> tuple:
+    """Every field of a bundle, arrays as raw bytes."""
+    fields = (bundle.y.value, bundle.y.right_value, bundle.dm, bundle.dk_star, bundle.jump_k,
+              bundle.da_star, bundle.jump_a)
+    return ([f.values.tobytes() for f in fields], bundle.method, bundle.n, bundle.degenerate_nodes)
+
+
 def outcome(run) -> tuple:
     """Everything a sweep reports, floats as hex and arrays as bytes; or the error it raised."""
     try:
@@ -81,10 +90,7 @@ def outcome(run) -> tuple:
             r.lower_skorokhod_residual, r.upper_skorokhod_residual, r.lu4_residual)))
         for r in sweep.trace
     ]
-    b = sweep.final
-    fields = (b.y.value, b.y.right_value, b.dm, b.dk_star, b.jump_k, b.da_star, b.jump_a)
-    return (sweep.levels, sweep.converged, sweep.monotone_violation.hex(), rows,
-            [f.values.tobytes() for f in fields], b.method, b.n, b.degenerate_nodes)
+    return (sweep.levels, sweep.converged, sweep.monotone_violation.hex(), rows, *bundle_bits(sweep.final))
 
 
 def explicit_tree(rng: np.random.Generator, depth: int) -> FiltrationTree:
@@ -190,16 +196,113 @@ def test_a_fault_past_the_stopping_level_does_not_raise(monkeypatch, injected):
     instance, stop = converged_case()
     mode = PenalizationMode.LOWER_PENALTY_UPPER_REFLECT
     expected = outcome(lambda: penalization_sweep(instance, mode, levels=UNEVEN, eps=1e-3))
-    ladder = engine.ladder_distances
+    ladder = engine._ladder_pass
 
-    def faulty(inst, levels, frame_mode):
+    def faulty(inst, levels, frame_mode, eps):
         if injected == "monotonicity":  # the levels past the stop solve n = 1: Y drops there
-            distances, drops, failed = ladder(inst, levels[: stop + 1] + [1] * (len(levels) - stop - 1), frame_mode)
+            distances, drops, failed, row = ladder(
+                inst, levels[: stop + 1] + [1] * (len(levels) - stop - 1), frame_mode, eps
+            )
             assert drops[stop] > MONOTONICITY_TOL
         else:
-            distances, drops, failed = ladder(inst, levels, frame_mode)
+            distances, drops, failed, row = ladder(inst, levels, frame_mode, eps)
             failed[stop + 1 :] = True
-        return distances, drops, failed
+        return distances, drops, failed, row
 
-    monkeypatch.setattr(engine, "ladder_distances", faulty)
+    monkeypatch.setattr(engine, "_ladder_pass", faulty)
     assert outcome(lambda: penalization_sweep(instance, mode, levels=UNEVEN, eps=1e-3)) == expected
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_a_bundle_booked_from_its_values_equals_the_level_loop(seed):
+    """Upper-side modes take the values in the instance's frame, as the loop returns them."""
+    instance = random_case(seed)
+    for mode in PenalizationMode:
+        for n in (1, 7, 2 ** 10):
+            try:
+                loop = solve_penalized(instance, n, mode)
+            except PreconditionError:  # the mode needs a barrier the instance lacks
+                continue
+            booked = solve_penalized(instance, n, mode, loop.y.value.values)
+            assert bundle_bits(booked) == bundle_bits(loop), (mode, n)
+
+
+def test_values_that_are_not_the_level_solution_are_refused():
+    instance = random_case(3)
+    assert instance.lower is not None and instance.upper is not None
+    for mode in PenalizationMode:
+        values = solve_penalized(instance, 64, mode).y.value.values
+        for node in (0, instance.tree.node_start[-2] // 2, values.size - 1):
+            moved = values.copy()
+            moved[node] = np.nextafter(moved[node], np.inf)
+            with pytest.raises(PreconditionError, match="penalty level 64: the values given are not"):
+                solve_penalized(instance, 64, mode, moved)
+        for shaped in (values[:-1], values[None, :], np.append(values, 0.0)):
+            with pytest.raises(PreconditionError, match="penalty level 64: values of shape"):
+                solve_penalized(instance, 64, mode, shaped)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_the_stacked_pass_keeps_the_stop_row(seed):
+    """Row and distances of the pass, converged or not, against the level loop."""
+    instance = random_case(seed)
+    outcomes = set()
+    for levels in LADDERS:
+        for mode in PenalizationMode:
+            try:
+                sweep = penalization_sweep(instance, mode, levels=levels, eps=1e-3)
+            except PreconditionError:
+                continue
+            frame, frame_mode = engine._lower_side(instance, mode)
+            distances, drops, failed, row = engine._ladder_pass(frame, levels, frame_mode, 1e-3)
+            expected = solve_penalized(frame, sweep.levels[-1], frame_mode).y.value.values
+            assert row.tobytes() == expected.tobytes(), (levels, mode)
+            ladder = engine.ladder_distances(frame, levels, frame_mode)
+            assert [a.tobytes() for a in ladder] == [a.tobytes() for a in (distances, drops, failed)]
+            outcomes.add(sweep.converged)
+    assert outcomes == {False, True}
+
+
+def test_the_stacked_pass_keeps_fewer_rows_than_the_ladder(monkeypatch):
+    """Each tree level keeps its rows from the index the stopping rule gives on
+    the running distances; that index never falls and never passes the stop."""
+    instance, stop = converged_case()
+    lows = []
+    rule = engine._stop_index
+
+    def watched(distances, eps, row=1):
+        lows.append(rule(distances, eps, row))
+        assert lows[-1] == rule(distances, eps)  # the pairs skipped are not close
+        return lows[-1]
+
+    monkeypatch.setattr(engine, "_stop_index", watched)
+    engine._ladder_pass(instance, UNEVEN, PenalizationMode.LOWER_PENALTY_UPPER_REFLECT, 1e-3)
+    tree = instance.tree
+    *per_level, final = lows
+    assert final == stop and len(per_level) == tree.depth
+    assert per_level == sorted(per_level) and per_level[-1] <= final
+    widths = [tree.level_size(k) for k in range(tree.depth - 1, -1, -1)]
+    kept = sum((len(UNEVEN) - low) * width for low, width in zip(per_level, widths))
+    assert kept < len(UNEVEN) * tree.node_count()
+
+
+def test_a_sweep_runs_one_backward_pass(monkeypatch):
+    """Without residuals a sweep takes each level's expectations once, in the
+    stacked pass, and books its final bundle from one ``solve_penalized`` call."""
+    instance, _ = converged_case()
+    calls = {"expect_level": 0, "solve_penalized": 0}
+
+    def counting(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counting(name))
+    for mode in PenalizationMode:
+        calls.update(expect_level=0, solve_penalized=0)
+        penalization_sweep(instance, mode, levels=UNEVEN, eps=1e-3)
+        assert calls == {"expect_level": instance.tree.depth, "solve_penalized": 1}, mode
