@@ -172,13 +172,9 @@ def budget_defects(bundle: SolutionBundle, instance: ProblemInstance) -> np.ndar
     jumpA_k) on the edge, with the driver evaluated at the right-limit value
     that rules the open interval; zero on an exact solution.
     """
-    tree, instants, y = bundle.tree, bundle.grid.instants, bundle.y
+    tree, y, (t, dt) = bundle.tree, bundle.y, instance.clocks
     parent, child = tree.edge_source, tree.edge_target
-    # one driver call over the nodes before the terminal level, each at its instant and step
-    sizes = np.diff(tree.node_start)[:-1]
-    y_plus = y.right_value.values[: tree.node_start[-2]]
-    t, dt = np.repeat(instants[:-1], sizes), np.repeat(np.diff(instants), sizes)
-    drift = instance.driver.level(t, y_plus) * dt
+    drift = instance.driver.level(t, y.right_value.values) * dt  # one call over all nodes; edges read their parents'
     return (
         y.value.values[parent]
         - y.value.values[child]

@@ -36,9 +36,9 @@ flat bookkeeping equals a node-by-node recursion bit for bit.
 The penalized step is lower-side only.  Upper-side modes are solved by
 negation duality: (Y, M, K, A) solves the upper problem iff (-Y, -M, A, K)
 solves the lower problem for the negated data.  :func:`_lower_side`
-validates an instance and moves an upper-side mode to that frame;
-:func:`solve_penalized` and :func:`penalization_sweep` both start there, so
-a sweep negates once, not per penalty level.  Negation is exact, so the
+validates an instance and moves an upper-side mode to that frame, its
+dual, built once per instance; :func:`solve_penalized` and
+:func:`penalization_sweep` both start there.  Negation is exact, so the
 duality identities hold bit for bit.
 """
 from __future__ import annotations
@@ -294,13 +294,6 @@ def right_jump_correction(
     return tuple(float(v[0]) for v in rows)
 
 
-def _limits(side: RegulatedField | None, absent: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """A barrier's flat values and right limits; an absent one is ``absent`` everywhere, as a view."""
-    if side is None:
-        return (np.broadcast_to(absent, count),) * 2
-    return side.value.values, side.right_value.values
-
-
 def _value_levels(
     instance: ProblemInstance, values: Callable[..., tuple], at_lower: np.ndarray, at_upper: np.ndarray, y: np.ndarray
 ) -> Iterator[tuple]:
@@ -313,13 +306,11 @@ def _value_levels(
     second side acted; ``y`` is Y+ moved to the value at the instant by
     :func:`corrected_value` on the levels holding a node of ``at_lower`` or
     ``at_upper``, else Y+ itself.  The next level reads ``y``, so a consumer
-    may change it in place.  The barriers come from the instance, an absent
-    lower (upper) one as -inf (+inf); a leading (ladder) axis of ``y`` and
-    ``at_lower`` broadcasts through.
+    may change it in place.  The barriers are the instance's ``limits``; a
+    leading (ladder) axis of ``y`` and ``at_lower`` broadcasts through.
     """
     tree, instants, count = instance.tree, instance.grid.instants, instance.tree.node_count()
-    lower, lower_right = _limits(instance.lower, -np.inf, count)
-    upper, upper_right = _limits(instance.upper, np.inf, count)
+    lower, lower_right, upper, upper_right = instance.limits
     bounds, t_k, dt_k = tree.node_start.tolist(), instants.tolist(), np.diff(instants).tolist()
     acting = (at_lower | at_upper).reshape(-1, count).any(axis=0)
     corrected = set(tree.locate(np.flatnonzero(acting))[0].tolist())
@@ -360,13 +351,8 @@ def backward_sweep(
     the masks.  Y is then Y+ corrected (:func:`jump_corrections`), which
     the caller compares with ``booked``.
     """
-    tree, instants, count = instance.tree, instance.grid.instants, instance.tree.node_count()
-    inner = tree.node_start[-2]
-    # every node's instant and step; the leaves take no step
-    sizes, dts = np.diff(tree.node_start), np.diff(instants)
-    times, steps = np.repeat(instants, sizes), np.repeat(np.append(dts, 0.0), sizes)
-    lower, lower_right = _limits(instance.lower, -np.inf, count)
-    upper, upper_right = _limits(instance.upper, np.inf, count)
+    tree, count, inner = instance.tree, instance.tree.node_count(), instance.tree.node_start[-2]
+    (times, steps), (lower, lower_right, upper, upper_right) = instance.clocks, instance.limits
     y, y_plus, expected = np.zeros((3, count))
     first, second = np.zeros((2, count), dtype=bool)
     y[inner:] = y_plus[inner:] = instance.terminal
@@ -440,7 +426,7 @@ def solve_penalized(
         frame,
         partial(_penalized_values, n=n, clamp=mode.reflects, driver=frame.driver),
         partial(_penalized_increments, n=n, driver=frame.driver),
-        frame.lower.jumps < -1.0 / n,  # the nodes regulated.jump_exhaustion_schedule lists at level n
+        frame.lower.exhausted(n),
         jump_masks(frame.upper if mode.reflects else None, frame.tree),
         frame_mode.value,
         n,
@@ -506,7 +492,7 @@ def _ladder_pass(
     distances, lows = np.zeros((2, ns.size - 1))
     failed = np.zeros(ns.size, dtype=bool)
     kept, low = np.empty((ns.size, instance.tree.node_start[-2])), 1
-    for a, b, _, y_plus, _, _, y in _value_levels(instance, values, instance.lower.jumps < -1.0 / ns, at_upper, y):
+    for a, b, _, y_plus, _, _, y in _value_levels(instance, values, instance.lower.exhausted(ns), at_upper, y):
         if not np.isfinite(y_plus).all():  # zeroing failed rows keeps the driver and the fixed point off them
             failed |= ~np.isfinite(y_plus).all(axis=1)
             y[failed] = 0.0

@@ -159,12 +159,18 @@ def parse_instance(doc: dict) -> ProblemInstance:
     return ProblemInstance(tree, grid, terminal, driver, BarrierPair(barriers["L"], barriers["U"]))
 
 
-def load_instance(path: str | Path) -> ProblemInstance:
+def _read_json(path: str | Path) -> Any:
+    """The JSON document in a file; a file that is not UTF-8 JSON text is invalid input naming it."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as ex:
-        raise InvalidInstanceError(f"{path}: not valid JSON ({ex})") from ex
-    return parse_instance(doc)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise  # the command line reports a missing file itself
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as ex:
+        raise InvalidInstanceError(f"{path}: not readable as JSON ({ex})") from ex
+
+
+def load_instance(path: str | Path) -> ProblemInstance:
+    return parse_instance(_read_json(path))
 
 
 def _field_levels(field: AdaptedField) -> list[list[float]]:
@@ -223,10 +229,11 @@ def solution_document(
 
 def load_solution(path: str | Path, instance: ProblemInstance) -> SolutionBundle:
     """Rebuild a bundle from a dumped document, on the instance's tree."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("schema") != SOLUTION_SCHEMA:
-        raise InvalidInstanceError(f"{path}: unknown solution schema {doc.get('schema')!r}")
-    sol = doc["solution"]
+    optional = ["tolerances", "residuals", "passed", "warnings"]
+    doc = _take(_read_json(path), str(path), ["schema", "method", "n", "solution"], optional)
+    if doc["schema"] != SOLUTION_SCHEMA:
+        raise InvalidInstanceError(f"{path}: unknown solution schema {doc['schema']!r}")
+    sol = _take(doc["solution"], f"{path}: solution", ["Y", "Y_right", "dK_star", "jump_K", "dA_star", "jump_A", "dM"])
     tree = instance.tree
 
     def field(name: str) -> AdaptedField:

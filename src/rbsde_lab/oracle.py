@@ -214,15 +214,13 @@ def _check_field_order(
 def _check_driver_order(a: ProblemInstance, b: ProblemInstance) -> None:
     sides = [s.value.values for inst in (a, b) for s in (inst.lower, inst.upper) if s is not None]
     values = np.concatenate([a.terminal, b.terminal, *sides])
-    lo, hi = float(np.min(values)), float(np.max(values))
-    ys = np.linspace(lo - 1.0, hi + 1.0, 21)
-    for t in a.grid.instants[:-1]:
-        for y in ys:
-            fa, fb = a.driver(float(t), float(y)), b.driver(float(t), float(y))
-            if fa > fb:
-                raise PreconditionError(
-                    f"drivers not ordered at t={float(t)}, y={float(y)}: {fa} > {fb}"
-                )
+    ys = np.linspace(float(np.min(values)) - 1.0, float(np.max(values)) + 1.0, 21)
+    t, y = np.repeat(a.grid.instants[:-1], ys.size), np.tile(ys, a.grid.steps)  # instant-major
+    fa, fb = a.driver.level(t, y), b.driver.level(t, y)
+    bad = np.flatnonzero(fa > fb)
+    if bad.size:
+        t, y, fa, fb = (float(v[bad[0]]) for v in (t, y, fa, fb))
+        raise PreconditionError(f"drivers not ordered at t={t}, y={y}: {fa} > {fb}")
 
 
 def comparison_check(a: ProblemInstance, b: ProblemInstance) -> ComparisonReport:
@@ -296,13 +294,12 @@ def uniqueness_probe(
     y_d = {key: sup_distance(bi.y.value, bj.y.value) for key, (bi, bj) in pairs.items()}
     gaps = dict(zip(pairs, pairwise_process_distances(list(pairs.values()))))
     k_d, a_d, ka_d = ({key: gap[c] for key, gap in gaps.items()} for c in range(3))
-    sep = check_separation(instance.barriers).satisfied
     return UniquenessReport(
         y_distances=y_d,
         k_distances=k_d,
         a_distances=a_d,
         ka_distances=ka_d,
-        separation_holds=sep,
+        separation_holds=check_separation(instance.barriers).satisfied,
         tolerance=2.0 * eps,
         converged={"increasing": inc.converged, "decreasing": dec.converged},
     )

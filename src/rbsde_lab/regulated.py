@@ -15,7 +15,7 @@ import numpy as np
 
 from .drivers import Driver, negate_driver
 from .errors import InvalidInstanceError, PreconditionError
-from .lattice import AdaptedField, FiltrationTree, TimeGrid
+from .lattice import AdaptedField, FiltrationTree, TimeGrid, _frozen
 
 STABILITY_BOUND = 0.5  # mu * max(dt) must stay strictly below this
 
@@ -74,10 +74,14 @@ class RegulatedField:
         k, j = node
         return float(self.right_value.level(k)[j]) - float(self.value.level(k)[j])
 
-    @property
+    @cached_property
     def jumps(self) -> np.ndarray:
         """Right value minus value at every node, flat in level order (zero at level N)."""
-        return self.right_value.values - self.value.values
+        return _frozen(self.right_value.values - self.value.values)
+
+    def exhausted(self, n: int | np.ndarray) -> np.ndarray:
+        """The lower exhaustion rule: the nodes with right jump < -1/n, at a level or a column of levels ``n``."""
+        return self.jumps < -1.0 / n
 
     def jump_events(self) -> list[tuple[int, int, float]]:
         """All nodes with a nonzero declared right jump, time-ordered."""
@@ -134,10 +138,9 @@ def jump_exhaustion_schedule(barrier: RegulatedField, n: int, side: str = "lower
         raise PreconditionError("penalty level must be >= 1")
     if side not in ("lower", "upper"):
         raise PreconditionError("side must be 'lower' or 'upper'")
-    jumps = barrier.jumps
-    at = np.flatnonzero((-jumps if side == "upper" else jumps) < -1.0 / n)
+    at = np.flatnonzero((barrier.negate() if side == "upper" else barrier).exhausted(n))
     levels, nodes = barrier.tree.locate(at)
-    events = zip(levels.tolist(), nodes.tolist(), jumps[at].tolist())
+    events = zip(levels.tolist(), nodes.tolist(), barrier.jumps[at].tolist())
     return JumpExhaustionSchedule(n, side, tuple(ScheduleEvent(k, j, v) for k, j, v in events))
 
 
@@ -152,12 +155,10 @@ class BarrierPair:
         if self.lower is not None and self.upper is not None and self.lower.tree is not self.upper.tree:
             raise InvalidInstanceError("barriers must live on the same tree")
 
-    def negate_swap(self) -> "BarrierPair":
-        """The pair for the negated problem: (L, U) -> (-U, -L)."""
-        return BarrierPair(
-            None if self.upper is None else self.upper.negate(),
-            None if self.lower is None else self.lower.negate(),
-        )
+    @cached_property
+    def separation(self) -> "SeparationReport":
+        """The :func:`check_separation` report, computed on first read."""
+        return _separation_report(self)
 
 
 @dataclass
@@ -196,12 +197,17 @@ def _flagged(tree: FiltrationTree, gaps: dict[str, np.ndarray], flag) -> list[tu
 
 
 def check_separation(pair: BarrierPair) -> SeparationReport:
-    """Strict separation of the barriers and of their left limits.
+    """Strict separation of the barriers and of their left limits, cached as :attr:`BarrierPair.separation`.
 
     On the grid the left-limit condition amounts to strict inequality of the
     declared right values at every non-terminal node, so both the value and
     right-value gaps must be positive everywhere.
     """
+    return pair.separation
+
+
+def _separation_report(pair: BarrierPair) -> SeparationReport:
+    """The check behind :func:`check_separation`, run on the pair's first read."""
     if pair.lower is None or pair.upper is None:
         raise PreconditionError("separation check needs both barriers")
     gaps = _order_gaps(pair.lower, pair.upper)
@@ -232,7 +238,7 @@ class ProblemInstance:
 
     Terminal payoff on the leaves, Lipschitz driver, and a barrier pair;
     either barrier may be absent.  Frozen: a variant is made with
-    :func:`dataclasses.replace`, and :attr:`validation` is computed once.
+    :func:`dataclasses.replace`, and each derived datum is computed once.
     """
 
     tree: FiltrationTree
@@ -269,18 +275,32 @@ class ProblemInstance:
         """The :func:`validate_instance` report, computed on first read."""
         return _validation_report(self)
 
+    @cached_property
+    def dual(self) -> "ProblemInstance":
+        """The :func:`negation_dual`, built on first read; it holds no reference back."""
+        barriers = BarrierPair(*(None if side is None else side.negate() for side in (self.upper, self.lower)))
+        return replace(self, terminal=-self.terminal, driver=negate_driver(self.driver), barriers=barriers)
+
+    @cached_property
+    def limits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(L, L+, U, U+) flat in level order; an absent lower (upper) side is -inf (+inf), as a view."""
+        count, sides = self.tree.node_count(), ((self.lower, -np.inf), (self.upper, np.inf))
+        return tuple(np.broadcast_to(inf, count) if side is None else getattr(side, part).values
+                     for side, inf in sides for part in ("value", "right_value"))
+
+    @cached_property
+    def clocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's instant and step, flat in level order; the leaves step 0.0."""
+        sizes, instants = np.diff(self.tree.node_start), self.grid.instants
+        return tuple(_frozen(np.repeat(v, sizes)) for v in (instants, np.append(np.diff(instants), 0.0)))
+
 
 def negation_dual(instance: ProblemInstance) -> ProblemInstance:
-    """The negated problem: (xi, f, L, U) -> (-xi, -f(t, -y), -U, -L).
+    """The instance's cached dual: (xi, f, L, U) -> (-xi, -f(t, -y), -U, -L).
 
     An exact involution; solutions map by (Y, M, K, A) -> (-Y, -M, A, K).
     """
-    return replace(
-        instance,
-        terminal=-instance.terminal,
-        driver=negate_driver(instance.driver),
-        barriers=instance.barriers.negate_swap(),
-    )
+    return instance.dual
 
 
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
@@ -295,16 +315,13 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
 def _validation_report(instance: ProblemInstance) -> ValidationReport:
     """The checks behind :func:`validate_instance`, run on the instance's first read."""
     v: list[InstanceViolation] = []
-    tree = instance.tree
-    lower, upper = instance.lower, instance.upper
-
+    tree, (lower, _, upper, _) = instance.tree, instance.limits
     for kind, side, sign in (("terminal_below_lower", lower, 1.0), ("terminal_above_upper", upper, -1.0)):
-        if side is not None:
-            excess = (side.value.level(tree.depth) - instance.terminal) * sign
-            bad = np.flatnonzero(excess > 0.0)
-            v.extend(InstanceViolation(kind, f"leaf {j}", float(excess[j])) for j in bad)
-    if lower is not None and upper is not None:
-        l_minus_u = {which: -g for which, g in _order_gaps(lower, upper).items()}
+        excess = (side[tree.node_start[-2] :] - instance.terminal) * sign  # an absent side: -inf, never positive
+        bad = np.flatnonzero(excess > 0.0)
+        v.extend(InstanceViolation(kind, f"leaf {j}", float(excess[j])) for j in bad)
+    if instance.lower is not None and instance.upper is not None:
+        l_minus_u = {which: -g for which, g in _order_gaps(instance.lower, instance.upper).items()}
         flagged = _flagged(tree, l_minus_u, lambda e: e > 0.0)
         v.extend(InstanceViolation(f"barrier_order_{w}", f"node ({k},{j})", bad) for w, k, j, bad in flagged)
     stiffness = instance.driver.mu * instance.grid.max_dt

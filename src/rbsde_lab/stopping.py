@@ -281,14 +281,10 @@ class IntervalReport:
     upper_skorokhod: float
 
 
-def _sandwich_gaps(y: RegulatedField, barriers: BarrierPair) -> np.ndarray:
-    """Each node's max(L - Y, Y - U) over the barriers present, flat in level order (-inf with none)."""
-    gaps = np.full(y.tree.node_count(), -np.inf)
-    if barriers.lower is not None:
-        gaps = np.maximum(gaps, barriers.lower.value.values - y.value.values)
-    if barriers.upper is not None:
-        gaps = np.maximum(gaps, y.value.values - barriers.upper.value.values)
-    return gaps
+def _sandwich_gaps(y: RegulatedField, instance: ProblemInstance) -> np.ndarray:
+    """Each node's max(L - Y, Y - U), flat in level order, an absent L (U) read as -inf (+inf)."""
+    lower, _, upper, _ = instance.limits
+    return np.maximum(lower - y.value.values, y.value.values - upper)
 
 
 class PathContext:
@@ -312,7 +308,7 @@ class PathContext:
         self.dm = bundle.dm.values[edges]
         self.budget_residuals = budget_defects(bundle, instance)[edges]
         self.minimality = np.concatenate(minimality_levels(bundle, instance.barriers), axis=1)[:, inner]
-        self.sandwich_gaps = _sandwich_gaps(bundle.y, instance.barriers)[nodes]
+        self.sandwich_gaps = _sandwich_gaps(bundle.y, instance)[nodes]
 
 
 @dataclass
@@ -505,7 +501,7 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
     terms = minimality_levels(bundle, instance.barriers)
     node_budget = np.zeros(tree.node_count())  # per node, its largest budget defect over its edges
     np.maximum.at(node_budget, tree.edge_source, np.abs(budget_defects(bundle, instance)))
-    outside = tree.split_levels(_sandwich_gaps(y, instance.barriers))
+    outside = tree.split_levels(_sandwich_gaps(y, instance))
 
     n_phases = depth + 2
     budget = np.zeros(n_phases)

@@ -703,3 +703,45 @@ def test_each_command_computes_the_validation_report_at_most_once_per_instance(m
         calls.clear()
         assert run(*argv) == 0
         assert len(calls) == expected, argv  # the instance, and for a decreasing sweep its negation dual
+
+
+def test_verify_computes_the_separation_report_once(monkeypatch):
+    from rbsde_lab import regulated
+
+    calls = []
+    compute = regulated._separation_report
+    monkeypatch.setattr(regulated, "_separation_report", lambda pair: calls.append(pair) or compute(pair))
+    assert run("verify", INSTANCES / "two_sided_affine.json") == 0
+    assert len(calls) == 1  # read by the separation check and again by the uniqueness probe
+
+
+def test_unreadable_instance_files_are_invalid_input(tmp_path, capsys):
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes('{"grid": "\xe9"}'.encode("latin-1"))
+    for path in (tmp_path, latin):
+        with pytest.raises(InvalidInstanceError, match=str(path)):
+            load_instance(path)
+        assert run("solve", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {path}") and "Traceback" not in err
+    assert run("solve", tmp_path / "missing.json") == 1
+    assert "invalid input:" in capsys.readouterr().err
+
+
+def test_load_solution_refuses_unreadable_and_incomplete_documents(tmp_path):
+    inst = load_instance(INSTANCES / "two_sided_affine.json")
+    out = tmp_path / "sol.json"
+    assert run("solve", INSTANCES / "two_sided_affine.json", "--out", out) == 0
+    doc = json.loads(out.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(InvalidInstanceError, match="not readable as JSON"):
+        load_solution(bad, inst)
+    for key in ("solution", "method"):
+        bad.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
+        with pytest.raises(InvalidInstanceError, match=rf"missing keys \['{key}'\]"):
+            load_solution(bad, inst)
+    del doc["solution"]["dM"]
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInstanceError, match=r"solution: missing keys \['dM'\]"):
+        load_solution(bad, inst)

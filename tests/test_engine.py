@@ -394,6 +394,20 @@ def test_upper_side_sweep_negates_once_and_solves_once_per_level(monkeypatch):
     assert calls == {"solve_penalized": 1, "negation_dual": 1, "negate_swap": 1}
 
 
+def test_upper_side_calls_on_one_instance_build_and_validate_one_dual(monkeypatch):
+    from rbsde_lab import regulated
+    from rbsde_lab.io_formats import load_instance
+
+    calls = []
+    compute = regulated._validation_report
+    monkeypatch.setattr(regulated, "_validation_report", lambda inst: calls.append(inst) or compute(inst))
+    inst = load_instance(Path(__file__).resolve().parents[1] / "instances" / "two_sided_affine.json")
+    for mode in (PenalizationMode.PURE_UPPER, PenalizationMode.UPPER_PENALTY_LOWER_REFLECT):
+        penalization_sweep(inst, mode)
+        solve_penalized(inst, 8, mode)
+    assert calls == [inst, negation_dual(inst)]
+
+
 @pytest.mark.parametrize("levels", [[], [4, 2], [2, 2]])
 def test_sweep_refuses_levels_that_do_not_increase(levels):
     with pytest.raises(PreconditionError, match="penalty levels must be strictly increasing"):

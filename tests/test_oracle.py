@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rbsde_lab.drivers import constant_driver, linear_driver, zero_driver
+from rbsde_lab.drivers import Driver, constant_driver, custom_driver, linear_driver, zero_driver
 from rbsde_lab.errors import (
     EnumerationCapError,
     PreconditionError,
@@ -221,6 +221,25 @@ def test_comparison_refuses_drivers_out_of_order():
 
     with pytest.raises(PreconditionError, match=r"^drivers not ordered at t=0\.0, y=-2\.0: 0\.5 > 0\.2$"):
         comparison_check(instance(0.5), instance(0.2))
+
+
+def test_comparison_names_the_first_unordered_driver_point_instant_major(monkeypatch):
+    tree = build_binomial(3, 0.0, 1.0, -1.0, 0.5)
+    grid = TimeGrid.uniform(1.0, 3)
+    barriers = BarrierPair(RegulatedField.constant(tree, -1.0), RegulatedField.constant(tree, 1.0))
+    a, b = (
+        ProblemInstance(tree, grid, np.zeros(4), custom_driver(rule, 1.0), barriers)
+        for rule in (lambda t, y: t * y, lambda t, y: 0.5)
+    )
+    calls = []
+    level = Driver.level
+    monkeypatch.setattr(Driver, "level", lambda self, t, y: calls.append(self) or level(self, t, y))
+    # t * y > 0.5 first at t = 1/3, y = 1.6 in instant-major order (y-major would give t = 2/3, y = 0.8)
+    t, y = float(grid.instants[1]), float(np.linspace(-2.0, 2.0, 21)[18])
+    with pytest.raises(PreconditionError) as info:
+        comparison_check(a, b)
+    assert str(info.value) == f"drivers not ordered at t={t}, y={y}: {t * y} > 0.5"
+    assert calls == [a.driver, b.driver]
 
 
 def test_stop_rule_enumeration_refuses_beyond_its_cap():

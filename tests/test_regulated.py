@@ -262,6 +262,39 @@ def test_validation_report_is_computed_once_per_instance(tree):
     assert inst.validation is validate_instance(inst)
 
 
+def test_derived_data_is_computed_once_per_instance_and_pair(tree):
+    lower = RegulatedField.constant(tree, -1.0).with_right_jumps([(1, 0, -1.5)])
+    inst = _instance(tree, lower=lower, upper=RegulatedField.constant(tree, 1.0))
+    assert negation_dual(inst) is negation_dual(inst)
+    assert negation_dual(inst) is inst.dual and negation_dual(inst).dual is not inst  # no reference back
+    assert check_separation(inst.barriers) is check_separation(inst.barriers)
+    assert inst.limits is inst.limits and inst.clocks is inst.clocks
+    assert lower.jumps is lower.jumps and not lower.jumps.flags.writeable
+
+
+def test_limits_and_clocks_read_the_barriers_and_the_grid(tree):
+    lower = RegulatedField.constant(tree, -1.0).with_right_jumps([(1, 0, -1.5)])
+    inst = _instance(tree, lower=lower, upper=None)
+    l, l_right, u, u_right = inst.limits
+    assert l is lower.value.values and l_right is lower.right_value.values
+    assert u.shape == u_right.shape == (tree.node_count(),) and np.all(u == np.inf) and np.all(u_right == np.inf)
+    times, steps = inst.clocks
+    for k in range(tree.levels):
+        level = slice(tree.node_start[k], tree.node_start[k + 1])
+        assert np.all(times[level] == inst.grid.instants[k])
+        assert np.all(steps[level] == (inst.grid.dt(k) if k < tree.depth else 0.0))
+
+
+def test_exhaustion_rule_takes_one_level_or_a_column_of_levels(tree):
+    barrier = RegulatedField.constant(tree, 0.0).with_right_jumps([(1, 0, -0.3), (2, 1, -0.7), (3, 2, 0.9)])
+    ns = np.array([1.0, 2.0, 4.0])[:, None]
+    rows = barrier.exhausted(ns)
+    for n, row in zip([1, 2, 4], rows):
+        assert np.array_equal(row, barrier.exhausted(n))
+        scheduled = set(zip(*(v.tolist() for v in tree.locate(np.flatnonzero(row)))))
+        assert scheduled == jump_exhaustion_schedule(barrier, n).node_set()
+
+
 def test_instances_and_barrier_pairs_are_frozen(tree):
     pair = BarrierPair(RegulatedField.constant(tree, -1.0), RegulatedField.constant(tree, 1.0))
     inst = _instance(tree, lower=pair.lower, upper=pair.upper)
