@@ -4,6 +4,9 @@ Exit codes are a stable contract:
   0 pass, 1 parse/validation failure, 2 non-convergence, 3 precondition
   failure, 4 theorem violation (should never occur), 5 unsupported oracle
   input.
+``verify`` states each check once, as a ``gate`` call naming the exit code
+its failure stands for; the gate table's failed codes give the exit code in
+the order of ``VERIFY_PRECEDENCE``: 4, then 1, then 2, else 0.
 Set RBSDE_LAB_TOL to override the default residual pass threshold used by
 ``solve`` and ``verify``.
 """
@@ -13,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from pathlib import Path
 
 from .bundles import (
     SolutionBundle,
@@ -32,7 +34,7 @@ from .errors import (
     TheoremViolationError,
     UnsupportedDriverError,
 )
-from .io_formats import dump_json, load_instance, solution_document, trace_csv
+from .io_formats import dump_json, load_instance, solution_document, trace_csv, write_output
 from .oracle import comparison_check, dynkin_value_bruteforce, uniqueness_probe
 from .regulated import check_separation, validate_instance
 from .solvers import (
@@ -52,6 +54,7 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_PRECONDITION = 3
 EXIT_THEOREM = 4
 EXIT_UNSUPPORTED = 5
+VERIFY_PRECEDENCE = (EXIT_THEOREM, EXIT_INVALID, EXIT_NO_CONVERGENCE)
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 
@@ -106,12 +109,14 @@ def _print_invalid(instance) -> bool:
     return not report.ok
 
 
-def _bundle_report(bundle: SolutionBundle, instance, tol: float, eps: float | None = None):
+def _bundle_report(bundle: SolutionBundle, instance, tol: float, mode: PenalizationMode | None = None,
+                   eps: float = DEFAULT_EPS):
     """Residuals and pass gates for a dumped solution.
 
-    A penalized bundle sits off its penalized barrier by the penalty slack,
-    so that side's domination is gated at the sweep accuracy instead of the
-    exact-solution tolerance; everything else keeps the strict gate.
+    A bundle from a sweep in ``mode`` sits off its penalized barrier by the
+    penalty slack, so that side's domination is gated at twice the sweep
+    accuracy ``eps`` instead of the exact-solution tolerance; everything else
+    keeps the strict gate.
     """
     rep = skorokhod_residual(bundle, instance.barriers)
     residuals = {
@@ -122,14 +127,10 @@ def _bundle_report(bundle: SolutionBundle, instance, tol: float, eps: float | No
         "sandwich_upper": sandwich_defect(bundle, instance.upper, lower=False),
         "jump_identity": right_jump_identity_defect(bundle),
     }
-    slack = tol if eps is None else 2.0 * eps
     tolerances = dict.fromkeys(residuals, tol)
-    if bundle.method == "increasing-penalization":
-        tolerances["sandwich_lower"] = slack
-        tolerances["skorokhod_lower"] = slack
-    elif bundle.method == "decreasing-penalization":
-        tolerances["sandwich_upper"] = slack
-        tolerances["skorokhod_upper"] = slack
+    if mode is not None:
+        side = "lower" if mode.penalizes_lower else "upper"
+        tolerances[f"sandwich_{side}"] = tolerances[f"skorokhod_{side}"] = 2.0 * eps
     passed = all(abs(residuals[k]) <= tolerances[k] for k in residuals)
     return residuals, tolerances, passed
 
@@ -147,15 +148,14 @@ def cmd_solve(args) -> int:
                 f"barriers are not strictly separated (margin {sep.margin}); "
                 "only Y and K - A are pinned down"
             )
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+            print(f"warning: {warnings[0]}", file=sys.stderr)
 
     tol = _residual_tol()
-    if args.method == "projection":
+    mode = None if args.method == "projection" else _sweep_mode(instance, args.method)
+    if mode is None:
         bundle = _solve_projection(instance)
         converged = True
     else:
-        mode = _sweep_mode(instance, args.method)
         sweep = penalization_sweep(
             instance, mode, levels=default_levels(args.nmax), eps=args.eps
         )
@@ -165,8 +165,7 @@ def cmd_solve(args) -> int:
             rows = sweep.trace
             last = f"last sup distance {rows[-1].sup_distance}" if rows else "one level ran"
             print(f"non-convergence: {last}", file=sys.stderr)
-    eps = None if args.method == "projection" else args.eps
-    residuals, tolerances, passed = _bundle_report(bundle, instance, tol, eps=eps)
+    residuals, tolerances, passed = _bundle_report(bundle, instance, tol, mode, args.eps)
     if args.out:
         dump_json(solution_document(bundle, residuals, tolerances, passed, warnings), args.out)
     print(f"method: {bundle.method}")
@@ -192,7 +191,7 @@ def cmd_converge(args) -> int:
         compute_residuals=True,
     )
     if args.out:
-        Path(args.out).write_text(trace_csv(sweep.trace), encoding="utf-8")
+        write_output(trace_csv(sweep.trace), args.out)
     for row in sweep.trace:
         print(f"n={row.n} sup_distance={row.sup_distance}")
     print(f"converged: {sweep.converged} (monotone violation {sweep.monotone_violation})")
@@ -203,76 +202,53 @@ def cmd_verify(args) -> int:
     instance = load_instance(args.instance)
     tol = _residual_tol()
     checks: dict[str, dict] = {}
-    data_failures = []
-    identity_failures = []
-    unconverged = False
+    failed: set[int] = set()
+
+    def gate(name: str, passed: bool, exit_code: int, **details) -> None:
+        """Record a check's report entry; a failure marks its exit code."""
+        checks[name] = {"passed": passed, **details}
+        if not passed:
+            failed.add(exit_code)
 
     vreport = validate_instance(instance)
-    checks["validation"] = {
-        "passed": vreport.ok,
-        "violations": [f"{v.kind} at {v.location}" for v in vreport.violations],
-    }
-    if not vreport.ok:
-        data_failures.append("validation")
-
+    violations = [f"{v.kind} at {v.location}" for v in vreport.violations]
+    gate("validation", vreport.ok, EXIT_INVALID, violations=violations)
     two_sided = instance.lower is not None and instance.upper is not None
     if two_sided:
         sep = check_separation(instance.barriers)
-        checks["separation"] = {"passed": sep.satisfied, "margin": sep.margin}
-        if not sep.satisfied:
-            data_failures.append("separation")
+        gate("separation", sep.satisfied, EXIT_INVALID, margin=sep.margin)
 
     if vreport.ok:
         bundle = _solve_projection(instance)
         residuals, tolerances, passed = _bundle_report(bundle, instance, tol)
-        checks["residuals"] = {"passed": passed, "values": residuals, "tolerances": tolerances}
-        if not passed:
-            identity_failures.append("residuals")
+        gate("residuals", passed, EXIT_THEOREM, values=residuals, tolerances=tolerances)
 
         if two_sided:
             local = verify_local_properties(
                 bundle.y, instance.barriers, StoppingRule.at_zero(instance.tree)
             )
-            checks["local_properties"] = {"passed": local.passed, "failures": local.failures}
-            if not local.passed:
-                identity_failures.append("local_properties")
+            gate("local_properties", local.passed, EXIT_THEOREM, failures=local.failures)
 
             probe = uniqueness_probe(instance, projection=bundle)
-            checks["uniqueness"] = {
-                "passed": probe.passed,
-                "y_distances": probe.y_distances,
-                "k_distances": probe.k_distances,
-                "a_distances": probe.a_distances,
-                "ka_distances": probe.ka_distances,
-                "separation_holds": probe.separation_holds,
-                "converged": probe.converged,
-            }
-            unconverged = not probe.converged_all
-            if probe.converged_all and not probe.passed:
-                identity_failures.append("uniqueness")
+            # The distances of a sweep that stopped short decide nothing.
+            failure = EXIT_THEOREM if probe.converged_all else EXIT_NO_CONVERGENCE
+            gate("uniqueness", probe.passed, failure, y_distances=probe.y_distances,
+                 k_distances=probe.k_distances, a_distances=probe.a_distances,
+                 ka_distances=probe.ka_distances, separation_holds=probe.separation_holds,
+                 converged=probe.converged)
 
             try:
                 chain = chain_report(instance, bundle)
+            except RBSDELabError as ex:
+                gate("patching", False, EXIT_THEOREM if sep.satisfied else EXIT_INVALID, error=str(ex))
+            else:
                 intervals = chain.worst_interval()
                 passed = (
                     chain.stationarity_index <= instance.tree.depth + 1
                     and all(v <= tol for v in intervals.values())
                 )
-                checks["patching"] = {
-                    "passed": passed,
-                    "stationarity_index": chain.stationarity_index,
-                    "intervals": intervals,
-                    "y_gap": chain.y_gap,
-                    "ka_gap": chain.ka_gap,
-                }
-                if not passed:
-                    identity_failures.append("patching")
-            except RBSDELabError as ex:
-                checks["patching"] = {"passed": False, "error": str(ex)}
-                if sep.satisfied:
-                    identity_failures.append("patching")
-                else:
-                    data_failures.append("patching")
+                gate("patching", passed, EXIT_THEOREM, stationarity_index=chain.stationarity_index,
+                     intervals=intervals, y_gap=chain.y_gap, ka_gap=chain.ka_gap)
 
     doc = {"instance": str(args.instance), "checks": checks}
     if args.json:
@@ -283,11 +259,7 @@ def cmd_verify(args) -> int:
         for key, val in result.items():
             if key != "passed":
                 print(f"  {key}: {val}")
-    if identity_failures:
-        return EXIT_THEOREM
-    if data_failures:
-        return EXIT_INVALID
-    return EXIT_NO_CONVERGENCE if unconverged else EXIT_PASS
+    return next((code for code in VERIFY_PRECEDENCE if code in failed), EXIT_PASS)
 
 
 def cmd_compare(args) -> int:
@@ -321,21 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve an instance and dump the solution")
-    p.add_argument("instance")
-    p.add_argument("--method", choices=["projection", "inc-pen", "dec-pen"], default="projection")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p.add_argument("--nmax", type=int, default=DEFAULT_MAX_PENALTY)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("converge", help="run a penalization sweep and emit the trace")
-    p.add_argument("instance")
-    p.add_argument("--mode", choices=["inc-pen", "dec-pen"], default="inc-pen")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p.add_argument("--nmax", type=int, default=DEFAULT_MAX_PENALTY)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_converge)
+    for name, fn, text, flag, choices in (
+        ("solve", cmd_solve, "solve an instance and dump the solution",
+         "--method", ["projection", "inc-pen", "dec-pen"]),
+        ("converge", cmd_converge, "run a penalization sweep and emit the trace",
+         "--mode", ["inc-pen", "dec-pen"]),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("instance")
+        p.add_argument(flag, choices=choices, default=choices[0])
+        p.add_argument("--eps", type=float, default=DEFAULT_EPS)
+        p.add_argument("--nmax", type=int, default=DEFAULT_MAX_PENALTY)
+        p.add_argument("--out", default=None)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("verify", help="run the full invariant battery")
     p.add_argument("instance")

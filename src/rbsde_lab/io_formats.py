@@ -237,7 +237,7 @@ def load_solution(path: str | Path, instance: ProblemInstance) -> SolutionBundle
     tree = instance.tree
 
     def field(name: str) -> AdaptedField:
-        return AdaptedField(tree, [np.asarray(v, dtype=float) for v in sol[name]])
+        return AdaptedField(tree, _levels(sol[name], f"{path}: solution.{name}"))
 
     return SolutionBundle(
         tree=tree,
@@ -253,10 +253,16 @@ def load_solution(path: str | Path, instance: ProblemInstance) -> SolutionBundle
     )
 
 
+def write_output(text: str, path: str | Path) -> None:
+    """Write an output file; a path that cannot be written is invalid input naming it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as ex:
+        raise InvalidInstanceError(f"{path}: cannot write output ({ex})") from ex
+
+
 def dump_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_output(json.dumps(doc, sort_keys=True, indent=2) + "\n", path)
 
 
 CSV_HEADER = "n,sup_distance,lower_skorokhod_residual,upper_skorokhod_residual,lu4_residual"

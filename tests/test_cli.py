@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from rbsde_lab import cli
 from rbsde_lab.bundles import lu4_residual, skorokhod_residual
 from rbsde_lab.cli import main
 from rbsde_lab.io_formats import load_instance, load_solution, parse_instance
-from rbsde_lab.errors import InvalidInstanceError
+from rbsde_lab.errors import InvalidInstanceError, PreconditionError
 
 ROOT = Path(__file__).resolve().parents[1]
 INSTANCES = ROOT / "instances"
@@ -745,3 +747,103 @@ def test_load_solution_refuses_unreadable_and_incomplete_documents(tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(InvalidInstanceError, match=r"solution: missing keys \['dM'\]"):
         load_solution(bad, inst)
+
+
+@pytest.mark.parametrize("level", [["x"], [True, True, True]])
+def test_load_solution_refuses_non_numeric_values_naming_the_field(tmp_path, level):
+    inst = load_instance(INSTANCES / "two_sided_affine.json")
+    doc = json.loads((GOLDENS / "two_sided_affine.projection.json").read_text())
+    doc["solution"]["Y"][2] = level
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInstanceError, match=re.escape(f"{bad}: solution.Y must be lists of numbers")):
+        load_solution(bad, inst)
+
+
+def test_unwritable_output_paths_are_invalid_input(tmp_path, capsys):
+    path = INSTANCES / "two_sided_affine.json"
+    missing = tmp_path / "missing" / "r.json"
+    for argv, out in (
+        (["solve", path, "--out", tmp_path], tmp_path),
+        (["converge", path, "--out", tmp_path], tmp_path),
+        (["verify", path, "--json", missing], missing),
+    ):
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {out}: cannot write output") and "Traceback" not in err
+
+
+def _verify_report(tmp_path, instance, code: int) -> dict:
+    """Run ``verify`` on ``instance``, check its exit code and return its report's checks."""
+    report = tmp_path / "report.json"
+    assert run("verify", instance, "--json", report) == code
+    return json.loads(report.read_text())["checks"]
+
+
+def test_verify_identity_failure_beats_data_failure(tmp_path, monkeypatch):
+    def edit(doc):  # U's right limit brought down onto L at one node: valid, not separated
+        doc["barriers"]["right_jumps"] = [{"barrier": "U", "level": 3, "node": 1, "new_value": -0.27}]
+
+    path = _edited_instance(tmp_path, "two_sided_affine.json", edit)
+    checks = _verify_report(tmp_path, path, 1)
+    assert checks["validation"]["passed"] and not checks["separation"]["passed"]
+    assert checks["residuals"]["passed"]
+    monkeypatch.setenv("RBSDE_LAB_TOL", "1e-30")  # lu4 is about 1e-16 here, not an exact zero
+    checks = _verify_report(tmp_path, path, 4)
+    assert not checks["separation"]["passed"] and not checks["residuals"]["passed"]
+
+
+def test_verify_identity_failure_beats_non_convergence(tmp_path, monkeypatch):
+    def edit(doc):
+        doc["grid"]["steps"] = 400
+
+    monkeypatch.setenv("RBSDE_LAB_TOL", "1e-30")
+    checks = _verify_report(tmp_path, _edited_instance(tmp_path, "two_sided_affine.json", edit), 4)
+    assert checks["uniqueness"]["converged"] == {"increasing": False, "decreasing": False}
+    assert not checks["residuals"]["passed"]
+
+
+def test_verify_data_failure_beats_non_convergence(tmp_path, monkeypatch):
+    probe = cli.uniqueness_probe
+
+    def short_probe(*args, **kwargs):
+        report = probe(*args, **kwargs)
+        return dataclasses.replace(report, converged=dict.fromkeys(report.converged, False))
+
+    monkeypatch.setattr(cli, "uniqueness_probe", short_probe)
+    checks = _verify_report(tmp_path, INSTANCES / "touching_barriers.json", 1)
+    assert not checks["separation"]["passed"] and not checks["uniqueness"]["passed"]
+    assert not checks["patching"]["passed"] and "error" in checks["patching"]
+
+
+def test_verify_patching_refusal_is_a_theorem_violation_under_separation(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise PreconditionError("refused")
+
+    monkeypatch.setattr(cli, "chain_report", refuse)
+    checks = _verify_report(tmp_path, INSTANCES / "two_sided_affine.json", 4)
+    assert checks["separation"]["passed"]
+    assert checks["patching"] == {"passed": False, "error": "refused"}
+
+
+def test_two_sided_verify_calls_each_benchmark_hook_as_often_as_before(tmp_path, monkeypatch):
+    """The benchmark times ``verify`` by wrapping these ``cli`` attributes (bench/battery.py)."""
+    tree = ast.parse((ROOT / "bench" / "battery.py").read_text(encoding="utf-8"))
+    spanned = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPANNED"]
+    )
+    counts = dict.fromkeys(map(ast.literal_eval, spanned.keys), 0)
+    for name in counts:
+        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    _verify_report(tmp_path, INSTANCES / "two_sided_affine.json", 0)
+    once = {
+        "load_instance", "validate_instance", "check_separation", "solve_doubly_reflected", "lu4_residual",
+        "skorokhod_residual", "right_jump_identity_defect", "verify_local_properties", "uniqueness_probe",
+        "dump_json",
+    }
+    assert counts == {name: int(name in once) for name in counts}
