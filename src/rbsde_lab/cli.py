@@ -34,7 +34,7 @@ from .errors import (
     TheoremViolationError,
     UnsupportedDriverError,
 )
-from .io_formats import dump_json, load_instance, solution_document, trace_csv, write_output
+from .io_formats import check_output_path, dump_json, load_instance, solution_document, trace_csv, write_output
 from .oracle import comparison_check, dynkin_value_bruteforce, uniqueness_probe
 from .regulated import check_separation, validate_instance
 from .solvers import (
@@ -136,6 +136,7 @@ def _bundle_report(bundle: SolutionBundle, instance, tol: float, mode: Penalizat
 
 
 def cmd_solve(args) -> int:
+    check_output_path(args.out)
     _check_eps(args.eps)
     instance = load_instance(args.instance)
     if _print_invalid(instance):
@@ -178,6 +179,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    check_output_path(args.out)
     _check_eps(args.eps)
     instance = load_instance(args.instance)
     if _print_invalid(instance):
@@ -199,6 +201,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check_output_path(args.json)
     instance = load_instance(args.instance)
     tol = _residual_tol()
     checks: dict[str, dict] = {}

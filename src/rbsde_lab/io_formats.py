@@ -253,6 +253,16 @@ def load_solution(path: str | Path, instance: ProblemInstance) -> SolutionBundle
     )
 
 
+def check_output_path(path: str | Path | None) -> None:
+    """Refuse, before any work, an output path that is a directory or whose directory is missing."""
+    if not path:
+        return
+    where = Path(path)
+    if where.is_dir() or not where.parent.is_dir():
+        problem = "is a directory" if where.is_dir() else f"directory {where.parent} is missing"
+        raise InvalidInstanceError(f"{path}: cannot write output ({problem})")
+
+
 def write_output(text: str, path: str | Path) -> None:
     """Write an output file; a path that cannot be written is invalid input naming it."""
     try:

@@ -307,18 +307,22 @@ class FiltrationTree:
 
     @cached_property
     def reached(self) -> tuple[np.ndarray, ...]:
-        """Per level, which nodes some path from the root passes through (a running sum of zeros is 0.0 there)."""
-        zeros = self.split_levels(np.zeros(self.node_count()))[:-1]
-        return tuple(_frozen(best == 0.0) for best in running_sum_maxima(self, zeros))
+        """Per level, which nodes some path from the root passes through."""
+        seen = [np.ones(1, dtype=bool)]
+        for k, parent in enumerate(self.edge_parent):
+            seen.append(self.push_max(k, seen[-1][parent]))
+        return tuple(map(_frozen, seen))
 
     def push_max(self, k: int, edge_values: np.ndarray) -> np.ndarray:
         """Per level-(k+1) node, the max of ``edge_values`` over the edges into it.
 
         ``edge_values`` holds one value per edge out of level k on its last
-        axis; leading axes are kept.  A node no edge reaches gets -inf.
+        axis; leading axes are kept.  A node no edge reaches gets -inf, or
+        False for booleans, whose max is "any".
         """
         order, starts, targets = self._arrivals[k]
-        out = np.full(edge_values.shape[:-1] + (self.level_size(k + 1),), -np.inf)
+        fill = False if edge_values.dtype == bool else -np.inf
+        out = np.full(edge_values.shape[:-1] + (self.level_size(k + 1),), fill)
         out[..., targets] = np.maximum.reduceat(edge_values[..., order], starts, axis=-1)
         return out
 

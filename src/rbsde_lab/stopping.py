@@ -5,18 +5,28 @@ prior rule ("first hit at or after the prior stop").  The chain keeps the
 rules adapted by construction even on recombining trees, where the prior
 stop level is path information rather than node information.
 
-A chain of first hits is evaluated by one forward recursion over
-``(phase, node)`` states, the phase counting the rules already stopped:
-the local-property checks, the alternating sequence's stationarity index
-and stall diagnostic, and the per-interval residuals of the patching gate
-all read it, in time polynomial in the depth.  The path-based evaluation
+``verify`` reads the first hits level by level, keeping per node a state
+that does not grow with the number of hits a path makes:
+
+- the local-property checks run one boolean forward pass over the phases
+  of a chain (the rules passed so far), the upper and lower hitting times
+  stacked (``_first_hit_maxima``);
+- the patching gate (:func:`chain_report`) runs one walk over two states,
+  the barrier a path waits for next, for the stationarity index, the stall
+  diagnostic and the worst residual over the intervals.
+
+The per-interval residuals (``ChainReport.intervals``) come from a walk
+over ``(phase, node)`` states (``_chain_walk``), run on first read; its
+cost grows with the hits a path can make.  The path-based evaluation
 (``StoppingRule.levels``, ``alternating_sequence``, ``local_solution``,
 ``patch_global``) enumerates the paths and is kept as the small-depth
 reference oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -107,12 +117,12 @@ class StoppingRule:
         return bad
 
 
-def _hit_mask(y: RegulatedField, barrier: RegulatedField, tol: float, upper: bool) -> list[np.ndarray]:
-    """Per level, where Y reaches the barrier: Y >= U - tol (``upper``) or Y <= L + tol."""
+def _hit_mask(y: RegulatedField, barrier: RegulatedField, tol: float, upper: bool) -> np.ndarray:
+    """Where Y reaches the barrier, flat in level order: Y >= U - tol (``upper``) or Y <= L + tol."""
     if y.tree is not barrier.tree:
         raise PreconditionError("fields must share one tree")
     yv, b = y.value.values, barrier.value.values
-    return y.tree.split_levels(yv >= b - tol if upper else yv <= b + tol)
+    return yv >= b - tol if upper else yv <= b + tol
 
 
 def hitting_time_upper(
@@ -122,14 +132,14 @@ def hitting_time_upper(
 
     Equality is read as Y >= U - tol; paths that never hit stop at N.
     """
-    return StoppingRule(y.tree, _hit_mask(y, upper, tol, upper=True), prior=tau)
+    return StoppingRule(y.tree, y.tree.split_levels(_hit_mask(y, upper, tol, upper=True)), prior=tau)
 
 
 def hitting_time_lower(
     y: RegulatedField, lower: RegulatedField, tau: StoppingRule, tol: float = HIT_TOL
 ) -> StoppingRule:
     """First level at or after tau where Y reaches the lower barrier."""
-    return StoppingRule(y.tree, _hit_mask(y, lower, tol, upper=False), prior=tau)
+    return StoppingRule(y.tree, y.tree.split_levels(_hit_mask(y, lower, tol, upper=False)), prior=tau)
 
 
 def _chain_masks(rule: StoppingRule) -> list:
@@ -141,46 +151,40 @@ def _chain_masks(rule: StoppingRule) -> list:
     return masks[::-1]
 
 
-def _chain_walk(tree: FiltrationTree, pattern: list, n_rules: int, terms: list[np.ndarray] | None = None):
+def _chain_walk(tree: FiltrationTree, hits: np.ndarray, n_rules: int, terms: list[np.ndarray]):
     """Forward recursion over ``(phase, node)`` states of a chain of first hits.
 
-    The chain has ``n_rules`` rules; rule r's per-level stop set is
-    ``pattern[(r - 1) % len(pattern)]`` (None: no stop before the terminal
-    level).  Rule 1 stops at the first level where its set holds, rule r at
-    the first level at or after rule r-1's stop, and a rule that never hits
-    stops at N.  A path is in phase a at a node when a rules stopped before
-    that node's level.  A path advances at most one period at one node: if
-    every stop set of the period holds there (a stall, for the alternating
-    sequence) it leaves ``len(pattern)`` phases later.  Only phases some
-    path is in are carried, so a level costs its width times the phases
-    alive there.
+    The chain has ``n_rules`` rules; rule r's stop set is row
+    ``(r - 1) % period`` of ``hits`` (flat in level order, one row per rule
+    of the period).  Rule 1 stops at the first level where its set holds,
+    rule r at the first level at or after rule r-1's stop, and a rule that
+    never hits stops at N.  A path is in phase a at a node when a rules
+    stopped before that node's level.  A path advances at most one period
+    at one node: if every stop set of the period holds there (a stall, for
+    the alternating sequence) it leaves ``period`` phases later.  Only
+    phases some path is in are carried, so a level costs its width times
+    the phases alive there.
 
     ``terms[k]`` (k < N) holds C rows of per-node terms at level k.  Each
     path keeps, for its current phase, the sum of the terms since the phase
-    opened, in path order from 0.0 (one channel of zeros when ``terms`` is
-    None).  Yields ``(k, arrive, depart)`` per level: ``arrive`` (C, phases,
-    width) is, per arrival phase and node, the max of that sum over the
-    paths reaching the node in that phase (-inf where none does), and
-    ``depart`` (phases, width) the phase after the level's stops
-    (``n_rules`` at level N).
+    opened, in path order from 0.0.  Yields ``(k, arrive, depart)`` per
+    level: ``arrive`` (C, phases, width) is, per arrival phase and node, the
+    max of that sum over the paths reaching the node in that phase (-inf
+    where none does), and ``depart`` (phases, width) the phase after the
+    level's stops (``n_rules`` at level N).
     """
-    period = len(pattern)
-    channels = 1 if terms is None else len(terms[0])
-    arrive = np.zeros((channels, 1, 1))
-    for k in range(tree.levels):
+    period = len(hits)
+    arrive = np.zeros((len(terms[0]), 1, 1))
+    for k, level_hits in enumerate(tree.split_levels(hits)):
         width = tree.level_size(k)
         phases = np.arange(arrive.shape[1])[:, None]
         if k == tree.depth:
             yield k, arrive, np.full((phases.size, width), n_rules)
             return
-        hits = np.zeros((period, width), dtype=bool)
-        for r, mask in enumerate(pattern):
-            if mask is not None:
-                hits[r] = mask[k]
         depart = np.repeat(phases, width, axis=1)
         nodes = np.arange(width)
         for _ in range(period):
-            step = (depart < n_rules) & hits[depart % period, nodes]
+            step = (depart < n_rules) & level_hits[depart % period, nodes]
             if not step.any():
                 break
             depart += step
@@ -188,10 +192,8 @@ def _chain_walk(tree: FiltrationTree, pattern: list, n_rules: int, terms: list[n
 
         live = arrive[0] > -np.inf
         shift = np.where(live, depart - phases, -1)
-        vals = np.where(shift > 0, 0.0, arrive)  # a phase opened here restarts its sum
-        if terms is not None:
-            vals = vals + terms[k][:, None, :]
-        out = np.full((channels, int(np.max(depart[live])) + 1, width), -np.inf)
+        vals = np.where(shift > 0, 0.0, arrive) + terms[k][:, None, :]  # a phase opened here restarts its sum
+        out = np.full((len(vals), int(np.max(depart[live])) + 1, width), -np.inf)
         for s in sorted(set(shift[live].tolist())):
             n = min(phases.size, out.shape[1] - s)
             moved = np.where(shift == s, vals, -np.inf)[:, :n]
@@ -199,18 +201,32 @@ def _chain_walk(tree: FiltrationTree, pattern: list, n_rules: int, terms: list[n
         arrive = tree.push_max(k, out[..., tree.edge_parent[k]])
 
 
-def _interior_stop_max(rule: StoppingRule, values: list[np.ndarray]) -> float:
-    """Max of ``values`` over the nodes where ``rule`` stops before level N (0.0 if none)."""
-    masks = _chain_masks(rule)
-    last = len(masks)
-    worst = 0.0
-    for k, arrive, depart in _chain_walk(rule.tree, masks, last):
-        if k == rule.tree.depth:
-            break
-        stops = np.any((arrive[0, :last] > -np.inf) & (depart[:last] == last), axis=0)
-        if stops.any():
-            worst = max(worst, float(np.max(values[k][stops])))
-    return worst
+def _first_hit_maxima(tau: StoppingRule, hits: np.ndarray, values: np.ndarray) -> list[float]:
+    """Per row of ``hits``, the max of that row of ``values`` over the nodes
+    where the first hit at or after ``tau`` falls before level N (0.0 if none).
+
+    ``hits`` and ``values`` are flat in level order, one row per stop set.
+    One boolean forward pass serves every row: ``at[row, a, node]`` holds
+    where some path arrives having passed a rules of the chain (tau's rules,
+    then the row's hit), and a path passes every rule whose set holds in
+    turn at one node.
+    """
+    tree, chain = tau.tree, _chain_masks(tau)
+    stops = np.zeros(hits.shape, dtype=bool)
+    at = np.zeros((hits.shape[0], len(chain) + 2, 1), dtype=bool)
+    at[:, 0] = True
+    for k, last, stop in zip(range(tree.depth), tree.split_levels(hits), tree.split_levels(stops)):
+        width = tree.level_size(k)
+        depart = np.empty(at.shape[:2] + (width,), dtype=bool)
+        carried = at[:, 0]
+        for b, mask in enumerate([np.zeros(width, bool) if m is None else m[k] for m in chain] + [last]):
+            depart[:, b] = carried & ~mask
+            entered = carried & mask
+            carried = entered | at[:, b + 1]
+        stop[...] = entered  # the paths that pass the last rule here
+        depart[:, -1] = carried
+        at = tree.push_max(k, depart[..., tree.edge_parent[k]])
+    return np.max(values, axis=1, where=stops, initial=0.0).tolist()
 
 
 @dataclass
@@ -240,12 +256,8 @@ def verify_local_properties(
         raise PreconditionError("local property checks need both barriers")
     tree = y.tree
     y_val, u_val, l_val = y.value.values, barriers.upper.value.values, barriers.lower.value.values
-    up_dev = _interior_stop_max(
-        hitting_time_upper(y, barriers.upper, tau, tol), tree.split_levels(np.abs(y_val - u_val))
-    )
-    lo_dev = _interior_stop_max(
-        hitting_time_lower(y, barriers.lower, tau, tol), tree.split_levels(np.abs(y_val - l_val))
-    )
+    hits = np.stack((_hit_mask(y, barriers.upper, tol, upper=True), _hit_mask(y, barriers.lower, tol, upper=False)))
+    up_dev, lo_dev = _first_hit_maxima(tau, hits, np.abs(y_val - np.stack((u_val, l_val))))
     reached = np.concatenate(tree.reached)
     below = np.where(reached, l_val - y_val, -np.inf)  # nodes no path reaches are not measured
     above = np.where(reached, y_val - u_val, -np.inf)
@@ -451,20 +463,28 @@ class ChainReport:
 
     ``intervals[n]`` measures the bundle restricted to the n-th interval
     [tau_n, tau_{n+1}] of the sequence, as :func:`local_solution` does, for
-    n below the stationarity index.  ``y_gap`` and ``ka_gap`` compare the
-    processes patched from those restrictions with the bundle: the
-    restrictions of one bundle patch back to that bundle, so both are 0.0
-    by construction.  The path oracle :func:`patch_global` patches path by
-    path instead, and compares with a direct solve.
+    n below the stationarity index; the phase walk that gives it runs on
+    first read.  ``y_gap`` and ``ka_gap`` compare the processes patched from
+    those restrictions with the bundle: the restrictions of one bundle patch
+    back to that bundle, so both are 0.0 by construction.  The path oracle
+    :func:`patch_global` patches path by path instead, and compares with a
+    direct solve.
     """
 
     stationarity_index: int
-    intervals: list[IntervalReport]
-    y_gap: float
-    ka_gap: float
+    worst: dict[str, float] | None = field(repr=False)  # the two-state walk's maxima, where they are exact
+    phase_walk: Callable[[], list[IntervalReport]] = field(repr=False)
+    y_gap: float = 0.0
+    ka_gap: float = 0.0
+
+    @cached_property
+    def intervals(self) -> list[IntervalReport]:
+        return self.phase_walk()
 
     def worst_interval(self) -> dict[str, float]:
         """Each interval residual's largest magnitude over the intervals."""
+        if self.worst is not None:
+            return dict(self.worst)
         fields = ("budget_residual", "sandwich_violation", "lower_skorokhod", "upper_skorokhod")
         return {f: max(abs(getattr(r, f)) for r in self.intervals) for f in fields}
 
@@ -476,42 +496,26 @@ def _spread_max(acc: np.ndarray, first: np.ndarray, last: np.ndarray, values: np
         np.maximum.at(acc, first[sel] + s, values[sel])
 
 
-def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float = HIT_TOL) -> ChainReport:
-    """The alternating sequence of ``bundle`` and the patching checks, path-free.
+def _interval_reports(instance: ProblemInstance, bundle: SolutionBundle, hits: np.ndarray,
+                      index: int) -> list[IntervalReport]:
+    """Per interval [tau_n, tau_{n+1}], n < ``index``, the residuals
+    :func:`local_solution` reports, by one :func:`_chain_walk` over the
+    upper and lower ``hits`` of a sequence that does not stall.
 
-    tau_0 = 0, then alternating first hits of the upper (odd indices) and
-    lower barrier, evaluated by one :func:`_chain_walk` over the depth.  A
-    path whose two consecutive hits fall on one level before N (touching
-    barriers within tol) raises :class:`AlternationStuckError` naming the
-    node, at the smallest index where any path stalls.  Otherwise, per
-    interval: the budget identity on its steps, the sandwich on its
+    Per interval: the budget identity on its steps, the sandwich on its
     instants, and the minimality sums of K and A rebased to zero at its
-    opening.  Restrictions of one bundle tile [0, T] and agree at every seam
-    by construction, so the patched Y and K - A are the bundle's own and no
-    second solve is made.
+    opening.
     """
-    lower, upper = instance.lower, instance.upper
-    if lower is None or upper is None:
-        raise PreconditionError("alternating sequence needs both barriers")
     tree = instance.tree
     depth = tree.depth
-    y = bundle.y
-    hit_up = _hit_mask(y, upper, tol, upper=True)
-    hit_lo = _hit_mask(y, lower, tol, upper=False)
-    terms = minimality_levels(bundle, instance.barriers)
     node_budget = np.zeros(tree.node_count())  # per node, its largest budget defect over its edges
     np.maximum.at(node_budget, tree.edge_source, np.abs(budget_defects(bundle, instance)))
-    outside = tree.split_levels(_sandwich_gaps(y, instance))
-
-    n_phases = depth + 2
-    budget = np.zeros(n_phases)
-    sandwich = np.full(n_phases, -np.inf)
-    sums = np.full((2, n_phases), -np.inf)
-    stall = None  # (stalled index, level, node), smallest index first
-    index = 0
-    for k, arrive, depart in _chain_walk(tree, [hit_up, hit_lo], depth + 1, terms):
-        live = arrive[0] > -np.inf
-        phase, node = np.nonzero(live)
+    outside = tree.split_levels(_sandwich_gaps(bundle.y, instance))
+    budget = np.zeros(depth + 2)
+    sandwich = np.full(depth + 2, -np.inf)
+    sums = np.full((2, depth + 2), -np.inf)
+    for k, arrive, depart in _chain_walk(tree, hits, depth + 1, minimality_levels(bundle, instance.barriers)):
+        phase, node = np.nonzero(arrive[0] > -np.inf)
         leave = depart[phase, node]
         _spread_max(sandwich, phase, leave, outside[k][node])  # instant k is in intervals phase..leave
         # an interval closing here ends its sum; the ones it skips are empty
@@ -520,21 +524,9 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
         for side in range(2):
             np.maximum.at(sums[side], shut, arrive[side, shut, at])
             _spread_max(sums[side], shut + 1, skip_to, np.zeros(shut.size))
-        if k == depth:
-            index = int(np.max(phase)) + 1
-            break
-        stalled = leave - phase >= 2
-        if stalled.any():
-            first = min(zip(phase[stalled] + 2, node[stalled]))
-            if stall is None or first[0] < stall[0]:
-                stall = (int(first[0]), k, int(first[1]))
-        np.maximum.at(budget, leave, node_budget[tree.node_start[k] + node])
-    if stall is not None:
-        _, k, j = stall
-        gap = float(upper.value.level(k)[j] - lower.value.level(k)[j])
-        raise AlternationStuckError(f"node {j}", k, gap)
-
-    intervals = [
+        if k < depth:
+            np.maximum.at(budget, leave, node_budget[tree.node_start[k] + node])
+    return [
         IntervalReport(
             budget_residual=float(budget[n]),
             sandwich_violation=max(0.0, float(sandwich[n])),
@@ -543,12 +535,70 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
         )
         for n in range(index)
     ]
-    return ChainReport(
-        stationarity_index=index,
-        intervals=intervals,
-        y_gap=0.0,
-        ka_gap=0.0,
-    )
+
+
+def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float = HIT_TOL) -> ChainReport:
+    """The alternating sequence of ``bundle`` and the patching checks, path-free.
+
+    tau_0 = 0, then alternating first hits of the upper (odd indices) and
+    lower barrier.  One forward walk over two states, the barrier a path
+    waits for, carries per state and node the largest and smallest phase
+    (the hits so far) and the minimality sums of K and A since the phase
+    opened; a hit closes the phase, records its sums and swaps the state,
+    and a stall (both barriers hit at one node before N, touching barriers
+    within tol) passes two phases and keeps it.  A stall raises
+    :class:`AlternationStuckError` naming the node, at the smallest index
+    where any path stalls.  The stationarity index is 1 + the largest phase
+    at the leaves.  Every reached node lies in some interval, so the worst
+    budget and sandwich residuals are maxima over the reached nodes; the
+    worst minimality sum is the largest recorded sum where no reached term
+    is negative, and is read off ``intervals`` otherwise.  Restrictions of
+    one bundle tile [0, T] and agree at every seam by construction, so the
+    patched Y and K - A are the bundle's own and no second solve is made.
+    """
+    lower, upper = instance.lower, instance.upper
+    if lower is None or upper is None:
+        raise PreconditionError("alternating sequence needs both barriers")
+    tree, y = instance.tree, bundle.y
+    hits = np.stack((_hit_mask(y, upper, tol, upper=True), _hit_mask(y, lower, tol, upper=False)))
+    terms = minimality_levels(bundle, instance.barriers)
+    # channels: max phase, -(min phase), the K and A sums; states: waits for U (even phase), for L (odd)
+    at = np.full((4, 2, 1), -np.inf)
+    at[:, 0] = 0.0
+    sums = np.full(2, -np.inf)
+    stall = (np.inf, 0, 0)  # (smallest stalled index, its level, its node)
+    for k, level_hits in zip(range(tree.depth), tree.split_levels(hits)):
+        meet = (at[0] > -np.inf) & level_hits  # the live states whose barrier is hit
+        both = level_hits[0] & level_hits[1]
+        if both.any():
+            first = np.where(both, 2.0 - np.max(at[1], axis=0), np.inf)  # the smallest phase + 2
+            j = int(np.argmin(first))
+            stall = min(stall, (first[j], k, j))
+        sums = np.maximum(sums, np.max(at[2:], axis=(1, 2), where=meet, initial=-np.inf))
+        step = np.where(meet, np.where(both, 2.0, 1.0), 0.0)
+        moved = np.concatenate((at[:1] + step, at[1:2] - step, np.where(meet, 0.0, at[2:]) + terms[k][:, None]))
+        swap = meet & ~both
+        out = np.maximum(np.where(swap, -np.inf, moved), np.where(swap, moved, -np.inf)[:, ::-1])
+        at = tree.push_max(k, out[..., tree.edge_parent[k]])
+    if stall[0] < np.inf:
+        _, k, j = stall
+        gap = float(upper.value.level(k)[j] - lower.value.level(k)[j])
+        raise AlternationStuckError(f"node {j}", k, gap)
+
+    index = int(np.max(at[0])) + 1
+    sums = np.maximum(sums, np.max(at[2:], axis=(1, 2)))
+    reached = np.concatenate(tree.reached)
+    worst = None
+    if np.all(np.concatenate(terms, axis=1)[:, reached[: tree.node_start[-2]]] >= 0.0):
+        worst = {
+            "budget_residual": float(np.max(np.abs(budget_defects(bundle, instance)),
+                                            where=reached[tree.edge_source], initial=0.0)),
+            "sandwich_violation": max(0.0, float(np.max(_sandwich_gaps(y, instance), where=reached,
+                                                        initial=-np.inf))),
+            "lower_skorokhod": float(sums[0]),
+            "upper_skorokhod": float(sums[1]),
+        }
+    return ChainReport(index, worst, partial(_interval_reports, instance, bundle, hits, index))
 
 
 def _scatter_consistent(tree: FiltrationTree, matrix: np.ndarray, what: str) -> AdaptedField:

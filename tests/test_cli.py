@@ -847,3 +847,24 @@ def test_two_sided_verify_calls_each_benchmark_hook_as_often_as_before(tmp_path,
         "dump_json",
     }
     assert counts == {name: int(name in once) for name in counts}
+
+
+def test_output_paths_are_checked_before_any_work(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work started before the output path was checked")
+
+    for name in ("penalization_sweep", "uniqueness_probe", "_solve_projection"):
+        monkeypatch.setattr(cli, name, refuse)
+    path = INSTANCES / "two_sided_affine.json"
+    missing = tmp_path / "missing" / "r.json"
+    for argv, out in (
+        (["solve", path, "--out", tmp_path], tmp_path),
+        (["solve", path, "--method", "inc-pen", "--out", missing], missing),
+        (["converge", path, "--out", tmp_path], tmp_path),
+        (["converge", path, "--out", missing], missing),
+        (["verify", path, "--json", tmp_path], tmp_path),
+        (["verify", path, "--json", missing], missing),
+    ):
+        assert run(*argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {out}: cannot write output ("), argv

@@ -1,5 +1,7 @@
 """End-to-end checks on arbitrary finite trees (variable child counts)."""
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from rbsde_lab.engine import (
     solve_penalized,
 )
 from rbsde_lab.errors import AlternationStuckError, EnumerationCapError, NumericalError
+from rbsde_lab.io_formats import load_instance
 from rbsde_lab.lattice import (
     AdaptedField,
     conditional_expectation,
@@ -756,3 +759,87 @@ def test_flat_bookkeeping_matches_the_scalar_steps_bit_for_bit(tree, depth, seed
             if name in acted:
                 acted[name] |= bool(np.any(values > 0.0))
     assert all(acted.values())  # every increment is booked somewhere
+
+
+# --- the two-state walk of chain_report against the phase walk ----------------
+
+INTERVAL_FIELDS = ("budget_residual", "sandwich_violation", "lower_skorokhod", "upper_skorokhod")
+
+
+def worst_over_intervals(chain) -> dict[str, float]:
+    """The largest magnitude of each residual over the phase walk's intervals."""
+    return {f: max(abs(getattr(r, f)) for r in chain.intervals) for f in INTERVAL_FIELDS}
+
+
+def raised(bundle: SolutionBundle, seed: int) -> SolutionBundle:
+    """The bundle with K and A pushed up at a third of the nodes below N: its
+    minimality terms stay >= 0 wherever Y lies between the barriers."""
+    rng = np.random.default_rng(seed)
+    inner = np.arange(bundle.tree.node_count()) < bundle.tree.node_start[-2]
+
+    def up(field: AdaptedField) -> AdaptedField:
+        bump = (rng.random(inner.size) < 0.35) & inner
+        return AdaptedField.from_flat(bundle.tree, field.values + bump * rng.uniform(0.0, 0.2, inner.size))
+
+    return dataclasses.replace(bundle, dk_star=up(bundle.dk_star), jump_k=up(bundle.jump_k),
+                               da_star=up(bundle.da_star), jump_a=up(bundle.jump_a), method="raised")
+
+
+def test_two_state_walk_matches_the_phase_walk_on_projection_bundles():
+    cases = [CASES[name]() for name in TWO_SIDED]
+    cases += [random_instance(InstanceRecipe(seed=seed, right_jumps=seed % 3)) for seed in range(200)]
+    for inst in cases:
+        sol = solve_doubly_reflected(inst)
+        for bundle in (sol, raised(sol, inst.tree.depth)):
+            chain = chain_report(inst, bundle)
+            assert chain.worst is not None  # no reached minimality term is negative
+            worst = chain.worst_interval()
+            assert list(worst) == list(INTERVAL_FIELDS)
+            assert worst == worst_over_intervals(chain)
+            assert chain.stationarity_index == alternating_sequence(bundle.y, inst.barriers)[1].max_index
+        assert worst["lower_skorokhod"] > 0.0 and worst["upper_skorokhod"] > 0.0
+
+
+def test_two_state_walk_skips_nodes_no_path_reaches():
+    # node (1, 2) has no parent; Y far below L and a budget defect there must not count
+    tree = FiltrationTree(
+        [[0.0], [-1.0, 1.0, 5.0], [-1.5, 0.0, 1.5]],
+        [[[0, 1]], [[0, 1], [1, 2], [2]]],
+        [[[0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5], [1.0]]],
+    )
+    lower = RegulatedField.from_values(tree, [0.3 * s - 0.5 for s in tree.states])
+    upper = RegulatedField.from_values(tree, [0.3 * s + 0.5 for s in tree.states])
+    inst = ProblemInstance(
+        tree, TimeGrid.uniform(1.0, 2), np.zeros(3), linear_driver(0.1, -0.5), BarrierPair(lower, upper)
+    )
+    sol = raised(solve_doubly_reflected(inst), 2)
+    y = np.array(sol.y.value.values)
+    y[tree.node_start[1] + 2] = -10.0
+    bad = dataclasses.replace(sol, y=RegulatedField(AdaptedField.from_flat(tree, y)))
+    chain = chain_report(inst, bad)
+    assert chain.worst is not None
+    assert chain.worst_interval() == worst_over_intervals(chain)
+    assert chain.worst_interval()["sandwich_violation"] < 1.0
+
+
+STALL_TEXTS = {  # as the phase walk named them
+    "touching_barriers.json": "node 1 at level 2",
+    "binomial-5": "node 2 at level 3",
+    "binomial-7": "node 2 at level 6",
+    "binomial-9": "node 0 at level 4",
+    "binomial-12": "node 1 at level 7",
+    "explicit-tree-6": "node 2 at level 3",
+    "explicit-recombining-7": "node 2 at level 6",
+    "explicit-recombining-8": "node 1 at level 6",
+}
+
+
+@pytest.mark.parametrize("name", list(STALL_TEXTS))
+def test_two_state_walk_names_the_stall_as_the_phase_walk_did(name):
+    if name.endswith(".json"):
+        touching = load_instance(Path(__file__).resolve().parents[1] / "instances" / name)
+    else:
+        touching, _ = touching_instance(name)
+    with pytest.raises(AlternationStuckError) as err:
+        chain_report(touching, solve_doubly_reflected(touching))
+    assert str(err.value) == f"alternating sequence stuck on {STALL_TEXTS[name]}; local barrier gap U - L = 0.0"
