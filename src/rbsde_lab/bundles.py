@@ -9,6 +9,7 @@ budget identity and the minimality sums from stored data alone.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -136,7 +137,7 @@ def skorokhod_residual(bundle: SolutionBundle, barriers: BarrierPair) -> Skorokh
     """
     if any(side is not None and side.tree is not bundle.tree for side in (barriers.lower, barriers.upper)):
         raise PreconditionError("bundle and barriers must share one tree")
-    leaves = running_sum_maxima(bundle.tree, minimality_levels(bundle, barriers))[-1]
+    leaves = deque(running_sum_maxima(bundle.tree, minimality_levels(bundle, barriers)), maxlen=1).pop()
     lower_residual, upper_residual = np.max(leaves, axis=1).tolist()
     return SkorokhodReport(lower_residual, upper_residual, bundle, barriers)
 
@@ -159,10 +160,11 @@ def pairwise_process_distances(pairs: list[tuple[SolutionBundle, SolutionBundle]
                               for b in (first, second))
         rows += [k1 - k2, a1 - a2, (k1 - a1) - (k2 - a2)]
     rows, tree = np.array(rows), pairs[0][0].tree
-    gaps = np.stack([rows, -rows])  # the max of both signs is the max |.|
-    maxima = running_sum_maxima(tree, tree.split_levels(gaps)[:-1])
-    worst = np.max([np.max(level, axis=-1) for level in maxima], axis=0).max(axis=0).tolist()
-    return [tuple(worst[i : i + 3]) for i in range(0, len(worst), 3)]
+    signed = (np.stack((level, -level)) for level in tree.split_levels(rows)[:-1])  # the max of both is the max |.|
+    worst = np.zeros(len(rows))  # the sums at the root
+    for maxima in running_sum_maxima(tree, signed):
+        worst = np.maximum(worst, np.max(maxima, axis=(0, 2)))
+    return [tuple(worst[i : i + 3].tolist()) for i in range(0, len(worst), 3)]
 
 
 def budget_defects(bundle: SolutionBundle, instance: ProblemInstance) -> np.ndarray:

@@ -233,6 +233,11 @@ def load_solution(path: str | Path, instance: ProblemInstance) -> SolutionBundle
     doc = _take(_read_json(path), str(path), ["schema", "method", "n", "solution"], optional)
     if doc["schema"] != SOLUTION_SCHEMA:
         raise InvalidInstanceError(f"{path}: unknown solution schema {doc['schema']!r}")
+    n, method = doc["n"], doc["method"]
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n < 1):
+        raise InvalidInstanceError(f"{path}: n: expected null or an integer >= 1, got {n!r}")
+    if not isinstance(method, str):
+        raise InvalidInstanceError(f"{path}: method: expected a string, got {method!r}")
     sol = _take(doc["solution"], f"{path}: solution", ["Y", "Y_right", "dK_star", "jump_K", "dA_star", "jump_A", "dM"])
     tree = instance.tree
 
@@ -248,8 +253,8 @@ def load_solution(path: str | Path, instance: ProblemInstance) -> SolutionBundle
         jump_k=field("jump_K"),
         da_star=field("dA_star"),
         jump_a=field("jump_A"),
-        method=doc["method"],
-        n=doc["n"],
+        method=method,
+        n=n,
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -294,36 +294,38 @@ class FiltrationTree:
     def _arrivals(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Per level k, the edges out of k grouped by their child.
 
-        ``(order, starts, targets)``: edge ids sorted by child (stably), where
-        each child's group starts in that order, and the child of each group.
+        ``(parents, starts, targets)``: with the edges sorted by child
+        (stably), each edge's parent, where each child's group starts, and
+        the child of each group.
         """
         out = []
-        for child in self.edge_child:
+        for parent, child in zip(self.edge_parent, self.edge_child):
             order = np.argsort(child, kind="stable")
             ordered = child[order]
             starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-            out.append((order, starts, ordered[starts]))
+            out.append((parent[order], starts, ordered[starts]))
         return tuple(out)
 
     @cached_property
     def reached(self) -> tuple[np.ndarray, ...]:
         """Per level, which nodes some path from the root passes through."""
         seen = [np.ones(1, dtype=bool)]
-        for k, parent in enumerate(self.edge_parent):
-            seen.append(self.push_max(k, seen[-1][parent]))
+        for k in range(self.depth):
+            seen.append(self.push_max(k, seen[-1]))
         return tuple(map(_frozen, seen))
 
-    def push_max(self, k: int, edge_values: np.ndarray) -> np.ndarray:
-        """Per level-(k+1) node, the max of ``edge_values`` over the edges into it.
+    def push_max(self, k: int, values: np.ndarray) -> np.ndarray:
+        """Per level-(k+1) node, the max of level-k ``values`` over its parents.
 
-        ``edge_values`` holds one value per edge out of level k on its last
-        axis; leading axes are kept.  A node no edge reaches gets -inf, or
-        False for booleans, whose max is "any".
+        ``values`` holds one value per level-k node on its last axis; leading
+        axes are kept.  Every edge counts, a zero-probability one too.  A
+        node no edge reaches gets -inf, or False for booleans, whose max is
+        "any".
         """
-        order, starts, targets = self._arrivals[k]
-        fill = False if edge_values.dtype == bool else -np.inf
-        out = np.full(edge_values.shape[:-1] + (self.level_size(k + 1),), fill)
-        out[..., targets] = np.maximum.reduceat(edge_values[..., order], starts, axis=-1)
+        parents, starts, targets = self._arrivals[k]
+        fill = False if values.dtype == bool else -np.inf
+        out = np.full(values.shape[:-1] + (self.level_size(k + 1),), fill)
+        out[..., targets] = np.maximum.reduceat(values[..., parents], starts, axis=-1)
         return out
 
     def same_shape(self, other: "FiltrationTree") -> bool:
@@ -544,21 +546,20 @@ class EdgeField(_FlatField):
         return float(np.max(np.abs(_slot_sums(self.tree._plan, self.tree._prob * self.values))))
 
 
-def running_sum_maxima(tree: FiltrationTree, increments: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per level and node, the max over the paths from the root of a running sum.
+def running_sum_maxima(tree: FiltrationTree, increments: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Per node, the max over the paths from the root of a running sum, one level at a time.
 
-    ``increments[k]`` holds one term per level-k node on its last axis
-    (k < N; leading axes are kept).  A sum starts from 0.0 at the root and
-    adds the terms of the nodes it passes in path order; rounding is
-    monotone, so each max equals the sequential sum along its best path
-    bit for bit.  Entry k of the result is level k's maxima; a node no path
-    reaches holds -inf.
+    ``increments`` yields, for k < N in turn, one term per level-k node on
+    its last axis (leading axes are kept).  A sum starts from 0.0 at the
+    root and adds the terms of the nodes it passes in path order; rounding
+    is monotone, so each max equals the sequential sum along its best path
+    bit for bit.  Yields the maxima of levels 1 to N in turn; a node no
+    path reaches holds -inf.
     """
-    best = [np.zeros(np.shape(increments[0])[:-1] + (1,))]
+    best = 0.0
     for k, inc in enumerate(increments):
-        here = best[-1] + inc
-        best.append(tree.push_max(k, here[..., tree.edge_parent[k]]))
-    return best
+        best = tree.push_max(k, best + inc)
+        yield best
 
 
 def edge_increments(tree: FiltrationTree, values: np.ndarray, expected: np.ndarray) -> EdgeField:

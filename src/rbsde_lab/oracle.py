@@ -100,8 +100,7 @@ def _enumerate_stop_rules(
             alive = np.zeros(tree.level_size(k), dtype=bool)
             alive[reachable[digits == 0]] = True
             codes.append(code)
-            reached = np.bincount(tree.edge_child[k][alive[tree.edge_parent[k]]], minlength=tree.level_size(k + 1))
-            rec(k + 1, np.flatnonzero(reached), codes)
+            rec(k + 1, np.flatnonzero(tree.push_max(k, alive)), codes)
             codes.pop()
 
     rec(0, np.zeros(1, dtype=np.int64), [])

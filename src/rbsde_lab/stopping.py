@@ -15,12 +15,14 @@ that does not grow with the number of hits a path makes:
   the barrier a path waits for next, for the stationarity index, the stall
   diagnostic and the worst residual over the intervals.
 
-The per-interval residuals (``ChainReport.intervals``) come from a walk
-over ``(phase, node)`` states (``_chain_walk``), run on first read; its
-cost grows with the hits a path can make.  The path-based evaluation
-(``StoppingRule.levels``, ``alternating_sequence``, ``local_solution``,
-``patch_global``) enumerates the paths and is kept as the small-depth
-reference oracle.
+Both read the same stacked hit masks (``_hit_masks``) and step to the next
+level with ``FiltrationTree.push_max``.  The per-interval residuals
+(``ChainReport.intervals``) come from a walk over the phases of the
+alternating sequence (``_interval_reports``), run on first read; its state
+per node grows with the phases some path is in there.  The path-based
+evaluation (``StoppingRule.levels``, ``alternating_sequence``,
+``local_solution``, ``patch_global``) enumerates the paths and is kept as
+the small-depth reference oracle.
 """
 from __future__ import annotations
 
@@ -57,6 +59,9 @@ class StoppingRule:
     ):
         if stop_mask is not None and len(stop_mask) != tree.levels:
             raise PreconditionError("stop mask must cover every level")
+        for k, mask in enumerate(() if stop_mask is None else stop_mask):  # another width would shift or broadcast
+            if np.asarray(mask).dtype != bool or np.shape(mask) != (tree.level_size(k),):
+                raise PreconditionError(f"stop mask level {k}: expected {tree.level_size(k)} booleans")
         self.tree = tree
         self.stop_mask = stop_mask
         self.prior = prior
@@ -142,6 +147,11 @@ def hitting_time_lower(
     return StoppingRule(y.tree, y.tree.split_levels(_hit_mask(y, lower, tol, upper=False)), prior=tau)
 
 
+def _hit_masks(y: RegulatedField, barriers: BarrierPair, tol: float) -> np.ndarray:
+    """Where Y reaches U (row 0) and L (row 1), flat in level order."""
+    return np.stack((_hit_mask(y, barriers.upper, tol, upper=True), _hit_mask(y, barriers.lower, tol, upper=False)))
+
+
 def _chain_masks(rule: StoppingRule) -> list:
     """The stop sets of a rule's chain, first rule first."""
     masks = []
@@ -149,56 +159,6 @@ def _chain_masks(rule: StoppingRule) -> list:
         masks.append(rule.stop_mask)
         rule = rule.prior
     return masks[::-1]
-
-
-def _chain_walk(tree: FiltrationTree, hits: np.ndarray, n_rules: int, terms: list[np.ndarray]):
-    """Forward recursion over ``(phase, node)`` states of a chain of first hits.
-
-    The chain has ``n_rules`` rules; rule r's stop set is row
-    ``(r - 1) % period`` of ``hits`` (flat in level order, one row per rule
-    of the period).  Rule 1 stops at the first level where its set holds,
-    rule r at the first level at or after rule r-1's stop, and a rule that
-    never hits stops at N.  A path is in phase a at a node when a rules
-    stopped before that node's level.  A path advances at most one period
-    at one node: if every stop set of the period holds there (a stall, for
-    the alternating sequence) it leaves ``period`` phases later.  Only
-    phases some path is in are carried, so a level costs its width times
-    the phases alive there.
-
-    ``terms[k]`` (k < N) holds C rows of per-node terms at level k.  Each
-    path keeps, for its current phase, the sum of the terms since the phase
-    opened, in path order from 0.0.  Yields ``(k, arrive, depart)`` per
-    level: ``arrive`` (C, phases, width) is, per arrival phase and node, the
-    max of that sum over the paths reaching the node in that phase (-inf
-    where none does), and ``depart`` (phases, width) the phase after the
-    level's stops (``n_rules`` at level N).
-    """
-    period = len(hits)
-    arrive = np.zeros((len(terms[0]), 1, 1))
-    for k, level_hits in enumerate(tree.split_levels(hits)):
-        width = tree.level_size(k)
-        phases = np.arange(arrive.shape[1])[:, None]
-        if k == tree.depth:
-            yield k, arrive, np.full((phases.size, width), n_rules)
-            return
-        depart = np.repeat(phases, width, axis=1)
-        nodes = np.arange(width)
-        for _ in range(period):
-            step = (depart < n_rules) & level_hits[depart % period, nodes]
-            if not step.any():
-                break
-            depart += step
-        yield k, arrive, depart
-
-        live = arrive[0] > -np.inf
-        shift = np.where(live, depart - phases, -1)
-        vals = np.where(shift > 0, 0.0, arrive) + terms[k][:, None, :]  # a phase opened here restarts its sum
-        out = np.full((len(vals), int(np.max(depart[live])) + 1, width), -np.inf)
-        for s in sorted(set(shift[live].tolist())):
-            n = min(phases.size, out.shape[1] - s)
-            moved = np.where(shift == s, vals, -np.inf)[:, :n]
-            out[:, s : s + n] = np.maximum(out[:, s : s + n], moved)
-        arrive = tree.push_max(k, out[..., tree.edge_parent[k]])
 
 
 def _first_hit_maxima(tau: StoppingRule, hits: np.ndarray, values: np.ndarray) -> list[float]:
@@ -225,7 +185,7 @@ def _first_hit_maxima(tau: StoppingRule, hits: np.ndarray, values: np.ndarray) -
             carried = entered | at[:, b + 1]
         stop[...] = entered  # the paths that pass the last rule here
         depart[:, -1] = carried
-        at = tree.push_max(k, depart[..., tree.edge_parent[k]])
+        at = tree.push_max(k, depart)
     return np.max(values, axis=1, where=stops, initial=0.0).tolist()
 
 
@@ -256,8 +216,7 @@ def verify_local_properties(
         raise PreconditionError("local property checks need both barriers")
     tree = y.tree
     y_val, u_val, l_val = y.value.values, barriers.upper.value.values, barriers.lower.value.values
-    hits = np.stack((_hit_mask(y, barriers.upper, tol, upper=True), _hit_mask(y, barriers.lower, tol, upper=False)))
-    up_dev, lo_dev = _first_hit_maxima(tau, hits, np.abs(y_val - np.stack((u_val, l_val))))
+    up_dev, lo_dev = _first_hit_maxima(tau, _hit_masks(y, barriers, tol), np.abs(y_val - np.stack((u_val, l_val))))
     reached = np.concatenate(tree.reached)
     below = np.where(reached, l_val - y_val, -np.inf)  # nodes no path reaches are not measured
     above = np.where(reached, y_val - u_val, -np.inf)
@@ -489,52 +448,53 @@ class ChainReport:
         return {f: max(abs(getattr(r, f)) for r in self.intervals) for f in fields}
 
 
-def _spread_max(acc: np.ndarray, first: np.ndarray, last: np.ndarray, values: np.ndarray) -> None:
-    """acc[n] = max(acc[n], value) for every n in first..last, entry by entry."""
-    for s in range(int(np.max(last - first, initial=-1)) + 1):
-        sel = last - first >= s
-        np.maximum.at(acc, first[sel] + s, values[sel])
-
-
 def _interval_reports(instance: ProblemInstance, bundle: SolutionBundle, hits: np.ndarray,
                       index: int) -> list[IntervalReport]:
     """Per interval [tau_n, tau_{n+1}], n < ``index``, the residuals
-    :func:`local_solution` reports, by one :func:`_chain_walk` over the
-    upper and lower ``hits`` of a sequence that does not stall.
+    :func:`local_solution` reports: the budget identity on its steps, the
+    sandwich on its instants and the minimality sums at its closing.
 
-    Per interval: the budget identity on its steps, the sandwich on its
-    instants, and the minimality sums of K and A rebased to zero at its
-    opening.
+    ``hits`` are the :func:`_hit_masks` of a sequence :func:`chain_report`
+    found stall-free, so before level N a path in phase a (a hits so far)
+    passes at most the barrier it waits for, row a % 2, and at N every open
+    phase closes.  One forward walk carries, per phase some path is in and
+    per node, the largest sums of the K and A terms since the phase opened
+    over the paths arriving there (-inf where none does).
     """
-    tree = instance.tree
-    depth = tree.depth
+    tree, depth = instance.tree, instance.tree.depth
     node_budget = np.zeros(tree.node_count())  # per node, its largest budget defect over its edges
     np.maximum.at(node_budget, tree.edge_source, np.abs(budget_defects(bundle, instance)))
-    outside = tree.split_levels(_sandwich_gaps(bundle.y, instance))
-    budget = np.zeros(depth + 2)
-    sandwich = np.full(depth + 2, -np.inf)
-    sums = np.full((2, depth + 2), -np.inf)
-    for k, arrive, depart in _chain_walk(tree, hits, depth + 1, minimality_levels(bundle, instance.barriers)):
-        phase, node = np.nonzero(arrive[0] > -np.inf)
-        leave = depart[phase, node]
-        _spread_max(sandwich, phase, leave, outside[k][node])  # instant k is in intervals phase..leave
-        # an interval closing here ends its sum; the ones it skips are empty
-        closing = leave > phase
-        shut, skip_to, at = phase[closing], leave[closing] - 1, node[closing]
-        for side in range(2):
-            np.maximum.at(sums[side], shut, arrive[side, shut, at])
-            _spread_max(sums[side], shut + 1, skip_to, np.zeros(shut.size))
-        if k < depth:
-            np.maximum.at(budget, leave, node_budget[tree.node_start[k] + node])
-    return [
-        IntervalReport(
-            budget_residual=float(budget[n]),
-            sandwich_violation=max(0.0, float(sandwich[n])),
-            lower_skorokhod=float(sums[0, n]),
-            upper_skorokhod=float(sums[1, n]),
-        )
-        for n in range(index)
-    ]
+    gaps = tree.split_levels(_sandwich_gaps(bundle.y, instance))
+    terms = minimality_levels(bundle, instance.barriers)
+    rows = np.full((4, depth + 2), -np.inf)  # per interval: budget, sandwich, K sum, A sum
+    rows[0] = 0.0
+
+    def book(row: int | slice, n: slice, values: np.ndarray, where: np.ndarray) -> None:  # per phase, the max
+        rows[row, n] = np.maximum(rows[row, n], np.max(np.where(where, values, -np.inf), axis=-1))
+
+    arrive = np.zeros((2, 1, 1))
+    for k, level_hits, budget in zip(range(depth), tree.split_levels(hits), tree.split_levels(node_budget)):
+        live = arrive[0] > -np.inf
+        phases, width = live.shape
+        hit = live & level_hits[np.arange(phases) % 2]  # the paths that meet the barrier they wait for
+        leave = np.pad(live & ~hit, ((0, 1), (0, 0))) | np.pad(hit, ((1, 0), (0, 0)))
+        book(0, slice(phases + 1), budget, leave)  # a step is in the interval a path leaves in
+        book(1, slice(phases), gaps[k], live)  # instant k is in the interval a path arrives in
+        book(1, slice(1, phases + 1), gaps[k], hit)  # and in the one it leaves in
+        book(slice(2, 4), slice(phases), arrive, hit)  # a hit closes the phase with its sums
+        vals = np.where(hit, 0.0, arrive) + terms[k][:, None]  # a phase opened here restarts its sum
+        out = np.full((2, phases + 1, width), -np.inf)
+        out[:, :-1] = np.where(hit, -np.inf, vals)
+        out[:, 1:] = np.maximum(out[:, 1:], np.where(hit, vals, -np.inf))
+        arrive = tree.push_max(k, out[:, : phases + bool(hit[-1].any())])
+    live = arrive[0] > -np.inf  # at N every open phase closes
+    gap = np.full(depth + 2, -np.inf)
+    gap[: len(live)] = np.max(np.where(live, gaps[depth], -np.inf), axis=1)
+    rows[1] = np.maximum(rows[1], np.maximum.accumulate(gap))  # instant N is in every interval from a path's phase on
+    book(slice(2, 4), slice(len(live)), arrive, live)
+    lowest = int(np.argmax(live.any(axis=1)))
+    rows[2:, lowest + 1 :] = np.maximum(rows[2:, lowest + 1 :], 0.0)  # the intervals a path skips are empty
+    return [IntervalReport(b, max(0.0, s), lo, up) for b, s, lo, up in rows[:, :index].T.tolist()]
 
 
 def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float = HIT_TOL) -> ChainReport:
@@ -560,7 +520,7 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
     if lower is None or upper is None:
         raise PreconditionError("alternating sequence needs both barriers")
     tree, y = instance.tree, bundle.y
-    hits = np.stack((_hit_mask(y, upper, tol, upper=True), _hit_mask(y, lower, tol, upper=False)))
+    hits = _hit_masks(y, instance.barriers, tol)
     terms = minimality_levels(bundle, instance.barriers)
     # channels: max phase, -(min phase), the K and A sums; states: waits for U (even phase), for L (odd)
     at = np.full((4, 2, 1), -np.inf)
@@ -579,7 +539,7 @@ def chain_report(instance: ProblemInstance, bundle: SolutionBundle, tol: float =
         moved = np.concatenate((at[:1] + step, at[1:2] - step, np.where(meet, 0.0, at[2:]) + terms[k][:, None]))
         swap = meet & ~both
         out = np.maximum(np.where(swap, -np.inf, moved), np.where(swap, moved, -np.inf)[:, ::-1])
-        at = tree.push_max(k, out[..., tree.edge_parent[k]])
+        at = tree.push_max(k, out)
     if stall[0] < np.inf:
         _, k, j = stall
         gap = float(upper.value.level(k)[j] - lower.value.level(k)[j])

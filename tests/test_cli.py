@@ -868,3 +868,21 @@ def test_output_paths_are_checked_before_any_work(tmp_path, monkeypatch, capsys)
         assert run(*argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith(f"invalid input: {out}: cannot write output ("), argv
+
+
+def test_load_solution_refuses_a_malformed_n_or_method(tmp_path):
+    inst = load_instance(INSTANCES / "two_sided_affine.json")
+    out = tmp_path / "sol.json"
+    assert run("solve", INSTANCES / "two_sided_affine.json", "--out", out) == 0
+    doc = json.loads(out.read_text())
+    good = tmp_path / "good.json"
+    for n, method in ((None, "projection"), (1, "inc-pen"), (2 ** 24, "x")):
+        good.write_text(json.dumps({**doc, "n": n, "method": method}))
+        bundle = load_solution(good, inst)
+        assert (bundle.n, bundle.method) == (n, method)
+    bad = tmp_path / "bad.json"
+    for key, value in (("n", "abc"), ("n", 0), ("n", -3), ("n", 2.0), ("n", True), ("n", [1]),
+                       ("method", [1, 2]), ("method", None), ("method", 3)):
+        bad.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(InvalidInstanceError, match=rf"^{re.escape(str(bad))}: {key}: expected"):
+            load_solution(bad, inst)

@@ -822,6 +822,24 @@ def test_two_state_walk_skips_nodes_no_path_reaches():
     assert chain.worst_interval()["sandwich_violation"] < 1.0
 
 
+@pytest.mark.parametrize("name", TWO_SIDED)
+def test_interval_walk_spreads_the_terminal_sandwich_over_the_skipped_intervals(name):
+    """Y pushed outside the barriers at the leaves, by a different amount at
+    each: instant N lies in every interval from a path's phase there on."""
+    inst, sol = solved(name)
+    tree, rng = inst.tree, np.random.default_rng(inst.tree.depth)
+    leaves = np.arange(tree.node_count()) >= tree.node_start[-2]
+    shift = leaves * rng.uniform(-0.5, 0.5, leaves.size)
+    y = RegulatedField(sol.y.value.map(lambda v: v + shift), sol.y.right_value.map(lambda v: v + shift))
+    bundle = dataclasses.replace(sol, y=y, method="leaves moved")
+    rules, _ = alternating_sequence(bundle.y, inst.barriers)
+    context = PathContext(inst, bundle)
+    reports = [local_solution(inst, a, b, context=context).report for a, b in zip(rules, rules[1:])]
+    assert [r.sandwich_violation for r in chain_report(inst, bundle).intervals] == [
+        r.sandwich_violation for r in reports]
+    assert max(r.sandwich_violation for r in reports) > 0.0
+
+
 STALL_TEXTS = {  # as the phase walk named them
     "touching_barriers.json": "node 1 at level 2",
     "binomial-5": "node 2 at level 3",

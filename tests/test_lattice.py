@@ -390,3 +390,43 @@ def test_tree_from_numpy_levels_has_the_list_layout():
     arrays = FiltrationTree([np.array(s) for s in states], [np.array(c) for c in children], [np.array(p) for p in probs])
     assert arrays.same_shape(lists)
     assert all(c.dtype == np.int64 for c in arrays.edge_child)
+
+
+def ragged_tree_with_unreached_nodes() -> FiltrationTree:
+    """Fan-out 1-3, zero-probability edges, and nodes (1, 2), (2, 2) and (3, 3) that no edge enters."""
+    states = [[0.0], [-1.0, 0.0, 1.0], [-2.0, -1.0, 0.0, 1.0], [-3.0, -2.0, -1.0, 0.0]]
+    children = [[[0, 1]], [[1, 3], [0, 1, 3], [0]], [[2], [0, 2], [1], [0, 1, 2]]]
+    probs = [[[1.0, 0.0]], [[0.5, 0.5], [0.2, 0.0, 0.8], [1.0]], [[1.0], [0.0, 1.0], [1.0], [0.3, 0.3, 0.4]]]
+    return FiltrationTree(states, children, probs)
+
+
+def push_max_by_loop(tree: FiltrationTree, k: int, values: np.ndarray) -> np.ndarray:
+    """Per level-(k+1) node, the max of ``values`` over its parents, one child and one parent at a time."""
+    empty = False if values.dtype == bool else -np.inf
+    out = np.full(values.shape[:-1] + (tree.level_size(k + 1),), empty)
+    for child in range(tree.level_size(k + 1)):
+        for parent in range(tree.level_size(k)):
+            if child in tree.children[k][parent].tolist():
+                out[..., child] = np.maximum(out[..., child], values[..., parent])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_push_max_takes_node_values_and_gathers_the_parents(seed):
+    tree, rng = ragged_tree_with_unreached_nodes(), np.random.default_rng(seed)
+    for k in range(tree.depth):
+        width = tree.level_size(k)
+        for values in (rng.normal(size=(3, width)), rng.random((2, 3, width)) < 0.4, rng.normal(size=width)):
+            got = tree.push_max(k, values)
+            want = push_max_by_loop(tree, k, values)
+            assert got.dtype == want.dtype and got.shape == values.shape[:-1] + (tree.level_size(k + 1),)
+            assert np.array_equal(got, want)
+    assert tree.push_max(0, np.zeros(1)).tolist() == [0.0, 0.0, -np.inf]  # the zero-probability edge counts
+    assert tree.push_max(1, np.ones(3))[2] == -np.inf
+    assert not tree.push_max(1, np.ones((2, 3), dtype=bool))[:, 2].any()
+
+
+def test_reached_follows_the_node_valued_push():
+    tree = ragged_tree_with_unreached_nodes()
+    assert [r.tolist() for r in tree.reached] == [
+        [True], [True, True, False], [True, True, False, True], [True, True, True, False]]

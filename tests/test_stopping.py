@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rbsde_lab.drivers import zero_driver
 from rbsde_lab.engine import PenalizationMode, solve_penalized
 from rbsde_lab.errors import AlternationStuckError, PatchingError, PreconditionError
+from rbsde_lab.io_formats import load_instance
 from rbsde_lab.lattice import AdaptedField, FiltrationTree, TimeGrid, build_binomial
 from rbsde_lab.oracle import InstanceRecipe, random_instance
 from rbsde_lab.regulated import BarrierPair, ProblemInstance, RegulatedField
@@ -330,3 +332,19 @@ def test_sandwich_failure_names_a_reached_node():
     rep = verify_local_properties(y, barriers, StoppingRule.at_zero(tree))
     assert rep.lower_sandwich_violation == pytest.approx(0.2)
     assert f"Y drops below the lower barrier at node (1,0) by {rep.lower_sandwich_violation}" in rep.failures
+
+
+def test_stop_mask_levels_must_hold_one_boolean_per_node():
+    tree = load_instance(Path(__file__).resolve().parents[1] / "instances" / "two_sided_affine.json").tree
+    masks = [np.zeros(tree.level_size(k), dtype=bool) for k in range(tree.levels)]
+    masks[2][:] = True
+    assert np.all(StoppingRule(tree, masks).levels() == 2)
+    longer = list(masks)
+    longer[1] = np.zeros(tree.level_size(1) + 1, dtype=bool)  # every later flat offset would shift
+    width_one = list(masks)
+    width_one[3] = np.ones(1, dtype=bool)  # a node-side walk would broadcast it over the level
+    numbers = list(masks)
+    numbers[4] = masks[4].astype(np.int8)
+    for bad, k in ((longer, 1), (width_one, 3), (numbers, 4)):
+        with pytest.raises(PreconditionError, match=rf"^stop mask level {k}: expected {tree.level_size(k)} booleans"):
+            StoppingRule(tree, bad)

@@ -40,6 +40,15 @@ the input, its negation dual, a copy whose terminal sits 1.0 below L at
 leaf 0 and a copy with a custom driver whose mu * dt is 0.6.  The copies are
 built with the ``ProblemInstance`` constructor.
 
+Then one ``chain`` line per two-sided input digests the stopping walks on
+its projection bundle: ``chain_report``'s stationarity index,
+``worst_interval()`` and every ``intervals`` report, on the bundle and on a
+copy whose dK* and dA* are lowered by 0.25, so that some minimality terms
+are negative and ``worst_interval()`` reads the intervals; then
+``verify_local_properties`` from time zero (``StoppingRule.at_zero``) at
+``HIT_TOL`` and at 0.05.  Each of the four is digested on its own, floats
+as hex, a refusal by its exception type and message.
+
 Last, one ``tree`` line per input digests the tree layout: the node and edge
 numbering, the states, every level's offsets, edge arrays and slot plan (a
 slice written out as the indices it takes), ``path_gather()`` at depth
@@ -79,7 +88,16 @@ from rbsde_lab.errors import RBSDELabError
 from rbsde_lab.io_formats import load_instance, parse_instance
 from rbsde_lab.lattice import martingale_increments
 from rbsde_lab.regulated import ProblemInstance, check_separation, negation_dual, require_valid, validate_instance
-from rbsde_lab.stopping import PathContext, alternating_sequence, local_solution, patch_global
+from rbsde_lab.stopping import (
+    HIT_TOL,
+    PathContext,
+    StoppingRule,
+    alternating_sequence,
+    chain_report,
+    local_solution,
+    patch_global,
+    verify_local_properties,
+)
 
 sys.path.insert(0, str(ROOT / "bench"))
 
@@ -211,6 +229,37 @@ def check_parts(instance) -> tuple:
     return tuple(verdict_parts(i) for i in (instance, negation_dual(instance), *copies))
 
 
+def refusal_or(thunk) -> tuple:
+    """The parts ``thunk`` returns, or its refusal's exception type and message."""
+    try:
+        return thunk()
+    except RBSDELabError as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def walk_parts(instance, bundle) -> tuple:
+    """``chain_report``'s index, ``worst_interval()`` and every interval report, floats as hex."""
+    chain = chain_report(instance, bundle)
+    worst = tuple((name, value.hex()) for name, value in chain.worst_interval().items())
+    intervals = tuple(tuple(getattr(r, f.name).hex() for f in dataclasses.fields(r)) for r in chain.intervals)
+    return chain.stationarity_index, worst, intervals
+
+
+def local_parts(instance, bundle, tol: float) -> tuple:
+    """``verify_local_properties`` from time zero: its four deviations as hex and its failures."""
+    rep = verify_local_properties(bundle.y, instance.barriers, StoppingRule.at_zero(instance.tree), tol)
+    return tuple(getattr(rep, f.name).hex() for f in dataclasses.fields(rep)[:4]) + tuple(rep.failures)
+
+
+def chain_parts(instance) -> tuple:
+    """The stopping walks on the projection bundle and on a copy with negative minimality terms."""
+    bundle = _solve_projection(instance)
+    lowered = dataclasses.replace(bundle, dk_star=bundle.dk_star.map(lambda v: v - 0.25),
+                                  da_star=bundle.da_star.map(lambda v: v - 0.25), method="lowered")
+    walks = [refusal_or(lambda b=b: walk_parts(instance, b)) for b in (bundle, lowered)]
+    return (*walks, *(refusal_or(lambda tol=tol: local_parts(instance, bundle, tol)) for tol in (HIT_TOL, 0.05)))
+
+
 def slot_indices(tree, k: int) -> list:
     """Level k's slot plan, each slice written out as the indices it takes."""
     sizes = (tree.level_size(k), tree.edge_child[k].size)  # of the nodes and of the edges
@@ -276,6 +325,9 @@ def main() -> None:
             print(f"{path.stem} verify {digest(code, *parts)} (exit {code})", flush=True)
     for name, instance, _ in inputs():
         print(f"{name} check {digest(*check_parts(instance))}", flush=True)
+    for name, instance, _ in inputs():
+        if instance.lower is not None and instance.upper is not None:
+            print(f"{name} chain {digest(*chain_parts(instance))}", flush=True)
     for name, instance, _ in inputs():
         print(f"{name} tree {digest(*tree_parts(instance))}", flush=True)
 
