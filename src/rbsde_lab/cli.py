@@ -24,7 +24,7 @@ from .bundles import (
     sandwich_defect,
     skorokhod_residual,
 )
-from .engine import DEFAULT_EPS, DEFAULT_MAX_PENALTY, PenalizationMode, default_levels, penalization_sweep
+from .engine import DEFAULT_MAX_PENALTY, PenalizationMode, default_levels, penalization_sweep
 from .errors import (
     EnumerationCapError,
     InvalidInstanceError,
@@ -43,6 +43,7 @@ from .solvers import (
     solve_reflected_upper,
 )
 from .stopping import StoppingRule, chain_report, verify_local_properties
+from .tolerances import DEFAULT_EPS, DEFAULT_RESIDUAL_TOL, ROUNDOFF_TOL, sweep_gate
 
 # The path oracles ``verify`` no longer calls, still reachable under these
 # names for code that instruments this module's calls (see bench/battery.py).
@@ -55,8 +56,6 @@ EXIT_PRECONDITION = 3
 EXIT_THEOREM = 4
 EXIT_UNSUPPORTED = 5
 VERIFY_PRECEDENCE = (EXIT_THEOREM, EXIT_INVALID, EXIT_NO_CONVERGENCE)
-
-DEFAULT_RESIDUAL_TOL = 1e-9
 
 
 def _residual_tol() -> float:
@@ -114,9 +113,9 @@ def _bundle_report(bundle: SolutionBundle, instance, tol: float, mode: Penalizat
     """Residuals and pass gates for a dumped solution.
 
     A bundle from a sweep in ``mode`` sits off its penalized barrier by the
-    penalty slack, so that side's domination is gated at twice the sweep
-    accuracy ``eps`` instead of the exact-solution tolerance; everything else
-    keeps the strict gate.
+    penalty slack, so that side's domination is gated at ``sweep_gate(eps)``
+    of the sweep accuracy instead of the exact-solution tolerance; everything
+    else keeps the strict gate.
     """
     rep = skorokhod_residual(bundle, instance.barriers)
     residuals = {
@@ -130,7 +129,7 @@ def _bundle_report(bundle: SolutionBundle, instance, tol: float, mode: Penalizat
     tolerances = dict.fromkeys(residuals, tol)
     if mode is not None:
         side = "lower" if mode.penalizes_lower else "upper"
-        tolerances[f"sandwich_{side}"] = tolerances[f"skorokhod_{side}"] = 2.0 * eps
+        tolerances[f"sandwich_{side}"] = tolerances[f"skorokhod_{side}"] = sweep_gate(eps)
     passed = all(abs(residuals[k]) <= tolerances[k] for k in residuals)
     return residuals, tolerances, passed
 
@@ -281,7 +280,7 @@ def cmd_game(args) -> int:
     print(f"game value (fast recursion): {fast}")
     print(f"solver value at the root:    {solver}")
     print(f"difference: {diff}")
-    ok = diff <= 1e-10
+    ok = diff <= ROUNDOFF_TOL
     if args.exhaustive:
         exhaustive = dynkin_value_bruteforce(instance, exhaustive=True)
         print(f"game value (exhaustive):     {exhaustive}")

@@ -20,16 +20,21 @@ from .errors import InvalidInstanceError
 class Driver:
     """Evaluation rule f(t, y) with Lipschitz constant mu in y.
 
-    ``intercept``/``slope`` describe the affine case; ``fn`` overrides them
-    for custom rules (then ``affine`` is False and mu must be supplied).
+    ``intercept``/``slope`` describe the affine case, whose mu is |slope|
+    (set here, so a ``dataclasses.replace`` of the slope keeps it true);
+    ``fn`` overrides them for custom rules (then ``affine`` is False and mu
+    must be supplied).
     """
 
     family: str
     intercept: float = 0.0
     slope: float = 0.0
     mu: float = 0.0
-    y_independent: bool = True
     fn: Callable[[float, float], float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.fn is None:
+            object.__setattr__(self, "mu", abs(self.slope))
 
     def __call__(self, t: float, y: float) -> float:
         if self.fn is not None:
@@ -48,6 +53,10 @@ class Driver:
     def affine(self) -> bool:
         return self.fn is None
 
+    @property
+    def y_independent(self) -> bool:
+        return self.fn is None and self.slope == 0.0
+
 
 def zero_driver() -> Driver:
     return Driver("zero")
@@ -58,19 +67,13 @@ def constant_driver(rate: float) -> Driver:
 
 
 def linear_driver(intercept: float, slope: float) -> Driver:
-    return Driver(
-        "linear",
-        intercept=float(intercept),
-        slope=float(slope),
-        mu=abs(float(slope)),
-        y_independent=(slope == 0.0),
-    )
+    return Driver("linear", intercept=float(intercept), slope=float(slope))
 
 
 def custom_driver(fn: Callable[[float, float], float], mu: float) -> Driver:
     if mu < 0.0:
         raise InvalidInstanceError("Lipschitz constant must be nonnegative")
-    return Driver("custom", mu=float(mu), y_independent=False, fn=fn)
+    return Driver("custom", mu=float(mu), fn=fn)
 
 
 class _NegatedRule:

@@ -67,12 +67,9 @@ from .regulated import (
     negation_dual,
     require_valid,
 )
+from .tolerances import DEFAULT_EPS, FIXED_POINT_MAX_ITER, FIXED_POINT_TOL, MONOTONICITY_TOL
 
-FIXED_POINT_TOL = 1e-13
-FIXED_POINT_MAX_ITER = 200
-MONOTONICITY_TOL = 1e-10
 DEFAULT_MAX_PENALTY = 2 ** 20
-DEFAULT_EPS = 1e-5  # sweep accuracy: stop once consecutive levels are this close
 
 
 class PenalizationMode(enum.Enum):
@@ -113,11 +110,11 @@ def _fixed_point(e: np.ndarray, t, dt, driver: Driver, settle, failure: str | No
     scale*y = c plus the step's own terms.  Affine drivers move b*y to the
     left: one call with c = e + a dt and scale = 1 - b dt.  Other drivers
     iterate y -> settle(e + f(t, y) dt, 1) from y = e, a contraction while
-    mu * dt < 1/2; each entry stops once its own iterates are within 1e-13,
-    so it repeats its scalar sequence and the driver is not called on it
-    again.  Returns (y, c, scale) of the last iterate.  Entries still moving
-    after FIXED_POINT_MAX_ITER iterates raise ``failure``, or with no
-    ``failure`` are left NaN for the caller to find.
+    mu * dt < 1/2; each entry stops once its own iterates are within
+    FIXED_POINT_TOL, so it repeats its scalar sequence and the driver is not
+    called on it again.  Returns (y, c, scale) of the last iterate.  Entries
+    still moving after FIXED_POINT_MAX_ITER iterates raise ``failure``, or
+    with no ``failure`` are left NaN for the caller to find.
     """
     if driver.affine:
         c, scale = e + driver.intercept * dt, 1.0 - driver.slope * dt
@@ -537,18 +534,18 @@ def penalization_sweep(
     Stops once consecutive solutions are eps-close in sup norm; asserts the
     monotonicity the comparison argument dictates (nondecreasing for the
     lower-penalty modes, nonincreasing for the upper-penalty modes) and
-    raises when it fails beyond 1e-10.  Non-convergence within the schedule
-    is reported in the result, not raised.
+    raises when it fails beyond MONOTONICITY_TOL.  Non-convergence
+    within the schedule is reported in the result, not raised.
 
     One stacked pass, :func:`_ladder_pass`, gives the distances of every
     consecutive pair of the whole schedule and the values Y at the stopping
     level (:func:`_stop_index`).  The pairs up to the stop are then read in
     order, and :func:`solve_penalized` books the final bundle from those
     values, without a second backward pass.  When residuals are asked for,
-    each traced level is solved in full instead, and the last of them is the
-    final bundle.  An upper-side mode sweeps the negation dual of the
-    validated instance and maps back only the bundles it solves.  Negation
-    is exact: distances and monotonicity carry over.
+    each traced level is solved in full for its residual row only.  An
+    upper-side mode sweeps the negation dual of the validated instance and
+    maps back only the bundles it solves.  Negation is exact: distances and
+    monotonicity carry over.
     """
     if levels is None:
         levels = default_levels()
@@ -562,7 +559,6 @@ def penalization_sweep(
     ran = list(levels[: _stop_index(distances, eps) + 1])
     trace: list[TraceRow] = []
     worst_mono = 0.0
-    sol: SolutionBundle | None = None
     for i, n in enumerate(ran):
         if failed[i]:
             solve_penalized(frame, n, frame_mode)  # raises what stopped the level
@@ -572,8 +568,8 @@ def penalization_sweep(
         worst_mono = max(worst_mono, float(drops[i - 1]))
         row = TraceRow(n, float(distances[i - 1]))
         if compute_residuals:
-            sol = solve_penalized(frame, n, frame_mode)
-            here = sol.negate_swap(mode.value) if upper_side else sol
+            here = solve_penalized(frame, n, frame_mode)
+            here = here.negate_swap(mode.value) if upper_side else here
             rep = skorokhod_residual(here, instance.barriers)
             row.lower_skorokhod_residual = rep.lower_residual
             row.upper_skorokhod_residual = rep.upper_residual
@@ -583,8 +579,7 @@ def penalization_sweep(
             raise SchemeMonotonicityError(
                 f"{mode.value} sweep lost monotonicity by {worst_mono} at level {n}"
             )
-    if sol is None:
-        sol = solve_penalized(frame, ran[-1], frame_mode, stop_row)
+    sol = solve_penalized(frame, ran[-1], frame_mode, stop_row)
     label = "decreasing-penalization" if upper_side else "increasing-penalization"
     final = sol.negate_swap(label) if upper_side else replace(sol, method=label)
     return SweepResult(

@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EnumerationCapError, InvalidInstanceError, PreconditionError
+from .tolerances import PROB_TOL
 
-PROB_TOL = 1e-12
 PATH_ENUMERATION_CAP = 22  # levels; beyond this use node-based routines
 
 

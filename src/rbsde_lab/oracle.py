@@ -15,7 +15,7 @@ import numpy as np
 
 from .bundles import SolutionBundle, pairwise_process_distances
 from .drivers import Driver, constant_driver, linear_driver, zero_driver
-from .engine import DEFAULT_EPS, PenalizationMode, penalization_sweep
+from .engine import PenalizationMode, penalization_sweep
 from .errors import (
     EnumerationCapError,
     InvalidInstanceError,
@@ -35,6 +35,7 @@ from .regulated import (
     validate_instance,
 )
 from .solvers import solve_doubly_reflected
+from .tolerances import COMPARISON_TOL, DEFAULT_EPS, sweep_gate
 
 MAX_EXHAUSTIVE_DEPTH = 7
 MAX_EXHAUSTIVE_RULES = 4096
@@ -243,7 +244,7 @@ def comparison_check(a: ProblemInstance, b: ProblemInstance) -> ComparisonReport
     ya = solve_doubly_reflected(a).y.value
     yb = solve_doubly_reflected(b).y.value
     worst = max(0.0, float(np.max(ya.values - yb.values)))
-    return ComparisonReport(max_violation=worst, tolerance=1e-12)
+    return ComparisonReport(max_violation=worst, tolerance=COMPARISON_TOL)
 
 
 @dataclass
@@ -299,7 +300,7 @@ def uniqueness_probe(
         a_distances=a_d,
         ka_distances=ka_d,
         separation_holds=check_separation(instance.barriers).satisfied,
-        tolerance=2.0 * eps,
+        tolerance=sweep_gate(eps),
         converged={"increasing": inc.converged, "decreasing": dec.converged},
     )
 
@@ -342,9 +343,7 @@ def _pick_driver(recipe: InstanceRecipe, rng: np.random.Generator, dt: float) ->
     raise InvalidInstanceError(f"unknown driver family {family!r}")
 
 
-def _jump_sites(
-    rng: np.random.Generator, tree: FiltrationTree, count: int
-) -> list[tuple[int, int]]:
+def _jump_sites(rng: np.random.Generator, tree: FiltrationTree, count: int) -> list[tuple[int, int]]:
     sites = []
     for _ in range(count):
         k = int(rng.integers(0, tree.depth))

@@ -37,9 +37,7 @@ from .errors import AlternationStuckError, PatchingError, PreconditionError
 from .lattice import AdaptedField, EdgeField, FiltrationTree, sup_distance
 from .regulated import BarrierPair, ProblemInstance, RegulatedField
 from .solvers import solve_doubly_reflected
-
-HIT_TOL = 1e-9
-PATCH_TOL = 1e-9  # seams, path agreement, and patched against direct solve
+from .tolerances import HIT_TOL, PATCH_TOL, ROUNDOFF_TOL
 
 
 class StoppingRule:
@@ -224,15 +222,15 @@ def verify_local_properties(
     upper_violation = max(0.0, float(np.max(above)))
 
     failures = []
-    bound = tol + 1e-10
+    bound = tol + ROUNDOFF_TOL
     if up_dev > bound:
         failures.append(f"upper hitting value deviates by {up_dev}")
     if lo_dev > bound:
         failures.append(f"lower hitting value deviates by {lo_dev}")
-    if lower_violation > 1e-10:
+    if lower_violation > ROUNDOFF_TOL:
         k, j = tree.locate(int(np.argmax(below)))
         failures.append(f"Y drops below the lower barrier at node ({k},{j}) by {lower_violation}")
-    if upper_violation > 1e-10:
+    if upper_violation > ROUNDOFF_TOL:
         k, j = tree.locate(int(np.argmax(above)))
         failures.append(f"Y exceeds the upper barrier at node ({k},{j}) by {upper_violation}")
     return LocalPropertiesReport(

@@ -327,3 +327,16 @@ def test_symmetric_recipe_produces_odd_data():
     order = np.argsort(x)
     rev = np.argsort(-x)
     assert np.allclose(xi[order], -xi[rev], atol=1e-12)
+
+
+def test_game_oracle_refuses_a_constant_driver_given_a_slope_by_replace():
+    from dataclasses import replace
+    from pathlib import Path
+
+    from rbsde_lab.io_formats import load_instance
+
+    inst = load_instance(Path(__file__).resolve().parents[1] / "instances/barrier_jumps.json")
+    sloped = replace(constant_driver(0.2), slope=0.3)
+    assert (sloped.mu, sloped.y_independent) == (0.3, False)
+    with pytest.raises(UnsupportedDriverError):
+        dynkin_value_bruteforce(replace(inst, driver=sloped))

@@ -316,3 +316,14 @@ def test_negation_dual_gets_its_own_validation_report(tree):
     assert [(v.kind, v.location) for v in validate_instance(inst).violations] == [("terminal_below_lower", "leaf 3")]
     dual = validate_instance(negation_dual(inst))
     assert [(v.kind, v.location, v.detail) for v in dual.violations] == [("terminal_above_upper", "leaf 3", 2.0)]
+
+
+def test_validate_flags_stability_of_a_driver_made_stiff_by_replace(tree):
+    inst = _instance(
+        tree,
+        lower=RegulatedField.constant(tree, -1.0),
+        upper=RegulatedField.constant(tree, 1.0),
+        driver=dataclasses.replace(zero_driver(), slope=-2.4),  # mu * dt = 2.4 * 0.25 = 0.6
+    )
+    report = validate_instance(inst)
+    assert [(v.kind, v.detail) for v in report.violations] == [("stability", pytest.approx(0.6))]

@@ -42,11 +42,14 @@ built with the ``ProblemInstance`` constructor.
 
 Then one ``chain`` line per two-sided input digests the stopping walks on
 its projection bundle: ``chain_report``'s stationarity index,
-``worst_interval()`` and every ``intervals`` report, on the bundle and on a
+``worst_interval()`` and every ``intervals`` report, on the bundle, on a
 copy whose dK* and dA* are lowered by 0.25, so that some minimality terms
-are negative and ``worst_interval()`` reads the intervals; then
+are negative and ``worst_interval()`` reads the intervals, and on a copy
+whose Y and Y+ both gain the same uniform draw from [-0.05, 0.05] per node
+(``np.random.default_rng(depth)``), so that Y leaves the barriers and the
+intervals' sandwich violations are not all zero; then
 ``verify_local_properties`` from time zero (``StoppingRule.at_zero``) at
-``HIT_TOL`` and at 0.05.  Each of the four is digested on its own, floats
+``HIT_TOL`` and at 0.05.  Each of the five is digested on its own, floats
 as hex, a refusal by its exception type and message.
 
 Last, one ``tree`` line per input digests the tree layout: the node and edge
@@ -87,7 +90,14 @@ from rbsde_lab.engine import (
 from rbsde_lab.errors import RBSDELabError
 from rbsde_lab.io_formats import load_instance, parse_instance
 from rbsde_lab.lattice import martingale_increments
-from rbsde_lab.regulated import ProblemInstance, check_separation, negation_dual, require_valid, validate_instance
+from rbsde_lab.regulated import (
+    ProblemInstance,
+    RegulatedField,
+    check_separation,
+    negation_dual,
+    require_valid,
+    validate_instance,
+)
 from rbsde_lab.stopping import (
     HIT_TOL,
     PathContext,
@@ -252,11 +262,15 @@ def local_parts(instance, bundle, tol: float) -> tuple:
 
 
 def chain_parts(instance) -> tuple:
-    """The stopping walks on the projection bundle and on a copy with negative minimality terms."""
+    """The stopping walks on the projection bundle, on a copy with negative
+    minimality terms and on a copy with Y and Y+ moved off the barriers."""
     bundle = _solve_projection(instance)
     lowered = dataclasses.replace(bundle, dk_star=bundle.dk_star.map(lambda v: v - 0.25),
                                   da_star=bundle.da_star.map(lambda v: v - 0.25), method="lowered")
-    walks = [refusal_or(lambda b=b: walk_parts(instance, b)) for b in (bundle, lowered)]
+    noise = np.random.default_rng(instance.tree.depth).uniform(-0.05, 0.05, instance.tree.node_count())
+    y = RegulatedField(bundle.y.value.map(lambda v: v + noise), bundle.y.right_value.map(lambda v: v + noise))
+    shifted = dataclasses.replace(bundle, y=y, method="shifted")
+    walks = [refusal_or(lambda b=b: walk_parts(instance, b)) for b in (bundle, lowered, shifted)]
     return (*walks, *(refusal_or(lambda tol=tol: local_parts(instance, bundle, tol)) for tol in (HIT_TOL, 0.05)))
 
 
